@@ -69,12 +69,14 @@ from .models import (
 from .od import (
     DEFAULT_SPLIT_THETA,
     ODDataset,
+    ODFit,
     PARAM_NAMES,
     SplitProportions,
     build_design,
     ls_estimate,
     od_gb1_standard_errors,
     od_gb2_standard_errors,
+    od_standard_errors,
     od_weights,
     read_od_csv,
     recover_split_matrix,

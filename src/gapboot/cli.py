@@ -33,15 +33,12 @@ from .gb2 import correlation_matrix, subseries_estimates
 from .models import FAMILY_GAPS, ar2_model, row_mean_spread
 from .od import (
     PARAM_NAMES,
+    ODFit,
     SplitProportions,
-    ls_estimate,
-    od_gb1_standard_errors,
-    od_gb2_standard_errors,
-    od_weights,
+    od_standard_errors,
     read_od_csv,
     surrogate_od_dataset,
     write_od_csv,
-    _statistics,
 )
 from .resample import BootstrapConfig
 from .study import METHODS, StudyConfig, run_study, write_study_csv, write_study_json
@@ -196,9 +193,7 @@ def _cmd_od(args) -> int:
         write_od_csv(dataset, args.dump_data)
 
     config = BootstrapConfig(replicates=args.replicates, seed=args.seed)
-    theta, _ = ls_estimate(dataset, ridge=args.ridge)
-    se1 = od_gb1_standard_errors(dataset, config, ridge=args.ridge)
-    se2 = od_gb2_standard_errors(
+    theta, se1, se2 = od_standard_errors(
         dataset, args.block_len, config, degenerate=args.degenerate_corr, ridge=args.ridge,
     )
     split = SplitProportions(theta=theta)
@@ -254,10 +249,8 @@ def _cmd_check(args) -> int:
 
     # Slot weights sum to the identity.
     dataset, _ = surrogate_od_dataset(40, 6, seed=args.seed, noise=0.05)
-    g, _h = _statistics(dataset)
-    gk = g.sum(axis=0)
-    weights = od_weights(gk.sum(axis=0), gk)
-    wdev = float(np.abs(weights.sum(axis=0) - np.eye(21)).max())
+    fit = ODFit(dataset)
+    wdev = float(np.abs(fit.weights.sum(axis=0) - np.eye(21)).max())
     ok &= _check("slot weights sum to the identity", wdev <= 1e-8, f"max dev {wdev:.2e}")
 
     # Exact linearity of the mean on a dyadic-friendly array.
@@ -270,12 +263,8 @@ def _cmd_check(args) -> int:
     ok &= _check("median is flagged as non-linear", med > 0.0, f"residual {med:.3f}")
 
     # Pooled OD estimate equals the weighted slot combination.
-    theta, _ = ls_estimate(dataset)
-    h = _h
-    hk = h.sum(axis=0)
-    slot_thetas = np.stack([ls_estimate(dataset, k)[0] for k in range(1, dataset.slots + 1)])
-    recombined = np.einsum("kab,kb->a", weights, slot_thetas)
-    lres = float(np.linalg.norm(theta - recombined))
+    recombined = np.einsum("kab,kb->a", fit.weights, fit.slot_estimates)
+    lres = float(np.linalg.norm(fit.theta - recombined))
     ok &= _check("pooled OD estimate equals weighted slot combination", lres <= 1e-8, f"residual {lres:.2e}")
 
     # Row means are exchangeable for constant-mean families, not for periodic.

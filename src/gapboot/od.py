@@ -9,11 +9,21 @@ record per (day, slot) pair.  Days play the role of periods and the S
 slots within a day the role of rows of a gapped array, so the gap
 bootstrap machinery applies with slot-specific weight matrices
 W_k = Gamma_full^{-1} Gamma_slot.
+
+``ODFit`` is the fit of one dataset.  It computes each record's normal
+equations once, storing O'O (exactly symmetric) as its 231 upper-triangle
+entries, and keeps the pooled and per-slot estimates, the weights W_k
+and the per-slot pairs-bootstrap covariances, each computed on first
+use.  GB-I and GB-II are two combinations of one fit, so
+``od_standard_errors`` -- what ``gapboot od`` runs -- draws each slot's
+bootstrap stream once for both; ``ls_estimate`` never runs the
+bootstrap.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -36,12 +46,14 @@ from .resample import BootstrapConfig
 __all__ = [
     "DEFAULT_SPLIT_THETA",
     "ODDataset",
+    "ODFit",
     "PARAM_NAMES",
     "SplitProportions",
     "build_design",
     "ls_estimate",
     "od_gb1_standard_errors",
     "od_gb2_standard_errors",
+    "od_standard_errors",
     "od_weights",
     "read_od_csv",
     "recover_split_matrix",
@@ -251,19 +263,63 @@ def write_od_csv(dataset: ODDataset, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Least squares and weights
+# Packed normal equations
 # ---------------------------------------------------------------------------
 
+#: Upper triangle of a symmetric 21x21 matrix, row by row: the 231 entries a
+#: packed matrix stores.  ``_unpack`` restores the full matrix.
+_ROWS, _COLS = np.triu_indices(21)
+_UNPACK = np.empty((21, 21), dtype=np.intp)
+_UNPACK[_ROWS, _COLS] = _UNPACK[_COLS, _ROWS] = np.arange(_ROWS.size)
+
+
+def _gram_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """How each packed entry of a record's O'O follows from its origin counts.
+
+    O = sum_a o_a B_a, so (O'O)[j, k] = sum_{a,b} o_a o_b (B_a' B_b)[j, k].
+    Only the pair of blocks holding columns j and k contributes, with
+    coefficient 1 (the last row) or 2 (the last row plus a shared row).
+    Returns the 21 origin pairs (a, b), a <= b, as two index arrays, then
+    the pair and the coefficient of each packed entry.
+    """
+    terms = np.einsum("aij,bik->jkab", _BASIS, _BASIS)[_ROWS, _COLS]  # (231, 6, 6)
+    entry, a, b = np.nonzero(terms)
+    assert np.array_equal(entry, np.arange(_ROWS.size)), "one origin pair per entry"
+    pairs, pair_of = np.unique(a * 6 + b, return_inverse=True)
+    return pairs // 6, pairs % 6, pair_of, terms[entry, a, b]
+
+
+_PAIR_A, _PAIR_B, _PAIR_OF, _COEF = _gram_terms()
+
+
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    """Full symmetric matrices, shape (..., 21, 21), from packed (..., 231)."""
+    return np.take(packed, _UNPACK, axis=-1)
+
+
 def _statistics(dataset: ODDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record normal-equation pieces G = O'O (D, S, 21, 21) and h = O'D'."""
+    """Per-record normal-equation pieces: O'O packed, shape (D, S, 231), and
+    h = O'D', shape (D, S, 21).
+
+    Each entry of O'O is one origin product times 1 or 2, both exact, so
+    the packed entries equal those of the full product bit for bit.
+    """
     o = dataset.origins
     d = dataset.destinations
     design = np.einsum("dsk,kij->dsij", o[..., :6], _BASIS)
     response = np.concatenate([d[..., :6], (d[..., 6] - o.sum(axis=-1))[..., None]], axis=-1)
-    g = np.einsum("dsij,dsik->dsjk", design, design)
     h = np.einsum("dsij,dsi->dsj", design, response)
+    # np.take keeps (D, S, 231) C-ordered, so numpy sums over records in
+    # the same order as on the full (D, S, 21, 21) array
+    products = np.take(o, _PAIR_A, axis=-1) * np.take(o, _PAIR_B, axis=-1)
+    g = np.take(products, _PAIR_OF, axis=-1)
+    g *= _COEF
     return g, h
 
+
+# ---------------------------------------------------------------------------
+# Least squares and weights
+# ---------------------------------------------------------------------------
 
 def _check_condition(gamma: np.ndarray, what: str) -> None:
     eig = np.linalg.eigvalsh(0.5 * (gamma + gamma.T))
@@ -289,21 +345,14 @@ def ls_estimate(dataset: ODDataset, slot: int | None = None, *, ridge: float = 0
     ``None`` pools every record.  Rank-deficient or ill-conditioned
     normal equations (condition number above 1e12) raise RankError.
     """
-    g, h = _statistics(dataset)
+    fit = ODFit(dataset, ridge=ridge)
     if slot is None:
-        gamma = g.sum(axis=(0, 1))
-        rhs = h.sum(axis=(0, 1))
-        what = "all slots"
+        theta, gamma = fit.theta, fit.gamma
     else:
         if not 1 <= slot <= dataset.slots:
             raise BoundsError(f"slot {slot} outside 1..{dataset.slots}")
-        gamma = g[:, slot - 1].sum(axis=0)
-        rhs = h[:, slot - 1].sum(axis=0)
-        what = f"slot {slot}"
-    if ridge:
-        gamma = gamma + ridge * np.eye(21)
-    theta = _solve(gamma, rhs, what)
-    return theta, gamma
+        theta, gamma = fit.slot_estimate(slot), fit.slot_gammas[slot - 1]
+    return theta, (gamma + ridge * np.eye(21) if ridge else gamma)
 
 
 def od_weights(gamma_full: np.ndarray, slot_gammas: np.ndarray) -> np.ndarray:
@@ -332,7 +381,7 @@ def od_weights(gamma_full: np.ndarray, slot_gammas: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Bootstrap within slots
+# Bootstrap within slots and sliding windows
 # ---------------------------------------------------------------------------
 
 def _slot_bootstrap_covs(
@@ -343,11 +392,12 @@ def _slot_bootstrap_covs(
     Within slot k whole day-records are resampled with replacement;
     replicate b re-solves the normal equations built from its day
     multiplicities.  Streams are keyed by slot, so slot draws are
-    independent of each other and of the slot count.
+    independent of each other and of the slot count.  ``g`` is packed:
+    the replicates' sums are formed on its 231 columns and unpacked only
+    for the solves.
     """
     days, slots = g.shape[0], g.shape[1]
     reps = config.replicates
-    eye = ridge * np.eye(21) if ridge else None
     covs = np.empty((slots, 21, 21))
     for k in range(slots):
         rng = derived_stream(config.seed, "slot", k + 1)
@@ -355,10 +405,10 @@ def _slot_bootstrap_covs(
         flat = idx + np.arange(reps)[:, None] * days
         counts = np.bincount(flat.ravel(), minlength=reps * days).reshape(reps, days)
         counts = counts.astype(np.float64)
-        gb = (counts @ g[:, k].reshape(days, 441)).reshape(reps, 21, 21)
+        gb = _unpack(counts @ g[:, k])
         hb = counts @ h[:, k]
-        if eye is not None:
-            gb = gb + eye
+        if ridge:
+            gb += ridge * np.eye(21)
         try:
             thetas = np.linalg.solve(gb, hb[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
@@ -370,27 +420,172 @@ def _slot_bootstrap_covs(
     return covs
 
 
+def _window_sums(x: np.ndarray, ell: int) -> np.ndarray:
+    """Sums of ``x`` over every run of ell consecutive days (axis 0)."""
+    total = np.cumsum(x, axis=0)
+    out = total[ell - 1 :].copy()
+    out[1:] -= total[: x.shape[0] - ell]
+    return out
+
+
 def _window_estimates(
     g: np.ndarray, h: np.ndarray, ell: int, ridge: float
 ) -> np.ndarray:
     """Slot estimates on sliding windows of ell whole days, shape (S, I, 21)."""
     days, slots = g.shape[0], g.shape[1]
-    count = days - ell + 1
-    cg = np.cumsum(g, axis=0)
-    ch = np.cumsum(h, axis=0)
-    gwin = cg[ell - 1 :].copy()
-    gwin[1:] -= cg[: days - ell]
-    hwin = ch[ell - 1 :].copy()
-    hwin[1:] -= ch[: days - ell]
-    if ridge:
-        gwin = gwin + ridge * np.eye(21)
-    out = np.empty((slots, count, 21))
+    out = np.empty((slots, days - ell + 1, 21))
     for k in range(slots):
+        gwin = _unpack(_window_sums(g[:, k], ell))
+        if ridge:
+            gwin += ridge * np.eye(21)
         try:
-            out[k] = np.linalg.solve(gwin[:, k], hwin[:, k][..., None])[..., 0]
+            out[k] = np.linalg.solve(gwin, _window_sums(h[:, k], ell)[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise RankError(f"singular window normal equations in slot {k + 1}: {exc}") from exc
     return out
+
+
+def _check_gb2_options(ell: int | None, days: int, degenerate: str) -> int:
+    """Check the GB-II degeneracy policy and window length; returns the
+    length (default ``default_block_length(days)``)."""
+    if degenerate not in ("error", "zero"):
+        raise ConfigError(f"degenerate policy must be 'error' or 'zero', got {degenerate!r}")
+    if ell is None:
+        ell = default_block_length(days)
+    if not 1 < ell < days:
+        raise BoundsError(f"window length {ell} outside 2..{days - 1}")
+    return ell
+
+
+# ---------------------------------------------------------------------------
+# The fit and its two gap bootstrap combinations
+# ---------------------------------------------------------------------------
+
+class ODFit:
+    """Least-squares fit of one dataset, shared by every estimate made from it.
+
+    Construction computes the per-record normal equations once, with each
+    record's O'O packed to its 231 upper-triangle entries, and their
+    pooled and per-slot sums.  The pooled and per-slot estimates, the
+    slot weights W_k and the slot bootstrap covariances are computed on
+    first use and kept, so least squares alone never pays for the
+    bootstrap, and GB-I and GB-II on one fit share one slot bootstrap.
+
+    ``ridge`` is added to every normal-equation solve; it must be finite
+    and >= 0.  When positive, the weight/partition identity checks are
+    skipped (the ridge perturbs them by design).
+    """
+
+    def __init__(
+        self,
+        dataset: ODDataset,
+        config: BootstrapConfig = BootstrapConfig(),
+        *,
+        ridge: float = 0.0,
+    ):
+        ridge = float(ridge)
+        if not (np.isfinite(ridge) and ridge >= 0.0):
+            raise ConfigError(f"ridge must be finite and >= 0, got {ridge}")
+        self.dataset = dataset
+        self.config = config
+        self.ridge = ridge
+        self._g, self._h = _statistics(dataset)
+        #: Pooled O'O, shape (21, 21), and per-slot O'O, shape (S, 21, 21),
+        #: both without the ridge.
+        self.gamma = _unpack(self._g.sum(axis=(0, 1)))
+        self.slot_gammas = _unpack(self._g.sum(axis=0))
+        self._slot_rhs = self._h.sum(axis=0)
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """Pooled estimate from every record, shape (21,)."""
+        return _solve(self.gamma, self._h.sum(axis=(0, 1)), "all slots", self.ridge)
+
+    def slot_estimate(self, slot: int) -> np.ndarray:
+        """Estimate from the records of one slot (1-based), shape (21,)."""
+        return _solve(
+            self.slot_gammas[slot - 1], self._slot_rhs[slot - 1], f"slot {slot}", self.ridge
+        )
+
+    @cached_property
+    def slot_estimates(self) -> np.ndarray:
+        """Every slot's estimate, shape (S, 21)."""
+        return np.stack([self.slot_estimate(k) for k in range(1, self.dataset.slots + 1)])
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Slot weights W_k = Gamma_full^{-1} Gamma_k, shape (S, 21, 21)."""
+        if self.ridge:
+            factor = cho_factor(self.gamma + self.ridge * np.eye(21))
+            return np.stack([cho_solve(factor, gk) for gk in self.slot_gammas])
+        return od_weights(self.gamma, self.slot_gammas)
+
+    @cached_property
+    def slot_covariances(self) -> np.ndarray:
+        """Pairs-bootstrap covariance of each slot estimate, shape (S, 21, 21)."""
+        return _slot_bootstrap_covs(self._g, self._h, self.config, self.ridge)
+
+    def gb1_standard_errors(self) -> np.ndarray:
+        """Gap bootstrap I standard errors; see ``od_gb1_standard_errors``."""
+        rows = RowEstimates(estimates=self.slot_estimates, variances=self.slot_covariances)
+        return gb1_variance(rows).standard_errors
+
+    def gb2_standard_errors(self, ell: int | None = None, degenerate: str = "error") -> np.ndarray:
+        """Gap bootstrap II standard errors; see ``od_gb2_standard_errors``."""
+        days, slots = self.dataset.days, self.dataset.slots
+        ell = _check_gb2_options(ell, days, degenerate)
+        theta = self.theta
+        weights = self.weights
+        window = _window_estimates(self._g, self._h, ell, self.ridge)  # (S, I, 21)
+        count = window.shape[1]
+        dev = window - theta[None, None, :]
+        proj = np.einsum("kab,kib->aki", weights, dev)  # (21, S, I)
+        moment = np.einsum("aki,aki->ak", proj, proj) / count  # (21, S)
+        num = np.einsum("aki,ali->akl", proj, proj) / count  # (21, S, S)
+        # Window solves on noise-free data leave round-off residue (~1e-13 of
+        # the estimate), so degeneracy is judged against a scale-aware floor
+        # rather than exact zero: genuine window variation sits many orders
+        # above it.
+        floor = (1e-9 * (1.0 + np.abs(theta))) ** 2
+        flat = moment <= floor[:, None]  # (21, S)
+        if degenerate == "error" and flat.any():
+            a, k = np.argwhere(flat)[0]
+            raise DegenerateCorrelationError(
+                f"window projections carry no variation for parameter {PARAM_NAMES[a]} "
+                f"in slot {k + 1}"
+            )
+        den = np.sqrt(moment[:, :, None] * moment[:, None, :])
+        live = ~(flat[:, :, None] | flat[:, None, :])
+        rho = np.divide(num, den, out=np.zeros_like(num), where=live & (den > 0.0))
+        rho = np.clip(rho, -1.0, 1.0)
+        ident = np.arange(slots)
+        rho[:, ident, ident] = 1.0
+
+        quad = np.einsum("kab,kbc,kac->ak", weights, self.slot_covariances, weights)
+        sigma = np.sqrt(np.clip(quad, 0.0, None))
+        var = np.einsum("ak,akl,al->a", sigma, rho, sigma)
+        return np.sqrt(np.clip(var, 0.0, None))
+
+
+def od_standard_errors(
+    dataset: ODDataset,
+    ell: int | None = None,
+    config: BootstrapConfig = BootstrapConfig(),
+    *,
+    degenerate: str = "error",
+    ridge: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pooled split estimate with its GB-I and GB-II standard errors.
+
+    Returns ``(theta, se_gb1, se_gb2)``, each of shape (21,), from one
+    ``ODFit``: the statistics are computed and the slot bootstrap is run
+    once for both standard errors.  The window length, the degeneracy
+    policy and the ridge are checked before any of that work.  Arguments
+    are as for ``od_gb2_standard_errors``.
+    """
+    _check_gb2_options(ell, dataset.days, degenerate)
+    fit = ODFit(dataset, config, ridge=ridge)
+    return fit.theta, fit.gb1_standard_errors(), fit.gb2_standard_errors(ell, degenerate)
 
 
 def od_gb2_standard_errors(
@@ -420,64 +615,16 @@ def od_gb2_standard_errors(
     degenerate : {"error", "zero"}
         Policy when a window-projection series has zero variability.
     ridge : float
-        Optional ridge added to every normal-equation solve for nearly
-        collinear volumes.  When positive, the weight/partition identity
-        checks are skipped (the ridge perturbs them by design).
+        Optional ridge (finite, >= 0) added to every normal-equation solve
+        for nearly collinear volumes.  When positive, the weight/partition
+        identity checks are skipped (the ridge perturbs them by design).
 
     Returns
     -------
     ndarray, shape (21,)
         Standard errors ordered as PARAM_NAMES.
     """
-    if degenerate not in ("error", "zero"):
-        raise ConfigError(f"degenerate policy must be 'error' or 'zero', got {degenerate!r}")
-    g, h = _statistics(dataset)
-    days, slots = dataset.days, dataset.slots
-    gk = g.sum(axis=0)
-    hk = h.sum(axis=0)
-    g0 = gk.sum(axis=0)
-    h0 = hk.sum(axis=0)
-    theta = _solve(g0, h0, "all slots", ridge)
-    if ridge:
-        factor = cho_factor(g0 + ridge * np.eye(21))
-        weights = np.stack([cho_solve(factor, gmat) for gmat in gk])
-    else:
-        weights = od_weights(g0, gk)
-    if ell is None:
-        ell = default_block_length(days)
-    if not 1 < ell < days:
-        raise BoundsError(f"window length {ell} outside 2..{days - 1}")
-
-    window = _window_estimates(g, h, ell, ridge)  # (S, I, 21)
-    count = window.shape[1]
-    dev = window - theta[None, None, :]
-    proj = np.einsum("kab,kib->aki", weights, dev)  # (21, S, I)
-    moment = np.einsum("aki,aki->ak", proj, proj) / count  # (21, S)
-    num = np.einsum("aki,ali->akl", proj, proj) / count  # (21, S, S)
-    # Window solves on noise-free data leave round-off residue (~1e-13 of
-    # the estimate), so degeneracy is judged against a scale-aware floor
-    # rather than exact zero: genuine window variation sits many orders
-    # above it.
-    floor = (1e-9 * (1.0 + np.abs(theta))) ** 2
-    flat = moment <= floor[:, None]  # (21, S)
-    if degenerate == "error" and flat.any():
-        a, k = np.argwhere(flat)[0]
-        raise DegenerateCorrelationError(
-            f"window projections carry no variation for parameter {PARAM_NAMES[a]} "
-            f"in slot {k + 1}"
-        )
-    den = np.sqrt(moment[:, :, None] * moment[:, None, :])
-    live = ~(flat[:, :, None] | flat[:, None, :])
-    rho = np.divide(num, den, out=np.zeros_like(num), where=live & (den > 0.0))
-    rho = np.clip(rho, -1.0, 1.0)
-    ident = np.arange(slots)
-    rho[:, ident, ident] = 1.0
-
-    covs = _slot_bootstrap_covs(g, h, config, ridge)
-    quad = np.einsum("kab,kbc,kac->ak", weights, covs, weights)
-    sigma = np.sqrt(np.clip(quad, 0.0, None))
-    var = np.einsum("ak,akl,al->a", sigma, rho, sigma)
-    return np.sqrt(np.clip(var, 0.0, None))
+    return ODFit(dataset, config, ridge=ridge).gb2_standard_errors(ell, degenerate)
 
 
 def od_gb1_standard_errors(
@@ -494,15 +641,7 @@ def od_gb1_standard_errors(
     the variance of the pooled estimate.  Shares the slot bootstrap
     streams with the GB-II path, so both report consistent slot scales.
     """
-    g, h = _statistics(dataset)
-    gk = g.sum(axis=0)
-    hk = h.sum(axis=0)
-    estimates = np.stack(
-        [_solve(gk[k], hk[k], f"slot {k + 1}", ridge) for k in range(dataset.slots)]
-    )
-    covs = _slot_bootstrap_covs(g, h, config, ridge)
-    rows = RowEstimates(estimates=estimates, variances=covs)
-    return gb1_variance(rows).standard_errors
+    return ODFit(dataset, config, ridge=ridge).gb1_standard_errors()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,19 @@
+import pytest
+
+from gapboot import od
+from gapboot._rand import derived_stream
+
+
+@pytest.fixture
+def slot_draws(monkeypatch):
+    """Slot numbers of the ("slot", k) bootstrap streams gapboot.od draws
+    while the test runs, in drawing order."""
+    drawn = []
+
+    def counting(*key):
+        if key[1:2] == ("slot",):
+            drawn.append(key[2])
+        return derived_stream(*key)
+
+    monkeypatch.setattr(od, "derived_stream", counting)
+    return drawn

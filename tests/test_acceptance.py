@@ -90,7 +90,7 @@ def test_criterion_3_ar2_reference_cell():
         f"MSE(gb1)/MSE(gb2) = {ratio:.2f}, target > 5.  With the sample mean "
         "the pooled pairwise-difference cross-covariance makes the equal-weight "
         "combination nearly unbiased, so gb1 cannot lose by the tabulated margin "
-        "on this model; see notes/decisions.md in the workspace root."
+        "on this model; see the 'Acceptance gates' section of README.md."
     )
 
 
@@ -147,7 +147,7 @@ def test_criterion_5_relative_error_shrinks_with_n():
         "term rests on p(p-1) squared row-estimate differences, whose relative "
         "noise does not shrink with the series length; past n ~ 2000 the gb1 "
         "error sits on that floor (~9% here) and the last two medians tie up "
-        "to seed luck; see notes/decisions.md in the workspace root."
+        "to seed luck; see the 'Acceptance gates' section of README.md."
     )
 
 

@@ -5,9 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from gapboot.cli import main
-from gapboot.od import read_od_csv
+from gapboot.od import od_gb1_standard_errors, od_gb2_standard_errors, read_od_csv
+from gapboot.resample import BootstrapConfig
 
 
 def run(*argv: str) -> int:
@@ -142,10 +144,45 @@ class TestOd:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_bad_block_length(self, tmp_path, capsys):
+    def test_bad_block_length(self, tmp_path, capsys, slot_draws):
         code = run(
             "od", "--surrogate", "--days", "30", "--slots", "4",
             "--replicates", "50", "--block-len", "30", "--out", str(tmp_path / "o.csv"),
         )
         assert code == 2
         assert "window length" in capsys.readouterr().err
+        assert slot_draws == []
+
+    @pytest.mark.parametrize("ridge", ["-0.5", "nan", "inf"])
+    def test_bad_ridge(self, tmp_path, capsys, ridge):
+        out = tmp_path / "o.csv"
+        code = run(
+            "od", "--surrogate", "--days", "30", "--slots", "4",
+            "--replicates", "50", f"--ridge={ridge}", "--out", str(out),
+        )
+        assert code == 1
+        assert "ridge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_draws_each_slot_stream_once(self, tmp_path, slot_draws):
+        assert run(
+            "od", "--surrogate", "--days", "30", "--slots", "4",
+            "--replicates", "50", "--out", str(tmp_path / "o.csv"),
+        ) == 0
+        assert slot_draws == [1, 2, 3, 4]
+
+    def test_columns_equal_library_standard_errors(self, tmp_path):
+        out = tmp_path / "split.csv"
+        dump = tmp_path / "data.csv"
+        assert run(
+            "od", "--surrogate", "--days", "30", "--slots", "4", "--replicates", "100",
+            "--seed", "2", "--block-len", "6", "--ridge", "0.5",
+            "--out", str(out), "--dump-data", str(dump),
+        ) == 0
+        table = np.array(
+            [[float(x) for x in line.split(",")[1:]] for line in out.read_text().splitlines()[1:]]
+        )
+        dataset = read_od_csv(dump)
+        config = BootstrapConfig(replicates=100, seed=2)
+        assert_array_equal(table[:, 1], od_gb1_standard_errors(dataset, config, ridge=0.5))
+        assert_array_equal(table[:, 2], od_gb2_standard_errors(dataset, 6, config, ridge=0.5))

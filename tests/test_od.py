@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import cho_factor, cho_solve
 
 from gapboot import (
     DEFAULT_SPLIT_THETA,
@@ -14,19 +15,22 @@ from gapboot import (
     DimensionError,
     InsufficientDataError,
     ODDataset,
+    ODFit,
     RankError,
     SplitProportions,
     build_design,
     ls_estimate,
     od_gb1_standard_errors,
     od_gb2_standard_errors,
+    od_standard_errors,
     od_weights,
     read_od_csv,
     recover_split_matrix,
     surrogate_od_dataset,
     write_od_csv,
 )
-from gapboot.od import OD_CSV_COLUMNS, _statistics
+from gapboot._rand import derived_stream
+from gapboot.od import OD_CSV_COLUMNS
 
 THETA = np.asarray(DEFAULT_SPLIT_THETA)
 
@@ -37,6 +41,39 @@ def exact_dataset(days=5, slots=3, seed=0):
     origins = rng.uniform(20.0, 80.0, size=(days, slots, 7))
     destinations = origins @ recover_split_matrix(THETA)
     return ODDataset(origins=origins, destinations=destinations)
+
+
+def full_statistics(dataset):
+    """Per-record normal equations as full matrices: O'O (D, S, 21, 21) and
+    O'D' (D, S, 21), from build_design record by record."""
+    designs = np.empty(dataset.origins.shape[:2] + (7, 21))
+    responses = np.empty(dataset.origins.shape[:2] + (7,))
+    for day in range(dataset.days):
+        for slot in range(dataset.slots):
+            designs[day, slot], responses[day, slot] = build_design(
+                dataset.origins[day, slot], dataset.destinations[day, slot]
+            )
+    g = np.einsum("dsij,dsik->dsjk", designs, designs)
+    h = np.einsum("dsij,dsi->dsj", designs, responses)
+    return g, h
+
+
+def reference_slot_bootstrap_covs(dataset, config, ridge):
+    """The slot bootstrap on full 21x21 statistics: one 441-column GEMM per
+    slot, counts taken replicate by replicate."""
+    g, h = full_statistics(dataset)
+    days, slots = g.shape[:2]
+    reps = config.replicates
+    covs = np.empty((slots, 21, 21))
+    for k in range(slots):
+        rng = derived_stream(config.seed, "slot", k + 1)
+        idx = rng.integers(0, days, size=(reps, days), dtype=np.int64)
+        counts = np.stack([np.bincount(row, minlength=days) for row in idx]).astype(np.float64)
+        gb = (counts @ g[:, k].reshape(days, 441)).reshape(reps, 21, 21) + ridge * np.eye(21)
+        thetas = np.linalg.solve(gb, (counts @ h[:, k])[..., None])[..., 0]
+        dev = thetas - thetas.mean(axis=0)
+        covs[k] = dev.T @ dev / reps
+    return covs
 
 
 class TestDesign:
@@ -205,17 +242,18 @@ class TestLeastSquares:
 
 class TestWeights:
     def test_weights_sum_to_identity(self):
-        g, _ = _statistics(exact_dataset(days=12, slots=4, seed=5))
-        weights = od_weights(g.sum(axis=(0, 1)), g.sum(axis=0))
+        fit = ODFit(exact_dataset(days=12, slots=4, seed=5))
+        weights = od_weights(fit.gamma, fit.slot_gammas)
         assert weights.shape == (4, 21, 21)
         assert_allclose(weights.sum(axis=0), np.eye(21), rtol=0, atol=1e-10)
+        assert_array_equal(fit.weights, weights)
 
     def test_partition_violation(self):
-        g, _ = _statistics(exact_dataset(days=12, slots=4, seed=5))
-        slot_gammas = g.sum(axis=0)
+        fit = ODFit(exact_dataset(days=12, slots=4, seed=5))
+        slot_gammas = fit.slot_gammas.copy()
         slot_gammas[0] *= 1.01
         with pytest.raises(ConsistencyError, match="sum"):
-            od_weights(g.sum(axis=(0, 1)), slot_gammas)
+            od_weights(fit.gamma, slot_gammas)
 
     def test_shape_errors(self):
         with pytest.raises(DimensionError):
@@ -298,6 +336,75 @@ class TestStandardErrors:
         )
         assert np.isfinite(se).all()
         assert (se >= 0).all()
+
+
+class TestFit:
+    def test_packed_statistics_match_full_products(self):
+        dataset, _ = surrogate_od_dataset(30, slots=4, seed=6, split_drift=0.1)
+        g, h = full_statistics(dataset)
+        fit = ODFit(dataset)
+        # the packed sums are taken in the same order as the full ones
+        assert_array_equal(fit.gamma, g.sum(axis=(0, 1)))
+        assert_array_equal(fit.slot_gammas, g.sum(axis=0))
+        pooled = cho_solve(cho_factor(g.sum(axis=(0, 1))), h.sum(axis=(0, 1)))
+        assert_array_equal(ls_estimate(dataset)[0], pooled)
+        assert_array_equal(fit.theta, pooled)
+        slot = cho_solve(cho_factor(g[:, 2].sum(axis=0)), h[:, 2].sum(axis=0))
+        assert_array_equal(ls_estimate(dataset, slot=3)[0], slot)
+        assert_array_equal(fit.slot_estimates[2], slot)
+
+    @pytest.mark.parametrize("ridge", [0.0, 10.0])
+    def test_packed_bootstrap_matches_full_reference(self, ridge):
+        dataset, _ = surrogate_od_dataset(40, slots=5, seed=2, day_ar=0.5, split_drift=0.1)
+        config = BootstrapConfig(replicates=200, seed=4)
+        covs = ODFit(dataset, config, ridge=ridge).slot_covariances
+        ref = reference_slot_bootstrap_covs(dataset, config, ridge)
+        # the two differ only in the GEMM's summation order
+        assert_allclose(covs, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_bootstrap_is_lazy_and_drawn_once(self, slot_draws):
+        dataset, _ = surrogate_od_dataset(40, slots=5, seed=2, split_drift=0.1)
+        fit = ODFit(dataset, BootstrapConfig(replicates=50, seed=1))
+        ls_estimate(dataset)
+        ls_estimate(dataset, slot=2)
+        assert fit.weights.shape == (5, 21, 21)
+        assert fit.slot_estimates.shape == (5, 21)
+        assert slot_draws == []
+        fit.gb1_standard_errors()
+        fit.gb2_standard_errors(10)
+        fit.gb1_standard_errors()
+        assert slot_draws == [1, 2, 3, 4, 5]
+
+    def test_one_fit_serves_every_wrapper(self, slot_draws):
+        dataset, _ = surrogate_od_dataset(50, slots=5, seed=9, day_ar=0.5, split_drift=0.1)
+        config = BootstrapConfig(replicates=150, seed=2)
+        theta, se1, se2 = od_standard_errors(dataset, 10, config, ridge=0.5)
+        assert slot_draws == [1, 2, 3, 4, 5]
+        assert_array_equal(theta, ls_estimate(dataset, ridge=0.5)[0])
+        assert_array_equal(se1, od_gb1_standard_errors(dataset, config, ridge=0.5))
+        assert_array_equal(se2, od_gb2_standard_errors(dataset, 10, config, ridge=0.5))
+
+    @pytest.mark.parametrize("ridge", [-0.5, np.nan, np.inf])
+    def test_bad_ridge(self, ridge):
+        dataset = exact_dataset(days=12, slots=3)
+        calls = (
+            lambda: ls_estimate(dataset, ridge=ridge),
+            lambda: od_gb1_standard_errors(dataset, ridge=ridge),
+            lambda: od_gb2_standard_errors(dataset, 4, ridge=ridge),
+            lambda: od_standard_errors(dataset, 4, ridge=ridge),
+        )
+        for call in calls:
+            with pytest.raises(ConfigError, match="ridge"):
+                call()
+
+    def test_options_checked_before_any_draw(self, slot_draws):
+        dataset, _ = surrogate_od_dataset(30, slots=4, seed=1)
+        for ell in (1, 30):
+            with pytest.raises(BoundsError, match="window length"):
+                od_standard_errors(dataset, ell)
+        with pytest.raises(ConfigError):
+            od_standard_errors(dataset, degenerate="ignore")
+        assert slot_draws == []
 
 
 class TestSurrogate:
