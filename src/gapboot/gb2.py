@@ -19,6 +19,7 @@ from .core import (
     DataArray,
     EstimatorSpec,
     VarianceEstimate,
+    _validate_weights,
     apply_estimator,
     apply_estimator_batch,
     psd_project,
@@ -158,42 +159,74 @@ def sampling_window_correlation(
 
 
 def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition (negatives clipped)."""
-    m = _check_symmetric(matrix, "sym_sqrt")
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (root + root.T)
+    """Symmetric PSD square root via eigendecomposition (negatives clipped).
+
+    A stack of matrices, shape (..., r, r), is rooted matrix by matrix.
+    """
+    w, v = np.linalg.eigh(_check_symmetric(matrix, "sym_sqrt"))
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.swapaxes(-1, -2)
+    return 0.5 * (root + root.swapaxes(-1, -2))
 
 
 def sym_inverse_sqrt(matrix: np.ndarray, eps: float | None = None) -> np.ndarray:
     """Symmetric inverse square root with an eigenvalue floor.
 
     Eigenvalues below ``eps`` are raised to it before inversion;
-    ``eps`` defaults to 1e-12 * max(lambda_max, 1).  Asymmetric input
-    (relative tolerance 1e-10) is rejected.
+    ``eps`` defaults to 1e-12 * lambda_max, relative so that
+    ``sym_inverse_sqrt(c**2 * M) == sym_inverse_sqrt(M) / c`` at any
+    scale (1e-12 when that is not positive).  Asymmetric
+    input (relative tolerance 1e-10) is rejected.  A stack of matrices,
+    shape (..., r, r), is inverted matrix by matrix, each with its own
+    default floor.
 
     >>> sym_inverse_sqrt(np.diag([4.0, 9.0]))
     array([[0.5       , 0.        ],
            [0.        , 0.33333333]])
+    >>> sym_inverse_sqrt(np.diag([4e-20, 9e-20]))
+    array([[5.00000000e+09, 0.00000000e+00],
+           [0.00000000e+00, 3.33333333e+09]])
     """
-    m = _check_symmetric(matrix, "sym_inverse_sqrt")
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(_check_symmetric(matrix, "sym_inverse_sqrt"))
     if eps is None:
-        eps = 1e-12 * max(float(w[-1]), 1.0)
-    w = np.maximum(w, eps)
-    out = (v / np.sqrt(w)) @ v.T
-    return 0.5 * (out + out.T)
+        eps = 1e-12 * w[..., -1:]
+        eps = np.where(eps > 0.0, eps, 1e-12)
+    out = (v / np.sqrt(np.maximum(w, eps))[..., None, :]) @ v.swapaxes(-1, -2)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def _check_symmetric(matrix: np.ndarray, where: str) -> np.ndarray:
+    """A square matrix, or a stack of them, as float64; each must be
+    symmetric to 1e-10 of max(|entry|, 1)."""
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"{where}: expected a square matrix, got shape {m.shape}")
-    scale = max(float(np.abs(m).max()), 1.0)
-    if float(np.abs(m - m.T).max()) > 1e-10 * scale:
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-10 * scale):
         raise ConsistencyError(f"{where}: matrix is not symmetric")
     return m
+
+
+def _window_correlations(
+    sub: SubseriesEstimates, rows=slice(None), eps: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Window correlation matrices R(j, k) of the selected rows (0-based).
+
+    Every row's window deviations form one (I, q r) array, so one GEMM
+    gives each row's own moment A_j and every cross moment C_jk; each
+    A_j is then inverted (square root) once.  Returns R, shape
+    (q, q, r, r) with R[j, k] = A_j^{-1/2} C_jk A_k^{-1/2}, and the
+    degenerate rows, shape (q,): those with trace(A_j) == 0, whose R
+    rows and columns are zero.  ``eps`` is as for ``sym_inverse_sqrt``.
+    """
+    dev = sub.grid[:, rows, :] - sub.full_estimates[rows]  # (I, q, r)
+    count, q, r = dev.shape
+    flat = dev.reshape(count, q * r)
+    moments = (flat.T @ flat / count).reshape(q, r, q, r).transpose(0, 2, 1, 3)
+    own = moments[np.arange(q), np.arange(q)]  # (q, r, r)
+    degenerate = np.trace(own, axis1=1, axis2=2) == 0.0
+    whiten = np.zeros_like(own)
+    whiten[~degenerate] = sym_inverse_sqrt(own[~degenerate], eps)
+    return whiten[:, None] @ moments @ whiten[None, :], degenerate
 
 
 def correlation_matrix(
@@ -205,21 +238,20 @@ def correlation_matrix(
     matrix of row j's deviations and C_{jk} the cross second moment.
     For r = 1 this reduces to sampling_window_correlation up to the
     [-1, 1] clip.  A block with trace(A_j) == 0 has no variability to
-    normalise by and raises DegenerateCorrelationError.
+    normalise by and raises DegenerateCorrelationError.  ``eps`` is the
+    eigenvalue floor of ``sym_inverse_sqrt``.  ``gb2_variance`` computes
+    the same matrices for every pair at once.
     """
-    count = sub.count
-    dj = sub.deviations(j)
-    dk = sub.deviations(k)
-    a_j = dj.T @ dj / count
-    a_k = dk.T @ dk / count
-    for label, a in ((j, a_j), (k, a_k)):
-        if float(np.trace(a)) == 0.0:
-            raise DegenerateCorrelationError(
-                f"window deviations identically zero for row {label}; "
-                "correlation matrix undefined"
-            )
-    c = dj.T @ dk / count
-    return sym_inverse_sqrt(a_j, eps) @ c @ sym_inverse_sqrt(a_k, eps)
+    for row in (j, k):
+        if not 1 <= row <= sub.p:
+            raise BoundsError(f"row index {row} outside 1..{sub.p}")
+    corr, degenerate = _window_correlations(sub, [j - 1, k - 1], eps)
+    if degenerate.any():
+        raise DegenerateCorrelationError(
+            f"window deviations identically zero for row {j if degenerate[0] else k}; "
+            "correlation matrix undefined"
+        )
+    return corr[0, 1]
 
 
 def gb2_variance(
@@ -232,8 +264,13 @@ def gb2_variance(
 
     sum_{j,k} w_j w_k Sigma_j^{1/2} R(j, k) Sigma_k^{1/2}, where the
     diagonal terms use Sigma_j itself (a series has correlation one with
-    itself) and off-diagonal R(j, k) comes from ``correlation_matrix``.
+    itself) and off-diagonal R(j, k) equals ``correlation_matrix``.
     The sum is symmetrised and PSD-projected.
+
+    Cost: one GEMM of the (I, p r) window deviations gives every moment;
+    p eigendecompositions of A_j and p of Sigma_j (each batched into one
+    call) give the roots; the p^2 terms are summed by one more product.
+    No work is done per row pair.
 
     Parameters
     ----------
@@ -245,12 +282,18 @@ def gb2_variance(
         Combination weights (default equal).  Must lie in [0, 1] and sum
         to one.
     degenerate : {"error", "zero"}
-        Whether a degenerate window correlation aborts the computation
-        or contributes a zero cross term.
+        Whether a degenerate row (window deviations identically zero)
+        aborts the computation, naming the first such row, or contributes
+        zero cross terms to every pair it is in.
 
     Notes
     -----
     With a single row the result is exactly Sigma_1.
+
+    >>> sub = SubseriesEstimates(grid=[[[1.0], [3.0]], [[3.0], [1.0]]],
+    ...                          full_estimates=[[2.0], [2.0]], ell=2)
+    >>> gb2_variance([[[4.0]], [[1.0]]], sub).scalar  # rho = -1
+    0.25
     """
     if degenerate not in ("error", "zero"):
         raise ConfigError(f"degenerate policy must be 'error' or 'zero', got {degenerate!r}")
@@ -266,22 +309,23 @@ def gb2_variance(
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (p,):
             raise DimensionError(f"expected {p} weights, got shape {w.shape}")
-        if np.any(w < 0.0) or np.any(w > 1.0) or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ConsistencyError("weights must lie in [0, 1] and sum to 1")
+        _validate_weights(w)
 
     if p == 1:
         return VarianceEstimate(matrix=v[0].copy(), method="gb2")
 
-    roots = [sym_sqrt(v[j]) for j in range(p)]
-    acc = np.einsum("j,jab->ab", w * w, v)
-    for j in range(p):
-        for k in range(j + 1, p):
-            try:
-                corr = correlation_matrix(sub, j + 1, k + 1)
-            except DegenerateCorrelationError:
-                if degenerate == "zero":
-                    continue
-                raise
-            term = (w[j] * w[k]) * (roots[j] @ corr @ roots[k])
-            acc += term + term.T
+    roots = sym_sqrt(v)
+    corr, flat = _window_correlations(sub)
+    if degenerate == "error" and flat.any():
+        raise DegenerateCorrelationError(
+            f"window deviations identically zero for row {int(np.argmax(flat)) + 1}; "
+            "correlation matrix undefined"
+        )
+    rows = np.arange(p)
+    corr[rows, rows] = 0.0  # diagonal terms use Sigma_j itself
+    # scaled[a, (j, b)] = w_j Sigma_j^{1/2}[a, b], so the p^2 cross terms
+    # w_j w_k Sigma_j^{1/2} R(j, k) Sigma_k^{1/2} sum to one matrix product
+    scaled = (w[:, None, None] * roots).transpose(1, 0, 2).reshape(r, p * r)
+    cross = scaled @ corr.transpose(0, 2, 1, 3).reshape(p * r, p * r) @ scaled.T
+    acc = np.einsum("j,jab->ab", w * w, v) + cross
     return VarianceEstimate(matrix=psd_project(acc), method="gb2")

@@ -11,8 +11,8 @@ bootstrap machinery applies with slot-specific weight matrices
 W_k = Gamma_full^{-1} Gamma_slot.
 
 ``ODFit`` is the fit of one dataset.  It computes each record's normal
-equations once, storing O'O (exactly symmetric) as its 231 upper-triangle
-entries, and keeps the pooled and per-slot estimates, the weights W_k
+equations once, storing O'O as the 21 origin products its entries are
+made of, and keeps the pooled and per-slot estimates, the weights W_k
 and the per-slot pairs-bootstrap covariances, each computed on first
 use.  GB-I and GB-II are two combinations of one fit, so
 ``od_standard_errors`` -- what ``gapboot od`` runs -- draws each slot's
@@ -263,58 +263,51 @@ def write_od_csv(dataset: ODDataset, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Packed normal equations
+# Normal equations from origin products
 # ---------------------------------------------------------------------------
 
-#: Upper triangle of a symmetric 21x21 matrix, row by row: the 231 entries a
-#: packed matrix stores.  ``_unpack`` restores the full matrix.
-_ROWS, _COLS = np.triu_indices(21)
-_UNPACK = np.empty((21, 21), dtype=np.intp)
-_UNPACK[_ROWS, _COLS] = _UNPACK[_COLS, _ROWS] = np.arange(_ROWS.size)
-
-
 def _gram_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """How each packed entry of a record's O'O follows from its origin counts.
+    """How each entry of a record's O'O follows from its origin counts.
 
     O = sum_a o_a B_a, so (O'O)[j, k] = sum_{a,b} o_a o_b (B_a' B_b)[j, k].
     Only the pair of blocks holding columns j and k contributes, with
     coefficient 1 (the last row) or 2 (the last row plus a shared row).
     Returns the 21 origin pairs (a, b), a <= b, as two index arrays, then
-    the pair and the coefficient of each packed entry.
+    the pair and the coefficient of each entry, both shape (21, 21).
     """
-    terms = np.einsum("aij,bik->jkab", _BASIS, _BASIS)[_ROWS, _COLS]  # (231, 6, 6)
+    rows, cols = np.triu_indices(21)
+    terms = np.einsum("aij,bik->jkab", _BASIS, _BASIS)[rows, cols]  # (231, 6, 6)
     entry, a, b = np.nonzero(terms)
-    assert np.array_equal(entry, np.arange(_ROWS.size)), "one origin pair per entry"
+    assert np.array_equal(entry, np.arange(rows.size)), "one origin pair per entry"
     pairs, pair_of = np.unique(a * 6 + b, return_inverse=True)
-    return pairs // 6, pairs % 6, pair_of, terms[entry, a, b]
+    unpack = np.empty((21, 21), dtype=np.intp)
+    unpack[rows, cols] = unpack[cols, rows] = entry
+    return pairs // 6, pairs % 6, pair_of[unpack], terms[entry, a, b][unpack]
 
 
-_PAIR_A, _PAIR_B, _PAIR_OF, _COEF = _gram_terms()
+_PAIR_A, _PAIR_B, _GRAM_PAIR, _GRAM_COEF = _gram_terms()
 
 
-def _unpack(packed: np.ndarray) -> np.ndarray:
-    """Full symmetric matrices, shape (..., 21, 21), from packed (..., 231)."""
-    return np.take(packed, _UNPACK, axis=-1)
+def _gram(products: np.ndarray) -> np.ndarray:
+    """O'O matrices, shape (..., 21, 21), from origin products (..., 21).
+
+    Each entry is one product times 1 or 2, both exact, so a sum of
+    records' products expands to the sum of their O'O matrices bit for
+    bit when the records are added in the same order.
+    """
+    return np.take(products, _GRAM_PAIR, axis=-1) * _GRAM_COEF
 
 
 def _statistics(dataset: ODDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record normal-equation pieces: O'O packed, shape (D, S, 231), and
-    h = O'D', shape (D, S, 21).
-
-    Each entry of O'O is one origin product times 1 or 2, both exact, so
-    the packed entries equal those of the full product bit for bit.
-    """
+    """Per-record normal-equation pieces: the 21 origin products o_a o_b
+    (a <= b) that make up O'O (see ``_gram``), shape (D, S, 21), and
+    h = O'D', shape (D, S, 21)."""
     o = dataset.origins
     d = dataset.destinations
     design = np.einsum("dsk,kij->dsij", o[..., :6], _BASIS)
     response = np.concatenate([d[..., :6], (d[..., 6] - o.sum(axis=-1))[..., None]], axis=-1)
     h = np.einsum("dsij,dsi->dsj", design, response)
-    # np.take keeps (D, S, 231) C-ordered, so numpy sums over records in
-    # the same order as on the full (D, S, 21, 21) array
-    products = np.take(o, _PAIR_A, axis=-1) * np.take(o, _PAIR_B, axis=-1)
-    g = np.take(products, _PAIR_OF, axis=-1)
-    g *= _COEF
-    return g, h
+    return np.take(o, _PAIR_A, axis=-1) * np.take(o, _PAIR_B, axis=-1), h
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +378,18 @@ def od_weights(gamma_full: np.ndarray, slot_gammas: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _slot_bootstrap_covs(
-    g: np.ndarray, h: np.ndarray, config: BootstrapConfig, ridge: float
+    products: np.ndarray, h: np.ndarray, config: BootstrapConfig, ridge: float
 ) -> np.ndarray:
     """Pairs-bootstrap covariance of each slot estimate, shape (S, 21, 21).
 
     Within slot k whole day-records are resampled with replacement;
     replicate b re-solves the normal equations built from its day
     multiplicities.  Streams are keyed by slot, so slot draws are
-    independent of each other and of the slot count.  ``g`` is packed:
-    the replicates' sums are formed on its 231 columns and unpacked only
+    independent of each other and of the slot count.  The replicates'
+    sums are formed on the 21 origin products and expanded to O'O only
     for the solves.
     """
-    days, slots = g.shape[0], g.shape[1]
+    days, slots = products.shape[0], products.shape[1]
     reps = config.replicates
     covs = np.empty((slots, 21, 21))
     for k in range(slots):
@@ -405,7 +398,7 @@ def _slot_bootstrap_covs(
         flat = idx + np.arange(reps)[:, None] * days
         counts = np.bincount(flat.ravel(), minlength=reps * days).reshape(reps, days)
         counts = counts.astype(np.float64)
-        gb = _unpack(counts @ g[:, k])
+        gb = _gram(counts @ products[:, k])
         hb = counts @ h[:, k]
         if ridge:
             gb += ridge * np.eye(21)
@@ -429,13 +422,13 @@ def _window_sums(x: np.ndarray, ell: int) -> np.ndarray:
 
 
 def _window_estimates(
-    g: np.ndarray, h: np.ndarray, ell: int, ridge: float
+    products: np.ndarray, h: np.ndarray, ell: int, ridge: float
 ) -> np.ndarray:
     """Slot estimates on sliding windows of ell whole days, shape (S, I, 21)."""
-    days, slots = g.shape[0], g.shape[1]
+    days, slots = products.shape[0], products.shape[1]
     out = np.empty((slots, days - ell + 1, 21))
     for k in range(slots):
-        gwin = _unpack(_window_sums(g[:, k], ell))
+        gwin = _gram(_window_sums(products[:, k], ell))
         if ridge:
             gwin += ridge * np.eye(21)
         try:
@@ -465,8 +458,8 @@ class ODFit:
     """Least-squares fit of one dataset, shared by every estimate made from it.
 
     Construction computes the per-record normal equations once, with each
-    record's O'O packed to its 231 upper-triangle entries, and their
-    pooled and per-slot sums.  The pooled and per-slot estimates, the
+    record's O'O stored as its 21 origin products, and their pooled and
+    per-slot sums.  The pooled and per-slot estimates, the
     slot weights W_k and the slot bootstrap covariances are computed on
     first use and kept, so least squares alone never pays for the
     bootstrap, and GB-I and GB-II on one fit share one slot bootstrap.
@@ -489,11 +482,11 @@ class ODFit:
         self.dataset = dataset
         self.config = config
         self.ridge = ridge
-        self._g, self._h = _statistics(dataset)
+        self._products, self._h = _statistics(dataset)
         #: Pooled O'O, shape (21, 21), and per-slot O'O, shape (S, 21, 21),
         #: both without the ridge.
-        self.gamma = _unpack(self._g.sum(axis=(0, 1)))
-        self.slot_gammas = _unpack(self._g.sum(axis=0))
+        self.gamma = _gram(self._products.sum(axis=(0, 1)))
+        self.slot_gammas = _gram(self._products.sum(axis=0))
         self._slot_rhs = self._h.sum(axis=0)
 
     @cached_property
@@ -523,7 +516,7 @@ class ODFit:
     @cached_property
     def slot_covariances(self) -> np.ndarray:
         """Pairs-bootstrap covariance of each slot estimate, shape (S, 21, 21)."""
-        return _slot_bootstrap_covs(self._g, self._h, self.config, self.ridge)
+        return _slot_bootstrap_covs(self._products, self._h, self.config, self.ridge)
 
     def gb1_standard_errors(self) -> np.ndarray:
         """Gap bootstrap I standard errors; see ``od_gb1_standard_errors``."""
@@ -536,7 +529,7 @@ class ODFit:
         ell = _check_gb2_options(ell, days, degenerate)
         theta = self.theta
         weights = self.weights
-        window = _window_estimates(self._g, self._h, ell, self.ridge)  # (S, I, 21)
+        window = _window_estimates(self._products, self._h, ell, self.ridge)  # (S, I, 21)
         count = window.shape[1]
         dev = window - theta[None, None, :]
         proj = np.einsum("kab,kib->aki", weights, dev)  # (21, S, I)

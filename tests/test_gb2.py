@@ -15,11 +15,13 @@ from gapboot import (
     default_block_length,
     gb2_variance,
     mean_estimator,
+    psd_project,
     sampling_window_correlation,
     subseries_estimates,
     sym_inverse_sqrt,
     sym_sqrt,
 )
+from gapboot.gb2 import _window_correlations
 
 
 class TestDefaultBlockLength:
@@ -120,6 +122,21 @@ class TestSymmetricRoots:
         out = sym_inverse_sqrt(np.ones((2, 2)))
         assert np.isfinite(out).all()
 
+    def test_floor_is_relative(self):
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        for c in (1e-9, 1.0, 1e7):
+            assert_allclose(sym_inverse_sqrt(c * c * m), sym_inverse_sqrt(m) / c, rtol=1e-12)
+        assert_allclose(sym_inverse_sqrt(np.zeros((2, 2))), 1e6 * np.eye(2))
+
+    def test_stacks_match_single_matrices(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((4, 3, 3))
+        stack = x @ x.swapaxes(1, 2)
+        for fn in (sym_sqrt, sym_inverse_sqrt):
+            out = fn(stack)
+            for m, expected in zip(stack, out):
+                assert_allclose(fn(m), expected, rtol=1e-12)
+
     def test_sqrt_roundtrip(self):
         m = np.array([[3.0, 1.0], [1.0, 2.0]])
         root = sym_sqrt(m)
@@ -217,3 +234,143 @@ def test_rho_scale_invariant_for_mean():
     r1 = sampling_window_correlation(sub1, 1, 2)
     r2 = sampling_window_correlation(sub2, 1, 2)
     assert_allclose(r1, r2, rtol=1e-12)
+
+
+def _root(a, power):
+    w, v = np.linalg.eigh(a)
+    return (v * np.clip(w, 0.0, None) ** power) @ v.T
+
+
+def reference_correlation(sub, j, k):
+    """A_j^{-1/2} C_jk A_k^{-1/2} from row j's and row k's deviations alone."""
+    dj, dk = sub.deviations(j), sub.deviations(k)
+    count = sub.count
+    return _root(dj.T @ dj / count, -0.5) @ (dj.T @ dk / count) @ _root(dk.T @ dk / count, -0.5)
+
+
+def reference_gb2(row_variances, sub, weights=None, degenerate="error"):
+    """GB-II as a loop over row pairs with two inverse roots per pair, the
+    form the batched kernel replaced; returns the PSD-projected sum."""
+    v = np.asarray(row_variances, dtype=np.float64)
+    p = sub.p
+    w = np.full(p, 1.0 / p) if weights is None else np.asarray(weights, dtype=np.float64)
+    roots = [_root(v[j], 0.5) for j in range(p)]
+    acc = np.einsum("j,jab->ab", w * w, v)
+    for j in range(1, p + 1):
+        for k in range(j + 1, p + 1):
+            flat = [row for row in (j, k) if not sub.deviations(row).any()]
+            if flat:
+                if degenerate == "zero":
+                    continue
+                raise DegenerateCorrelationError(f"row {flat[0]}")
+            term = (w[j - 1] * w[k - 1]) * (
+                roots[j - 1] @ reference_correlation(sub, j, k) @ roots[k - 1]
+            )
+            acc += term + term.T
+    return psd_project(acc)
+
+
+def kernel_case(p, r, n, seed, ell=None):
+    """Window estimates of a dependent series split into p rows, and row
+    variances from each row's own sample covariance."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((n + 1, r))
+    series = noise[1:] + 0.6 * noise[:-1] + np.linspace(0.0, 1.0, r)
+    arr = build_data_array(series if r > 1 else series[:, 0], p=p)
+    est = componentwise_mean_estimator(r) if r > 1 else mean_estimator()
+    sub = subseries_estimates(arr, est, ell or default_block_length(arr.m))
+    variances = np.stack(
+        [np.atleast_2d(np.cov(arr.row(j), rowvar=False)) / arr.m for j in range(1, p + 1)]
+    )
+    return sub, variances
+
+
+def assert_matches_reference(got, ref):
+    assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+class TestGb2Kernel:
+    def test_scalar_forty_rows(self):
+        sub, variances = kernel_case(p=40, r=1, n=4000, seed=1)
+        assert_matches_reference(gb2_variance(variances, sub).matrix, reference_gb2(variances, sub))
+
+    def test_componentwise_mean(self):
+        sub, variances = kernel_case(p=6, r=3, n=900, seed=2)
+        assert_matches_reference(gb2_variance(variances, sub).matrix, reference_gb2(variances, sub))
+
+    def test_unequal_weights(self):
+        sub, variances = kernel_case(p=7, r=2, n=700, seed=3)
+        w = np.random.default_rng(3).uniform(0.1, 1.0, 7)
+        w /= w.sum()
+        assert_matches_reference(
+            gb2_variance(variances, sub, weights=w).matrix, reference_gb2(variances, sub, w)
+        )
+
+    def test_correlations_match_correlation_matrix(self):
+        sub, _ = kernel_case(p=5, r=3, n=600, seed=4)
+        corr, degenerate = _window_correlations(sub)
+        assert not degenerate.any()
+        for j in range(1, 6):
+            for k in range(1, 6):
+                expected = correlation_matrix(sub, j, k)
+                assert_allclose(corr[j - 1, k - 1], expected, rtol=1e-12, atol=1e-12)
+                assert_allclose(expected, reference_correlation(sub, j, k), rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_degenerate_rows(self, r):
+        sub, variances = kernel_case(p=6, r=r, n=600, seed=5)
+        grid = sub.grid.copy()
+        for row in (5, 3):
+            grid[:, row - 1] = sub.full_estimates[row - 1]
+        sub = SubseriesEstimates(grid=grid, full_estimates=sub.full_estimates, ell=sub.ell)
+        with pytest.raises(DegenerateCorrelationError, match=r"row 3\b"):
+            gb2_variance(variances, sub)
+        with pytest.raises(DegenerateCorrelationError, match=r"row 3\b"):
+            reference_gb2(variances, sub)
+        assert_matches_reference(
+            gb2_variance(variances, sub, degenerate="zero").matrix,
+            reference_gb2(variances, sub, degenerate="zero"),
+        )
+
+    def test_row_permutation_invariance(self):
+        sub, variances = kernel_case(p=9, r=2, n=900, seed=6)
+        w = np.random.default_rng(6).uniform(0.1, 1.0, 9)
+        w /= w.sum()
+        perm = np.random.default_rng(7).permutation(9)
+        shuffled = SubseriesEstimates(
+            grid=sub.grid[:, perm], full_estimates=sub.full_estimates[perm], ell=sub.ell
+        )
+        assert_allclose(
+            gb2_variance(variances[perm], shuffled, weights=w[perm]).matrix,
+            gb2_variance(variances, sub, weights=w).matrix,
+            rtol=1e-12,
+        )
+
+    def test_no_eigendecomposition_per_pair(self, monkeypatch):
+        sub, variances = kernel_case(p=40, r=1, n=4000, seed=8)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        gb2_variance(variances, sub)
+        assert 0 < len(calls) <= 2 * 40 + 2
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-3, 1e4])
+    def test_scale_equivariance(self, c):
+        rng = np.random.default_rng(11)
+        noise = rng.standard_normal(401)
+        series = noise[1:] + 0.5 * noise[:-1]
+
+        def gb2_at(scale):
+            arr = build_data_array(scale * series, p=4)
+            sub = subseries_estimates(arr, mean_estimator(), ell=8)
+            variances = np.array([[[np.var(arr.row(j)) / arr.m]] for j in range(1, 5)])
+            return gb2_variance(variances, sub).scalar, correlation_matrix(sub, 1, 2)
+
+        (unit, rho), (scaled, rho_c) = gb2_at(1.0), gb2_at(c)
+        assert_allclose(scaled / c**2, unit, rtol=1e-10)
+        assert_allclose(rho_c, rho, rtol=1e-10)

@@ -343,7 +343,7 @@ class TestFit:
         dataset, _ = surrogate_od_dataset(30, slots=4, seed=6, split_drift=0.1)
         g, h = full_statistics(dataset)
         fit = ODFit(dataset)
-        # the packed sums are taken in the same order as the full ones
+        # origin products are summed in the same order as the full O'O matrices
         assert_array_equal(fit.gamma, g.sum(axis=(0, 1)))
         assert_array_equal(fit.slot_gammas, g.sum(axis=0))
         pooled = cho_solve(cho_factor(g.sum(axis=(0, 1))), h.sum(axis=(0, 1)))
