@@ -19,7 +19,7 @@ from .core import (
     psd_project,
 )
 from .errors import BoundsError
-from .resample import BootstrapConfig
+from .resample import BootstrapConfig, _chunk_ranges
 
 __all__ = [
     "block_bootstrap_variance",
@@ -40,10 +40,17 @@ def subsampling_variance(array: DataArray, estimator: EstimatorSpec, ell: int) -
     if not 1 < ell < m:
         raise BoundsError(f"window length {ell} outside 2..{m - 1}")
     count = m - ell + 1
-    full = apply_estimator(estimator, array.series(), "full series")
-    # Window means of columns via one stacked batch: (I, ell*p, d).
-    windows = np.stack([array.column_block(i, ell) for i in range(1, count + 1)])
-    theta = apply_estimator_batch(estimator, windows, "subsampling windows")
+    series = array.series()
+    full = apply_estimator(estimator, series, "full series")
+    # Window i is series[(i-1)*p : (i-1+ell)*p]; sliding_window_view
+    # appends the window axis last, batch wants (I, ell*p, d).
+    windows = np.lib.stride_tricks.sliding_window_view(series, ell * p, axis=0)[::p]
+    windows = np.moveaxis(windows, -1, 1)
+    theta = np.empty((count, estimator.dim))
+    for lo, hi in _chunk_ranges(count, ell * p * array.d * 8):
+        theta[lo:hi] = apply_estimator_batch(
+            estimator, windows[lo:hi], f"subsampling windows {lo + 1}..{hi}"
+        )
     dev = theta - full
     cov = dev.T @ dev / count
     scaled = (ell * p / array.n) * cov
@@ -71,17 +78,17 @@ def block_bootstrap_variance(
     reps = config.replicates
     nblocks = -(-m // ell)  # ceil
     rng = derived_stream(config.seed, "block_bootstrap", *key)
-    starts = rng.integers(0, m - ell + 1, size=(reps, nblocks), dtype=np.int64)
-    # Column indices of each replicate: starts expanded by 0..ell-1, truncated to m.
-    cols = (starts[:, :, None] + np.arange(ell)[None, None, :]).reshape(reps, nblocks * ell)
-    cols = cols[:, :m]
+    columns = array.values.reshape(m, p * d)
+    offsets = np.arange(ell)
     theta = np.empty((reps, estimator.dim))
-    chunk = max(1, 4_000_000 // (m * p * d))  # keep gathers around ~32 MB
-    for lo in range(0, reps, chunk):
-        gathered = array.values[cols[lo : lo + chunk]]  # (b, m, p, d)
-        stack = gathered.reshape(gathered.shape[0], m * p, d)
-        theta[lo : lo + gathered.shape[0]] = apply_estimator_batch(
-            estimator, stack, f"block resamples {lo + 1}.."
+    for lo, hi in _chunk_ranges(reps, array.values.nbytes):
+        # Consecutive draws concatenate to one (B, nblocks) draw of block
+        # starts; each start expands to ell columns, truncated to m.
+        starts = rng.integers(0, m - ell + 1, size=(hi - lo, nblocks), dtype=np.int64)
+        cols = (starts[:, :, None] + offsets).reshape(hi - lo, nblocks * ell)[:, :m]
+        stack = columns.take(cols, axis=0).reshape(hi - lo, m * p, d)
+        theta[lo:hi] = apply_estimator_batch(
+            estimator, stack, f"block resamples {lo + 1}..{hi}"
         )
     dev = theta - theta.mean(axis=0)
     cov = dev.T @ dev / reps

@@ -26,8 +26,9 @@ __all__ = [
 #: Largest number of resamples the exhaustive mode will enumerate (m**m).
 MAX_EXHAUSTIVE = 1_000_000
 
-#: Replicates are evaluated in chunks of this many resamples to bound memory.
-_CHUNK = 65_536
+#: Resamples are drawn, gathered and evaluated in chunks whose gathered
+#: sample takes about this many bytes, so memory does not grow with B.
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -57,28 +58,22 @@ def resample_indices(m: int, replicates: int, seed: int, key: tuple = ()) -> np.
     ``(seed, *key)``; replicate b is row b.  Consequently the draw for
     replicate b never depends on the total replicate count requested by
     other callers, only on its own position.
+
+    This is the whole-table form of the stream ``bootstrap_replicates``
+    draws chunk by chunk, kept as the reference: consecutive draws from
+    one Philox generator concatenate to the single draw, so replicate b
+    of a bootstrap resamples row b of this table.
     """
     rng = derived_stream(seed, *key)
     return rng.integers(0, m, size=(replicates, m), dtype=np.int64)
 
 
-def _exhaustive_indices(m: int) -> np.ndarray:
-    """All m**m resample index tuples in lexicographic order, shape (m**m, m)."""
-    total = m**m
-    grids = np.unravel_index(np.arange(total), (m,) * m)
-    return np.stack(grids, axis=1).astype(np.int64)
-
-
-def _evaluate_resamples(
-    sample: np.ndarray, indices: np.ndarray, estimator: EstimatorSpec
-) -> np.ndarray:
-    out = np.empty((indices.shape[0], estimator.dim))
-    for lo in range(0, indices.shape[0], _CHUNK):
-        chunk = indices[lo : lo + _CHUNK]
-        out[lo : lo + chunk.shape[0]] = apply_estimator_batch(
-            estimator, sample[chunk], f"resamples {lo + 1}.."
-        )
-    return out
+def _chunk_ranges(total: int, row_bytes: int):
+    """Closed-open ``(lo, hi)`` ranges covering ``range(total)`` in chunks
+    of about ``_CHUNK_BYTES`` when each item takes ``row_bytes``."""
+    step = max(1, _CHUNK_BYTES // max(1, row_bytes))
+    for lo in range(0, total, step):
+        yield lo, min(lo + step, total)
 
 
 def _as_sample(sample) -> np.ndarray:
@@ -101,9 +96,12 @@ def bootstrap_replicates(
     """Estimator values on each bootstrap resample, shape (B, r).
 
     In exhaustive mode B = m**m and the rows enumerate every resample in
-    lexicographic index order, each occurring exactly once.
+    lexicographic index order, each occurring exactly once.  In Monte
+    Carlo mode replicate b resamples row b of ``resample_indices(m, B,
+    seed, key)``.  Either way resamples are drawn and evaluated in chunks
+    of about ``_CHUNK_BYTES``, so no (B, m) table is ever held.
     """
-    arr = _as_sample(sample)
+    arr = np.ascontiguousarray(_as_sample(sample))
     m = arr.shape[0]
     if config.mode == "exhaustive":
         if m**m > MAX_EXHAUSTIVE:
@@ -111,10 +109,24 @@ def bootstrap_replicates(
                 f"exhaustive mode enumerates m**m = {m**m} resamples, "
                 f"above the limit {MAX_EXHAUSTIVE}"
             )
-        idx = _exhaustive_indices(m)
+        total = m**m
+        # lexicographic order: resample b is the base-m digits of b
+        draw = lambda lo, hi: np.stack(np.unravel_index(np.arange(lo, hi), (m,) * m), axis=1)
     else:
-        idx = resample_indices(m, config.replicates, config.seed, key)
-    return _evaluate_resamples(arr, idx, estimator)
+        total = config.replicates
+        rng = derived_stream(config.seed, *key)
+        draw = lambda lo, hi: rng.integers(0, m, size=(hi - lo, m), dtype=np.int64)
+    label = " ".join(str(part) for part in (*key, "resamples"))
+    out = np.empty((total, estimator.dim))
+    for lo, hi in _chunk_ranges(total, arr.nbytes):
+        # idx stays bound until the next draw replaces it.  Freeing it with
+        # the gathered chunk lets malloc return both to the OS, and the
+        # page faults that follow double the cost of a chunk.
+        idx = draw(lo, hi)
+        out[lo:hi] = apply_estimator_batch(
+            estimator, arr.take(idx, axis=0), f"{label} {lo + 1}..{hi}"
+        )
+    return out
 
 
 def iid_bootstrap_variance(

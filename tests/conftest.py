@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from gapboot import od
@@ -17,3 +19,18 @@ def slot_draws(monkeypatch):
 
     monkeypatch.setattr(od, "derived_stream", counting)
     return drawn
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak of tracemalloc's traced memory, in bytes, while a call runs."""
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -1,18 +1,43 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+import gapboot.resample as resample_module
 from gapboot import (
     BootstrapConfig,
     BoundsError,
+    VarianceEstimate,
     block_bootstrap_variance,
     build_data_array,
+    componentwise_mean_estimator,
     iid_bootstrap_variance,
     mean_estimator,
+    median_estimator,
     naive_column_variance,
     pooled_variance_estimator,
     subsampling_variance,
 )
+from gapboot._rand import derived_stream
+
+
+def _estimators(d):
+    return [mean_estimator(), median_estimator(), componentwise_mean_estimator(d)]
+
+
+def _spread(theta):
+    dev = theta - theta.mean(axis=0)
+    return VarianceEstimate(dev.T @ dev / theta.shape[0]).matrix
+
+
+def _block_reference(array, estimator, ell, config, key=()):
+    """The moving-block bootstrap with its whole (B, m) column table."""
+    m, p, d, reps = array.m, array.p, array.d, config.replicates
+    nblocks = -(-m // ell)
+    rng = derived_stream(config.seed, "block_bootstrap", *key)
+    starts = rng.integers(0, m - ell + 1, size=(reps, nblocks), dtype=np.int64)
+    cols = (starts[:, :, None] + np.arange(ell)).reshape(reps, nblocks * ell)[:, :m]
+    stack = array.values[cols].reshape(reps, m * p, d)
+    return _spread(estimator.evaluate_batch(stack).reshape(reps, -1))
 
 
 class TestSubsampling:
@@ -44,6 +69,21 @@ class TestSubsampling:
             for _ in range(30)
         ]
         assert np.median(vals) == pytest.approx(1.0 / n, rel=0.10)
+
+    @pytest.mark.parametrize("m, d", [(7, 1), (101, 3)])
+    def test_matches_stacked_column_blocks(self, monkeypatch, m, d):
+        # Chunks of 3 windows split the I windows at odd counts.
+        arr = build_data_array(np.random.default_rng(m).standard_normal((m * 4, d)), p=4)
+        ell = 3
+        monkeypatch.setattr(resample_module, "_CHUNK_BYTES", 3 * ell * 4 * d * 8)
+        windows = np.stack([arr.column_block(i, ell) for i in range(1, m - ell + 2)])
+        for est in _estimators(d):
+            theta = est.evaluate_batch(windows).reshape(windows.shape[0], -1)
+            dev = theta - est.evaluate(arr.series())
+            ref = (ell * 4 / arr.n) * (dev.T @ dev / windows.shape[0])
+            assert_array_equal(
+                subsampling_variance(arr, est, ell).matrix, VarianceEstimate(ref).matrix
+            )
 
 
 class TestBlockBootstrap:
@@ -91,6 +131,26 @@ class TestBlockBootstrap:
             for k in range(30)
         ]
         assert np.median(vals) == pytest.approx(1.0 / n, rel=0.10)
+
+    @pytest.mark.parametrize("m, d, rows", [(7, 1, 3), (101, 3, 5), (101, 1, 41)])
+    def test_chunked_matches_whole_column_table(self, monkeypatch, m, d, rows):
+        arr = build_data_array(np.random.default_rng(m + d).standard_normal((m * 3, d)), p=3)
+        monkeypatch.setattr(resample_module, "_CHUNK_BYTES", rows * arr.values.nbytes + 5)
+        cfg = BootstrapConfig(replicates=250, seed=12)
+        for est in _estimators(d):
+            for ell in (1, 2, 4):
+                got = block_bootstrap_variance(arr, est, ell, cfg, key=("cell", 1))
+                assert_array_equal(got.matrix, _block_reference(arr, est, ell, cfg, ("cell", 1)))
+
+    def test_memory_does_not_grow_with_replicates(self, traced_peak):
+        arr = build_data_array(np.random.default_rng(5).standard_normal(50_000), p=5)
+        peaks = [
+            traced_peak(lambda: block_bootstrap_variance(
+                arr, mean_estimator(), 43, BootstrapConfig(replicates=B, seed=1)))
+            for B in (200, 2000)
+        ]
+        assert abs(peaks[1] - peaks[0]) <= resample_module._CHUNK_BYTES
+        assert max(peaks) < 16 << 20
 
 
 class TestNaiveColumn:

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gapboot.resample as resample_module
 from gapboot import (
     BootstrapConfig,
     ConfigError,
+    EstimatorSpec,
+    EvaluationError,
     InsufficientDataError,
     bootstrap_replicates,
+    build_data_array,
+    collect_row_estimates,
     componentwise_mean_estimator,
     iid_bootstrap_variance,
     mean_estimator,
+    median_estimator,
     resample_indices,
 )
 
@@ -121,3 +127,65 @@ def test_config_validation():
         BootstrapConfig(replicates=1)
     with pytest.raises(ConfigError):
         BootstrapConfig(mode="jackknife")
+
+
+def _exhaustive_table(m):
+    """All m**m resamples as one lexicographic table (the whole-table form)."""
+    return np.stack(np.unravel_index(np.arange(m**m), (m,) * m), axis=1)
+
+
+@pytest.mark.parametrize("m, d, rows", [(7, 1, 3), (7, 2, 1), (101, 1, 5), (101, 3, 41)])
+@pytest.mark.parametrize(
+    "estimator",
+    [lambda d: mean_estimator(), lambda d: median_estimator(), componentwise_mean_estimator],
+    ids=["mean", "median", "componentwise"],
+)
+def test_chunked_replicates_match_whole_table(monkeypatch, m, d, rows, estimator):
+    # Chunks of `rows` resamples split B = 250 at odd counts; every
+    # replicate must still resample its own row of the one-draw table.
+    sample = np.random.default_rng(m + d).standard_normal((m, d))
+    monkeypatch.setattr(resample_module, "_CHUNK_BYTES", rows * sample.nbytes + 7)
+    est = estimator(d)
+    cfg = BootstrapConfig(replicates=250, seed=6)
+    reps = bootstrap_replicates(sample, est, cfg, key=("row", 2))
+    idx = resample_indices(m, 250, seed=6, key=("row", 2))
+    assert_array_equal(reps, est.evaluate_batch(sample[idx]).reshape(250, -1))
+
+
+@pytest.mark.parametrize("m, rows", [(5, 7), (7, 4099)])
+def test_chunked_exhaustive_matches_whole_table(monkeypatch, m, rows):
+    sample = np.random.default_rng(m).standard_normal((m, 1))
+    monkeypatch.setattr(resample_module, "_CHUNK_BYTES", rows * sample.nbytes)
+    est = median_estimator()
+    reps = bootstrap_replicates(sample, est, BootstrapConfig(mode="exhaustive"))
+    assert_array_equal(reps, est.evaluate_batch(sample[_exhaustive_table(m)]))
+
+
+def test_memory_does_not_grow_with_replicates(traced_peak):
+    # A whole (B, m) table at m = 20,000 and B = 2,000 would take 305 MiB
+    # of indices alone; chunking keeps the peak near two 4 MiB chunks.
+    row = np.random.default_rng(3).standard_normal(20_000)
+    peaks = [
+        traced_peak(lambda: iid_bootstrap_variance(
+            row, mean_estimator(), BootstrapConfig(replicates=B, seed=1), key=("row", 1)))
+        for B in (200, 2000)
+    ]
+    assert abs(peaks[1] - peaks[0]) <= resample_module._CHUNK_BYTES
+    assert max(peaks) < 16 << 20
+
+
+def test_evaluation_error_names_row_and_closed_range(monkeypatch):
+    # Row 3 alone holds values above 100; the batch evaluator rejects them.
+    grid = np.tile(np.arange(30.0)[:, None], (1, 4))
+    grid[:, 2] += 1000.0
+    array = build_data_array(grid.ravel(), p=4)
+
+    def batch(stack):
+        if stack.max() > 100.0:
+            raise ValueError("value above 100")
+        return stack.reshape(stack.shape[0], -1).mean(axis=1)
+
+    est = EstimatorSpec(name="capped", dim=1, evaluate=np.mean, evaluate_batch=batch)
+    monkeypatch.setattr(resample_module, "_CHUNK_BYTES", 20 * 30 * 8)
+    with pytest.raises(EvaluationError, match=r"on row 3 resamples 1\.\.20: value above 100"):
+        collect_row_estimates(array, est, BootstrapConfig(replicates=50, seed=2))
