@@ -104,26 +104,6 @@ class DataArray:
             raise BoundsError(f"row index {j} outside 1..{self.p}")
         return self.values[:, j - 1, :]
 
-    def column(self, i: int) -> np.ndarray:
-        """Observations of period ``i`` (1-based), shape (p, d)."""
-        if not 1 <= i <= self.m:
-            raise BoundsError(f"column index {i} outside 1..{self.m}")
-        return self.values[i - 1]
-
-    def column_block(self, start: int, ell: int) -> np.ndarray:
-        """Columns ``start .. start + ell - 1`` flattened to series order.
-
-        Returns shape (ell * p, d).  ``start`` is 1-based.
-        """
-        if ell < 1:
-            raise BoundsError(f"block length must be >= 1, got {ell}")
-        if not 1 <= start <= self.m - ell + 1:
-            raise BoundsError(
-                f"block start {start} outside 1..{self.m - ell + 1} for ell={ell}"
-            )
-        block = self.values[start - 1 : start - 1 + ell]
-        return block.reshape(ell * self.p, self.d)
-
     def series(self) -> np.ndarray:
         """The observations in original time order, shape (n, d)."""
         return self.values.reshape(self.n, self.d)

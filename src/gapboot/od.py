@@ -18,10 +18,18 @@ use.  GB-I and GB-II are two combinations of one fit, so
 ``od_standard_errors`` -- what ``gapboot od`` runs -- draws each slot's
 bootstrap stream once for both; ``ls_estimate`` never runs the
 bootstrap.
+
+The slots are independent subproblems: each slot's bootstrap and window
+solves run on one of up to nproc threads, each slot draws from its own
+keyed stream, and each writes only its own results, so the output is
+byte-identical for any thread count.
 """
 from __future__ import annotations
 
 import csv
+import os
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -206,20 +214,62 @@ OD_CSV_COLUMNS = (
 )
 
 
+#: One CSV record as ``np.loadtxt`` parses it.
+_RECORD = np.dtype([("day", "i8"), ("slot", "i8"), ("v", "f8", (14,))])
+
+
 def read_od_csv(path) -> ODDataset:
     """Load a dataset from ``day,slot,o1..o7,d1..d7`` records.
 
     Every (day, slot) pair must occur exactly once and the slot values
     must cover 1..S for each day; days are taken in sorted order.
+
+    The records are parsed in one ``np.loadtxt`` pass.  Anything it
+    refuses or warns about (a header-only file, ``1_000``, extra fields,
+    a malformed record) goes to ``_read_records``, the record-by-record
+    reader, which accepts what ``int``/``float`` accept and otherwise
+    raises the error naming the record.
     """
+    with open(path, newline="") as fh:
+        fieldnames = next(csv.reader(fh), None)
+    if fieldnames != OD_CSV_COLUMNS:
+        raise DataError(
+            f"bad header: expected {','.join(OD_CSV_COLUMNS)}, got {','.join(fieldnames or [])}"
+        )
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, dtype=_RECORD, delimiter=",", quotechar='"', comments=None,
+                skiprows=1, ndmin=1,
+            )
+    except (ValueError, Warning):
+        return _read_records(path)
+    day, slot = table["day"], table["slot"]
+    order = np.lexsort((slot, day))
+    day_sorted, slot_sorted = day[order], slot[order]
+    repeat = (day_sorted[1:] == day_sorted[:-1]) & (slot_sorted[1:] == slot_sorted[:-1])
+    if repeat.any():
+        # the record whose key was seen before, earliest in the file
+        i = order[1:][repeat].min()
+        raise DataError(f"duplicate record for day {day[i]}, slot {slot[i]} at line {i + 2}")
+    days, slots = np.unique(day_sorted), np.unique(slot_sorted)
+    if not np.array_equal(slots, np.arange(1, slots.size + 1)):
+        raise DataError(f"slots must cover 1..S, got {slots.tolist()}")
+    if day.size != days.size * slots.size:
+        present = np.zeros((days.size, slots.size), dtype=bool)
+        present[np.searchsorted(days, day), slot - 1] = True
+        di, si = np.argwhere(~present)[0]
+        raise DataError(f"missing record for day {days[di]}, slot {slots[si]}")
+    values = table["v"][order].reshape(days.size, slots.size, 14)
+    return ODDataset(origins=values[..., :7], destinations=values[..., 7:])
+
+
+def _read_records(path) -> ODDataset:
+    """``read_od_csv`` record by record, for a file with a valid header."""
     records: dict[tuple[int, int], np.ndarray] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or list(reader.fieldnames) != OD_CSV_COLUMNS:
-            raise DataError(
-                f"bad header: expected {','.join(OD_CSV_COLUMNS)}, got "
-                f"{','.join(reader.fieldnames or [])}"
-            )
         for lineno, row in enumerate(reader, start=2):
             try:
                 day = int(row["day"])
@@ -298,15 +348,24 @@ def _gram(products: np.ndarray) -> np.ndarray:
     return np.take(products, _GRAM_PAIR, axis=-1) * _GRAM_COEF
 
 
+#: Column c of O is o_k on row e and -o_k on the last row, for origin
+#: k = _COL_ORIGIN[c] and destination e = _COL_DEST[c].
+_COL_ORIGIN, _COL_DEST = np.nonzero(_BASIS > 0)[:2]
+
+
 def _statistics(dataset: ODDataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-record normal-equation pieces: the 21 origin products o_a o_b
     (a <= b) that make up O'O (see ``_gram``), shape (D, S, 21), and
-    h = O'D', shape (D, S, 21)."""
+    h = O'D', shape (D, S, 21).
+
+    h[c] = o_k d_e - o_k (d_7 - sum(o)) is formed directly, the two
+    products in the order O'D' adds them, and C-contiguous, so that the
+    pooled and per-slot sums of h add its entries in the same order.
+    """
     o = dataset.origins
     d = dataset.destinations
-    design = np.einsum("dsk,kij->dsij", o[..., :6], _BASIS)
-    response = np.concatenate([d[..., :6], (d[..., 6] - o.sum(axis=-1))[..., None]], axis=-1)
-    h = np.einsum("dsij,dsi->dsj", design, response)
+    ok = np.take(o, _COL_ORIGIN, axis=-1)
+    h = ok * np.take(d, _COL_DEST, axis=-1) - ok * (d[..., 6] - o.sum(axis=-1))[..., None]
     return np.take(o, _PAIR_A, axis=-1) * np.take(o, _PAIR_B, axis=-1), h
 
 
@@ -348,6 +407,12 @@ def ls_estimate(dataset: ODDataset, slot: int | None = None, *, ridge: float = 0
     return theta, (gamma + ridge * np.eye(21) if ridge else gamma)
 
 
+def _cholesky_weights(gamma: np.ndarray, slot_gammas: np.ndarray) -> np.ndarray:
+    """gamma^{-1} Gamma_k for every slot, from one Cholesky factor of gamma."""
+    factor = cho_factor(gamma)
+    return np.stack([cho_solve(factor, gk) for gk in slot_gammas])
+
+
 def od_weights(gamma_full: np.ndarray, slot_gammas: np.ndarray) -> np.ndarray:
     """Slot weight matrices W_k = Gamma_full^{-1} Gamma_k, shape (S, r, r).
 
@@ -366,8 +431,7 @@ def od_weights(gamma_full: np.ndarray, slot_gammas: np.ndarray) -> np.ndarray:
     if float(np.abs(gs.sum(axis=0) - gf).max()) > 1e-8 * scale:
         raise ConsistencyError("slot matrices do not sum to the full matrix")
     _check_condition(gf, "all slots")
-    factor = cho_factor(gf)
-    weights = np.stack([cho_solve(factor, gk) for gk in gs])
+    weights = _cholesky_weights(gf, gs)
     if float(np.abs(weights.sum(axis=0) - np.eye(r)).max()) > 1e-8:
         raise ConsistencyError("slot weights do not sum to the identity")
     return weights
@@ -376,6 +440,61 @@ def od_weights(gamma_full: np.ndarray, slot_gammas: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Bootstrap within slots and sliding windows
 # ---------------------------------------------------------------------------
+
+#: Threads the per-slot work runs on: the CPUs this process may use.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+#: Replicates per chunk of index draws, and replicates or windows per
+#: batch of 21x21 solves: a batch's O'O matrices take about 350 KiB.
+_BATCH = 100
+
+
+def _per_slot(task, slots: int) -> None:
+    """Run ``task(k)`` for every slot k = 0..slots-1 on up to ``_WORKERS``
+    threads (none with one worker).
+
+    Each task writes only its own slot's results.  Errors are taken in
+    slot order, so the lowest failing slot's error is raised, as a loop
+    over the slots would raise it.
+    """
+    workers = min(_WORKERS, slots)
+    if workers <= 1:
+        for k in range(slots):
+            task(k)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(task, k) for k in range(slots)]
+        try:
+            for future in futures:
+                future.result()
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
+
+
+def _solve_normal_equations(
+    products: np.ndarray, rhs: np.ndarray, ridge: float, what: str
+) -> np.ndarray:
+    """Solutions of the normal equations given by summed origin products
+    (n, 21) and right-hand sides (n, 21), shape (n, 21).
+
+    The O'O matrices are expanded and solved ``_BATCH`` at a time; each
+    21x21 solve is the same LAPACK call whatever batch it is in.
+    """
+    out = np.empty(rhs.shape)
+    for lo in range(0, len(rhs), _BATCH):
+        gram = _gram(products[lo : lo + _BATCH])
+        if ridge:
+            gram += ridge * np.eye(21)
+        try:
+            out[lo : lo + _BATCH] = np.linalg.solve(gram, rhs[lo : lo + _BATCH, :, None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise RankError(f"singular {what}: {exc}") from exc
+    return out
+
 
 def _slot_bootstrap_covs(
     products: np.ndarray, h: np.ndarray, config: BootstrapConfig, ridge: float
@@ -388,28 +507,35 @@ def _slot_bootstrap_covs(
     independent of each other and of the slot count.  The replicates'
     sums are formed on the 21 origin products and expanded to O'O only
     for the solves.
+
+    Every stream is derived here, in slot order, before the slots run on
+    ``_per_slot``'s threads.  Each slot draws its indices ``_BATCH``
+    replicates at a time into one (B, D) table of day multiplicities;
+    consecutive draws from a stream concatenate, so the table is the
+    one-draw table.  The GEMM ``counts @ products`` stays whole: BLAS
+    picks its kernel, and with it the order of each day sum, by the
+    matrix shape, so splitting the GEMM by replicates changes the bits.
     """
     days, slots = products.shape[0], products.shape[1]
     reps = config.replicates
+    streams = [derived_stream(config.seed, "slot", k + 1) for k in range(slots)]
     covs = np.empty((slots, 21, 21))
-    for k in range(slots):
-        rng = derived_stream(config.seed, "slot", k + 1)
-        idx = rng.integers(0, days, size=(reps, days), dtype=np.int64)
-        flat = idx + np.arange(reps)[:, None] * days
-        counts = np.bincount(flat.ravel(), minlength=reps * days).reshape(reps, days)
-        counts = counts.astype(np.float64)
-        gb = _gram(counts @ products[:, k])
-        hb = counts @ h[:, k]
-        if ridge:
-            gb += ridge * np.eye(21)
-        try:
-            thetas = np.linalg.solve(gb, hb[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise RankError(
-                f"singular bootstrap normal equations in slot {k + 1}: {exc}"
-            ) from exc
+
+    def bootstrap(k: int) -> None:
+        counts = np.empty((reps, days))
+        for lo in range(0, reps, _BATCH):
+            n = min(_BATCH, reps - lo)
+            idx = streams[k].integers(0, days, size=(n, days), dtype=np.int64)
+            idx += np.arange(n)[:, None] * days
+            counts[lo : lo + n] = np.bincount(idx.ravel(), minlength=n * days).reshape(n, days)
+        thetas = _solve_normal_equations(
+            counts @ products[:, k], counts @ h[:, k], ridge,
+            f"bootstrap normal equations in slot {k + 1}",
+        )
         dev = thetas - thetas.mean(axis=0)
         covs[k] = dev.T @ dev / reps
+
+    _per_slot(bootstrap, slots)
     return covs
 
 
@@ -424,17 +550,18 @@ def _window_sums(x: np.ndarray, ell: int) -> np.ndarray:
 def _window_estimates(
     products: np.ndarray, h: np.ndarray, ell: int, ridge: float
 ) -> np.ndarray:
-    """Slot estimates on sliding windows of ell whole days, shape (S, I, 21)."""
+    """Slot estimates on sliding windows of ell whole days, shape (S, I, 21),
+    each slot on one of ``_per_slot``'s threads."""
     days, slots = products.shape[0], products.shape[1]
     out = np.empty((slots, days - ell + 1, 21))
-    for k in range(slots):
-        gwin = _gram(_window_sums(products[:, k], ell))
-        if ridge:
-            gwin += ridge * np.eye(21)
-        try:
-            out[k] = np.linalg.solve(gwin, _window_sums(h[:, k], ell)[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise RankError(f"singular window normal equations in slot {k + 1}: {exc}") from exc
+
+    def windows(k: int) -> None:
+        out[k] = _solve_normal_equations(
+            _window_sums(products[:, k], ell), _window_sums(h[:, k], ell), ridge,
+            f"window normal equations in slot {k + 1}",
+        )
+
+    _per_slot(windows, slots)
     return out
 
 
@@ -509,8 +636,7 @@ class ODFit:
     def weights(self) -> np.ndarray:
         """Slot weights W_k = Gamma_full^{-1} Gamma_k, shape (S, 21, 21)."""
         if self.ridge:
-            factor = cho_factor(self.gamma + self.ridge * np.eye(21))
-            return np.stack([cho_solve(factor, gk) for gk in self.slot_gammas])
+            return _cholesky_weights(self.gamma + self.ridge * np.eye(21), self.slot_gammas)
         return od_weights(self.gamma, self.slot_gammas)
 
     @cached_property

@@ -76,7 +76,8 @@ class TestSubsampling:
         arr = build_data_array(np.random.default_rng(m).standard_normal((m * 4, d)), p=4)
         ell = 3
         monkeypatch.setattr(resample_module, "_CHUNK_BYTES", 3 * ell * 4 * d * 8)
-        windows = np.stack([arr.column_block(i, ell) for i in range(1, m - ell + 2)])
+        # window i is columns i..i+ell-1 of the grid in series order
+        windows = np.stack([arr.values[i : i + ell].reshape(ell * 4, d) for i in range(m - ell + 1)])
         for est in _estimators(d):
             theta = est.evaluate_batch(windows).reshape(windows.shape[0], -1)
             dev = theta - est.evaluate(arr.series())

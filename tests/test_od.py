@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -29,6 +32,7 @@ from gapboot import (
     surrogate_od_dataset,
     write_od_csv,
 )
+from gapboot import od
 from gapboot._rand import derived_stream
 from gapboot.od import OD_CSV_COLUMNS
 
@@ -74,6 +78,39 @@ def reference_slot_bootstrap_covs(dataset, config, ridge):
         dev = thetas - thetas.mean(axis=0)
         covs[k] = dev.T @ dev / reps
     return covs
+
+
+def whole_stack_slot_covs(products, h, config, ridge):
+    """The slot bootstrap with each slot in one piece: the whole (B, D)
+    index table drawn at once and all B normal equations solved in one
+    call."""
+    days, slots = products.shape[:2]
+    reps = config.replicates
+    covs = np.empty((slots, 21, 21))
+    for k in range(slots):
+        rng = derived_stream(config.seed, "slot", k + 1)
+        idx = rng.integers(0, days, size=(reps, days), dtype=np.int64)
+        flat = idx + np.arange(reps)[:, None] * days
+        counts = np.bincount(flat.ravel(), minlength=reps * days).reshape(reps, days)
+        counts = counts.astype(np.float64)
+        gb = od._gram(counts @ products[:, k])
+        if ridge:
+            gb += ridge * np.eye(21)
+        thetas = np.linalg.solve(gb, (counts @ h[:, k])[..., None])[..., 0]
+        dev = thetas - thetas.mean(axis=0)
+        covs[k] = dev.T @ dev / reps
+    return covs
+
+
+def whole_stack_window_estimates(products, h, ell, ridge):
+    """Every slot's window estimates from one solve call per slot."""
+    out = []
+    for k in range(products.shape[1]):
+        gwin = od._gram(od._window_sums(products[:, k], ell))
+        if ridge:
+            gwin += ridge * np.eye(21)
+        out.append(np.linalg.solve(gwin, od._window_sums(h[:, k], ell)[..., None])[..., 0])
+    return np.stack(out)
 
 
 class TestDesign:
@@ -195,6 +232,83 @@ class TestCsv:
         self._write(path, [self._record(1, 1, value="abc"), self._record(2, 1)])
         with pytest.raises(DataError, match="line 2"):
             read_od_csv(path)
+
+    @pytest.mark.parametrize(
+        "value, expected", [('"2.5"', 2.5), ("1_000", 1000.0), (" 3.0 ", 3.0), ("\t4.0", 4.0)]
+    )
+    def test_number_forms_load(self, tmp_path, value, expected):
+        # quoted fields, digit separators and surrounding blanks load as float() reads them
+        path = tmp_path / "forms.csv"
+        self._write(path, [self._record(1, 1), self._record(2, 1, value=value)])
+        dataset = read_od_csv(path)
+        assert_array_equal(dataset.origins[1, 0], np.full(7, expected))
+        assert_array_equal(dataset.destinations[1, 0], np.full(7, expected))
+        assert_array_equal(dataset.origins[0, 0], np.ones(7))
+
+    def test_blank_line_between_records_is_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        self._write(path, [self._record(1, 1), "", self._record(2, 1, value="2.0")])
+        dataset = read_od_csv(path)
+        assert (dataset.days, dataset.slots) == (2, 1)
+        assert_array_equal(dataset.origins[:, 0, 0], [1.0, 2.0])
+
+    def test_blank_lines_do_not_count_as_records(self, tmp_path):
+        # a record's line number counts the header and the records before it
+        path = tmp_path / "blank_dup.csv"
+        self._write(path, [self._record(1, 1), "", self._record(2, 1), self._record(1, 1)])
+        with pytest.raises(DataError, match="duplicate record for day 1, slot 1 at line 4"):
+            read_od_csv(path)
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        self._write(path, [])
+        with pytest.raises(DataError, match="empty dataset"):
+            read_od_csv(path)
+
+    @pytest.mark.parametrize(
+        "bad", ["1.5," + ",".join(["1.0"] * 15), "3,1," + ",".join(["1.0"] * 13)],
+        ids=["fractional-day", "fifteen-fields"],
+    )
+    def test_unparseable_record_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        self._write(path, [self._record(1, 1), self._record(2, 1), bad])
+        with pytest.raises(DataError, match="unparseable record at line 4:"):
+            read_od_csv(path)
+
+    def test_nan_count_is_non_finite(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        self._write(path, [self._record(1, 1), self._record(2, 1, value="nan")])
+        with pytest.raises(DataError, match="non-finite"):
+            read_od_csv(path)
+
+    def test_extra_fields_are_ignored(self, tmp_path):
+        path = tmp_path / "extra.csv"
+        self._write(path, [self._record(1, 1) + ",9", self._record(2, 1, value="2.0")])
+        dataset = read_od_csv(path)
+        assert_array_equal(dataset.destinations[:, 0, 6], [1.0, 2.0])
+
+    def test_first_duplicate_and_first_missing_are_named(self, tmp_path):
+        path = tmp_path / "dups.csv"
+        rows = [self._record(2, 2), self._record(1, 1), self._record(1, 2),
+                self._record(1, 1), self._record(2, 2)]
+        self._write(path, rows)
+        with pytest.raises(DataError, match="duplicate record for day 1, slot 1 at line 5"):
+            read_od_csv(path)
+        self._write(path, [self._record(3, 1), self._record(1, 2), self._record(1, 1),
+                           self._record(2, 1)])
+        with pytest.raises(DataError, match="missing record for day 2, slot 2$"):
+            read_od_csv(path)
+
+    def test_records_in_any_order(self, tmp_path):
+        dataset, _ = surrogate_od_dataset(4, slots=3, seed=2)
+        path = tmp_path / "od.csv"
+        write_od_csv(dataset, path)
+        lines = path.read_text().splitlines()
+        order = np.random.default_rng(0).permutation(len(lines) - 1) + 1
+        path.write_text("\n".join([lines[0]] + [lines[i] for i in order]) + "\n")
+        back = read_od_csv(path)
+        assert_array_equal(back.origins, dataset.origins)
+        assert_array_equal(back.destinations, dataset.destinations)
 
 
 class TestDataset:
@@ -343,6 +457,7 @@ class TestFit:
         dataset, _ = surrogate_od_dataset(30, slots=4, seed=6, split_drift=0.1)
         g, h = full_statistics(dataset)
         fit = ODFit(dataset)
+        assert_array_equal(od._statistics(dataset)[1], h)
         # origin products are summed in the same order as the full O'O matrices
         assert_array_equal(fit.gamma, g.sum(axis=(0, 1)))
         assert_array_equal(fit.slot_gammas, g.sum(axis=0))
@@ -405,6 +520,104 @@ class TestFit:
         with pytest.raises(ConfigError):
             od_standard_errors(dataset, degenerate="ignore")
         assert slot_draws == []
+
+
+class TestSlotThreads:
+    @pytest.mark.parametrize("batch", [7, 100])
+    @pytest.mark.parametrize("ridge", [0.0, 10.0])
+    def test_chunked_match_whole_stack(self, monkeypatch, batch, ridge):
+        # batches of 7 split both the 250 replicates and the 52 windows unevenly
+        monkeypatch.setattr(od, "_BATCH", batch)
+        dataset, _ = surrogate_od_dataset(60, slots=4, seed=2, day_ar=0.5, split_drift=0.1)
+        config = BootstrapConfig(replicates=250, seed=4)
+        products, h = od._statistics(dataset)
+        covs = ODFit(dataset, config, ridge=ridge).slot_covariances
+        assert_array_equal(covs, whole_stack_slot_covs(products, h, config, ridge))
+        assert_array_equal(
+            od._window_estimates(products, h, 9, ridge),
+            whole_stack_window_estimates(products, h, 9, ridge),
+        )
+
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch, slot_draws):
+        dataset, _ = surrogate_od_dataset(80, slots=5, seed=9, day_ar=0.5, split_drift=0.1)
+        config = BootstrapConfig(replicates=120, seed=3)
+        solve, derive = od._solve_normal_equations, od.derived_stream
+        threads, draw_threads = set(), set()
+
+        def recording(*args):
+            threads.add(threading.current_thread())
+            return solve(*args)
+
+        def deriving(*key):
+            draw_threads.add(threading.current_thread())
+            return derive(*key)
+
+        monkeypatch.setattr(od, "_solve_normal_equations", recording)
+        monkeypatch.setattr(od, "derived_stream", deriving)
+        results = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(od, "_WORKERS", workers)
+            slot_draws.clear()
+            threads.clear()
+            results[workers] = od_standard_errors(dataset, 12, config, ridge=0.5)
+            # every stream is derived on the calling thread, in slot order
+            assert slot_draws == [1, 2, 3, 4, 5]
+            assert (threading.main_thread() in threads) == (workers == 1)
+        # more workers than slots, switching threads as often as possible
+        monkeypatch.setattr(od, "_WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results[8] = od_standard_errors(dataset, 12, config, ridge=0.5)
+        finally:
+            sys.setswitchinterval(interval)
+        for workers in (2, 3, 8):
+            for a, b in zip(results[1], results[workers]):
+                assert_array_equal(a, b)
+        assert draw_threads == {threading.main_thread()}
+
+    def test_lowest_failing_slot_is_raised(self, monkeypatch):
+        # slot 2 fails first in time; slot 1's error is still the one raised
+        monkeypatch.setattr(od, "_WORKERS", 2)
+        slot_two_failed = threading.Event()
+
+        def task(k):
+            if k == 1:
+                slot_two_failed.set()
+                raise RankError("slot 2")
+            if k == 0:
+                assert slot_two_failed.wait(timeout=10)
+                raise RankError("slot 1")
+
+        with pytest.raises(RankError, match="slot 1"):
+            od._per_slot(task, 3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_volume_slots_name_the_first(self, monkeypatch, workers):
+        monkeypatch.setattr(od, "_WORKERS", workers)
+        rng = np.random.default_rng(2)
+        origins = rng.uniform(20.0, 80.0, size=(12, 4, 7))
+        origins[:, 1:3, :] = 0.0
+        destinations = origins @ recover_split_matrix(THETA)
+        dataset = ODDataset(origins=origins, destinations=destinations)
+        fit = ODFit(dataset, BootstrapConfig(replicates=50, seed=1))
+        with pytest.raises(RankError, match="^singular bootstrap normal equations in slot 2: "):
+            fit.slot_covariances
+        with pytest.raises(RankError, match="^singular window normal equations in slot 2: "):
+            fit.gb2_standard_errors(4)
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scale", [4.0, 0.25])
+    def test_power_of_two_scale_is_exact(self, seed, scale):
+        # scaling every count by a power of two scales O'O and O'D' exactly
+        dataset, _ = surrogate_od_dataset(120, slots=8, seed=seed, day_ar=0.5, split_drift=0.1)
+        scaled = ODDataset(origins=scale * dataset.origins, destinations=scale * dataset.destinations)
+        config = BootstrapConfig(replicates=200, seed=seed)
+        for a, b in zip(od_standard_errors(dataset, config=config),
+                        od_standard_errors(scaled, config=config)):
+            assert_array_equal(a, b)
 
 
 class TestSurrogate:
