@@ -40,7 +40,6 @@ from .errors import (
 from .gb1 import (
     RowEstimates,
     collect_row_estimates,
-    cross_covariance,
     gb1_variance,
     pairwise_difference_variance,
 )
@@ -49,23 +48,11 @@ from .gb2 import (
     correlation_matrix,
     default_block_length,
     gb2_variance,
-    sampling_window_correlation,
     subseries_estimates,
     sym_inverse_sqrt,
     sym_sqrt,
 )
-from .models import (
-    ModelSpec,
-    ar2_model,
-    generate_series,
-    ma2_model,
-    make_model,
-    mar_model,
-    mma_model,
-    monte_carlo_true_se,
-    mperiodic_model,
-    periodic_model,
-)
+from .models import ModelSpec, generate_series, make_model, monte_carlo_true_se
 from .od import (
     DEFAULT_SPLIT_THETA,
     ODDataset,

@@ -14,9 +14,9 @@ from .core import (
     DataArray,
     EstimatorSpec,
     VarianceEstimate,
+    _check_window,
     apply_estimator,
     apply_estimator_batch,
-    psd_project,
 )
 from .errors import BoundsError
 from .resample import BootstrapConfig, _chunk_ranges
@@ -37,8 +37,7 @@ def subsampling_variance(array: DataArray, estimator: EstimatorSpec, ell: int) -
     window-level sampling variability to full-sample size.
     """
     m, p = array.m, array.p
-    if not 1 < ell < m:
-        raise BoundsError(f"window length {ell} outside 2..{m - 1}")
+    _check_window(ell, m)
     count = m - ell + 1
     series = array.series()
     full = apply_estimator(estimator, series, "full series")

@@ -12,6 +12,7 @@ Given the same arguments and seeds, output files are byte identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -30,7 +31,7 @@ from .core import (
 from .errors import ConfigError, FewRowsWarning, GapBootstrapError
 from .gb1 import collect_row_estimates, gb1_variance
 from .gb2 import correlation_matrix, subseries_estimates
-from .models import FAMILY_GAPS, ar2_model, row_mean_spread
+from .models import FAMILY_GAPS, make_model, row_mean_spread
 from .od import (
     PARAM_NAMES,
     ODFit,
@@ -62,17 +63,19 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", parents=[], help="run a simulation study grid")
     sim.add_argument("--config", help="JSON file with study fields; flags override it")
-    sim.add_argument("--model", default=None, help="comma list of families: " + ",".join(FAMILY_GAPS))
-    sim.add_argument("--dist", default=None, help="comma list: normal,exp")
+    # simulate's dests are StudyConfig's field names; see _study_config
+    comma_list = lambda text: text.split(",")
+    sim.add_argument("--model", dest="models", type=comma_list, help="comma list of families: " + ",".join(FAMILY_GAPS))
+    sim.add_argument("--dist", dest="dists", type=comma_list, help="comma list: normal,exp")
     sim.add_argument("--n", type=int, default=None, help="series length (with --p)")
     sim.add_argument("--p", type=int, default=None, help="rows per period (with --n)")
-    sim.add_argument("--methods", default=None, help="comma list from " + ",".join(METHODS))
+    sim.add_argument("--methods", type=comma_list, help="comma list from " + ",".join(METHODS))
     sim.add_argument("--runs", type=int, default=None, help="simulation runs per cell (default 500)")
     sim.add_argument("--truth-runs", type=int, default=None, help="Monte Carlo truth runs (default 2000)")
     sim.add_argument("--replicates", type=int, default=None, help="bootstrap replicates (default 1000)")
-    sim.add_argument("--block-len", type=int, default=None, help="window/block length (default automatic)")
+    sim.add_argument("--block-len", dest="block_length", type=int, default=None, help="window/block length (default automatic)")
     sim.add_argument("--gap-q", type=int, default=None, help="deleted gap between periods (default per family)")
-    sim.add_argument("--cov", default=None, choices=["identity", "toeplitz"], help="innovation covariance (multivariate families)")
+    sim.add_argument("--cov", dest="cov_kind", default=None, choices=["identity", "toeplitz"], help="innovation covariance (multivariate families)")
     sim.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     sim.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
     sim.add_argument("--out", required=True, help="CSV report path")
@@ -114,39 +117,25 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _study_config(args) -> StudyConfig:
+    """StudyConfig from the --config file, with the flags given overriding it."""
+    names = [f.name for f in dataclasses.fields(StudyConfig)]
     fields: dict = {}
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
-        known = {
-            "models", "dists", "sizes", "methods", "runs", "truth_runs",
-            "replicates", "block_length", "cov_kind", "gap_q", "seed", "threads",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - set(names)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         fields.update(raw)
-    if args.model is not None:
-        fields["models"] = args.model.split(",")
-    if args.dist is not None:
-        fields["dists"] = args.dist.split(",")
     if (args.n is None) != (args.p is None):
         raise ConfigError("--n and --p must be given together")
     if args.n is not None:
         fields["sizes"] = [(args.n, args.p)]
-    if args.methods is not None:
-        fields["methods"] = args.methods.split(",")
-    for name, value in (
-        ("runs", args.runs), ("truth_runs", args.truth_runs), ("replicates", args.replicates),
-        ("block_length", args.block_len), ("gap_q", args.gap_q), ("cov_kind", args.cov),
-        ("seed", args.seed), ("threads", args.threads),
-    ):
-        if value is not None:
-            fields[name] = value
-    if "sizes" in fields:
-        fields["sizes"] = tuple(tuple(s) for s in fields["sizes"])
+    for name in names:
+        if getattr(args, name, None) is not None:
+            fields[name] = getattr(args, name)
     return StudyConfig(**fields)
 
 
@@ -268,7 +257,7 @@ def _cmd_check(args) -> int:
     ok &= _check("pooled OD estimate equals weighted slot combination", lres <= 1e-8, f"residual {lres:.2e}")
 
     # Row means are exchangeable for constant-mean families, not for periodic.
-    spread = row_mean_spread(ar2_model(120, 4), runs=200, seed=(args.seed, "chk"))
+    spread = row_mean_spread(make_model("ar2", 120, 4), runs=200, seed=(args.seed, "chk"))
     ok &= _check(
         "constant-mean family has exchangeable row means",
         spread["max_z"] <= 4.5,

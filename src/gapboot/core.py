@@ -12,12 +12,13 @@ which is the structure the variance methods in this package exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
     BoundsError,
+    ConfigError,
     ConsistencyError,
     DataError,
     DimensionError,
@@ -31,7 +32,6 @@ __all__ = [
     "apply_estimator",
     "apply_estimator_batch",
     "build_data_array",
-    "combination_weights",
     "componentwise_mean_estimator",
     "mean_estimator",
     "median_estimator",
@@ -160,44 +160,17 @@ class EstimatorSpec:
     to an r-vector and must be deterministic.  ``evaluate_batch``, when
     provided, maps a stacked (B, k, d) input to (B, r) and must agree
     with looping ``evaluate`` over the first axis; the Monte Carlo paths
-    use it to avoid Python-level loops.  ``weights`` are the linearity
-    weights of the row combination (w_1..w_p); ``None`` means equal
-    weights wherever a combination is formed.
+    use it to avoid Python-level loops.
     """
 
     name: str
     dim: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionError(f"estimator dim must be >= 1, got {self.dim}")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            _validate_weights(w)
-            object.__setattr__(self, "weights", w)
-
-
-def _validate_weights(w: np.ndarray) -> None:
-    if w.ndim != 1:
-        raise ConsistencyError("weights must be a 1-d vector")
-    if np.any(w < 0.0) or np.any(w > 1.0):
-        raise ConsistencyError("weights must lie in [0, 1]")
-    if abs(float(w.sum()) - 1.0) > 1e-12:
-        raise ConsistencyError(f"weights must sum to 1, got {float(w.sum())!r}")
-
-
-def combination_weights(estimator: EstimatorSpec, p: int) -> np.ndarray:
-    """Row-combination weights of length p (equal weights when unset)."""
-    if estimator.weights is None:
-        return np.full(p, 1.0 / p)
-    w = np.asarray(estimator.weights, dtype=np.float64)
-    if w.shape != (p,):
-        raise DimensionError(f"expected {p} weights, got shape {w.shape}")
-    _validate_weights(w)
-    return w
 
 
 def apply_estimator(estimator: EstimatorSpec, sample: np.ndarray, where: str = "sample") -> np.ndarray:
@@ -206,21 +179,8 @@ def apply_estimator(estimator: EstimatorSpec, sample: np.ndarray, where: str = "
     Exceptions from the user function are wrapped in EvaluationError with
     ``where`` naming the offending input (row index, window, ...).
     """
-    try:
-        out = np.asarray(estimator.evaluate(sample), dtype=np.float64)
-    except Exception as exc:  # noqa: BLE001 - wrapping is the contract
-        raise EvaluationError(f"estimator '{estimator.name}' failed on {where}: {exc}") from exc
-    out = np.atleast_1d(np.squeeze(out))
-    if out.ndim == 0:
-        out = out[None]
-    if out.shape != (estimator.dim,):
-        raise EvaluationError(
-            f"estimator '{estimator.name}' returned shape {out.shape} on {where}, "
-            f"expected ({estimator.dim},)"
-        )
-    if not np.isfinite(out).all():
-        raise EvaluationError(f"estimator '{estimator.name}' returned non-finite values on {where}")
-    return out
+    out = np.atleast_1d(np.squeeze(_evaluate(estimator, estimator.evaluate, sample, where)))
+    return _check_output(estimator, out, (estimator.dim,), where)
 
 
 def apply_estimator_batch(estimator: EstimatorSpec, stack: np.ndarray, where: str = "batch") -> np.ndarray:
@@ -230,27 +190,30 @@ def apply_estimator_batch(estimator: EstimatorSpec, stack: np.ndarray, where: st
     """
     B = stack.shape[0]
     if estimator.evaluate_batch is not None:
-        try:
-            out = np.asarray(estimator.evaluate_batch(stack), dtype=np.float64)
-        except Exception as exc:  # noqa: BLE001
-            raise EvaluationError(
-                f"estimator '{estimator.name}' batch evaluation failed on {where}: {exc}"
-            ) from exc
+        out = _evaluate(estimator, estimator.evaluate_batch, stack, where)
         if out.shape == (B,) and estimator.dim == 1:
             out = out[:, None]
-        if out.shape != (B, estimator.dim):
-            raise EvaluationError(
-                f"estimator '{estimator.name}' batch returned shape {out.shape} on {where}, "
-                f"expected ({B}, {estimator.dim})"
-            )
-        if not np.isfinite(out).all():
-            raise EvaluationError(
-                f"estimator '{estimator.name}' batch returned non-finite values on {where}"
-            )
-        return out
+        return _check_output(estimator, out, (B, estimator.dim), where)
     out = np.empty((B, estimator.dim))
     for b in range(B):
         out[b] = apply_estimator(estimator, stack[b], f"{where}[{b + 1}]")
+    return out
+
+
+def _evaluate(estimator: EstimatorSpec, fn, data: np.ndarray, where: str) -> np.ndarray:
+    try:
+        return np.asarray(fn(data), dtype=np.float64)
+    except Exception as exc:  # noqa: BLE001 - wrapping is the contract
+        raise EvaluationError(f"estimator '{estimator.name}' failed on {where}: {exc}") from exc
+
+
+def _check_output(estimator: EstimatorSpec, out: np.ndarray, shape: tuple, where: str) -> np.ndarray:
+    if out.shape != shape:
+        raise EvaluationError(
+            f"estimator '{estimator.name}' returned shape {out.shape} on {where}, expected {shape}"
+        )
+    if not np.isfinite(out).all():
+        raise EvaluationError(f"estimator '{estimator.name}' returned non-finite values on {where}")
     return out
 
 
@@ -258,25 +221,23 @@ def apply_estimator_batch(estimator: EstimatorSpec, stack: np.ndarray, where: st
 # Ready-made estimators
 # ---------------------------------------------------------------------------
 
-def mean_estimator(weights: Sequence[float] | None = None) -> EstimatorSpec:
+def mean_estimator() -> EstimatorSpec:
     """Grand mean of all coordinates of all observations (r = 1)."""
     return EstimatorSpec(
         name="mean",
         dim=1,
         evaluate=lambda x: np.asarray(x, dtype=np.float64).mean(),
         evaluate_batch=lambda s: s.reshape(s.shape[0], -1).mean(axis=1)[:, None],
-        weights=None if weights is None else np.asarray(weights, dtype=np.float64),
     )
 
 
-def componentwise_mean_estimator(d: int, weights: Sequence[float] | None = None) -> EstimatorSpec:
+def componentwise_mean_estimator(d: int) -> EstimatorSpec:
     """Mean vector of d-dimensional observations (r = d)."""
     return EstimatorSpec(
         name="componentwise_mean",
         dim=d,
         evaluate=lambda x: np.asarray(x, dtype=np.float64).reshape(-1, d).mean(axis=0),
         evaluate_batch=lambda s: s.mean(axis=1),
-        weights=None if weights is None else np.asarray(weights, dtype=np.float64),
     )
 
 
@@ -305,6 +266,54 @@ def median_estimator() -> EstimatorSpec:
 
 
 # ---------------------------------------------------------------------------
+# Checks shared by the variance methods
+# ---------------------------------------------------------------------------
+
+def _row_weights(weights, p: int) -> np.ndarray:
+    """Row-combination weights of length p: 1/p each when ``weights`` is
+    None, otherwise a (p,) vector in [0, 1] summing to one."""
+    if weights is None:
+        return np.full(p, 1.0 / p)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (p,):
+        raise DimensionError(f"expected {p} weights, got shape {w.shape}")
+    if np.any(w < 0.0) or np.any(w > 1.0):
+        raise ConsistencyError("weights must lie in [0, 1]")
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        raise ConsistencyError(f"weights must sum to 1, got {float(w.sum())!r}")
+    return w
+
+
+def _check_symmetric(matrix, where: str) -> np.ndarray:
+    """A square matrix, or a stack of them, as float64; each must be
+    symmetric to SYMMETRY_RTOL of max(|entry|, 1)."""
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise DimensionError(f"{where}: expected a square matrix, got shape {m.shape}")
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    asym = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
+    if bad.size:
+        raise ConsistencyError(
+            f"{where} asymmetric: max|M - M'| = {np.ravel(asym)[bad[0]]:.3e} "
+            f"(scale {np.ravel(scale)[bad[0]]:.3e})"
+        )
+    return m
+
+
+def _check_degenerate_policy(degenerate: str) -> None:
+    if degenerate not in ("error", "zero"):
+        raise ConfigError(f"degenerate policy must be 'error' or 'zero', got {degenerate!r}")
+
+
+def _check_window(ell: int, m: int) -> int:
+    """The window length ell of a method with m columns, if 1 < ell < m."""
+    if not 1 < ell < m:
+        raise BoundsError(f"window length {ell} outside 2..{m - 1}")
+    return ell
+
+
+# ---------------------------------------------------------------------------
 # Variance estimates
 # ---------------------------------------------------------------------------
 
@@ -318,7 +327,12 @@ def psd_project(matrix: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     sym = 0.5 * (m + m.T)
-    eigvals = np.linalg.eigvalsh(sym)
+    return _clip_negative(sym, np.linalg.eigvalsh(sym))
+
+
+def _clip_negative(sym: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
+    """The symmetric ``sym`` with its negative eigenvalues set to zero,
+    given its ascending ``eigvals``; PSD input is returned as it is."""
     if eigvals[0] >= 0.0:
         return sym
     w, v = np.linalg.eigh(sym)
@@ -346,12 +360,7 @@ class VarianceEstimate:
             raise DimensionError(f"variance matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise DataError("variance matrix contains non-finite entries")
-        scale = max(float(np.abs(m).max()), 1.0)
-        asym = float(np.abs(m - m.T).max())
-        if asym > SYMMETRY_RTOL * scale:
-            raise ConsistencyError(
-                f"variance matrix asymmetric: max|M - M'| = {asym:.3e} (scale {scale:.3e})"
-            )
+        _check_symmetric(m, "variance matrix")
         sym = 0.5 * (m + m.T)
         eigvals = np.linalg.eigvalsh(sym)
         lam_max = max(float(eigvals[-1]), 0.0)
@@ -360,7 +369,7 @@ class VarianceEstimate:
                 f"variance matrix has eigenvalue {float(eigvals[0]):.3e}, "
                 f"beyond roundoff of lambda_max = {lam_max:.3e}"
             )
-        object.__setattr__(self, "matrix", psd_project(sym))
+        object.__setattr__(self, "matrix", _clip_negative(sym, eigvals))
 
     @property
     def dim(self) -> int:
@@ -380,17 +389,16 @@ class VarianceEstimate:
 
 
 def verify_linearity(array: DataArray, estimator: EstimatorSpec) -> float:
-    """Euclidean norm of theta_hat(full) - sum_j w_j theta_hat(row j).
+    """Euclidean norm of theta_hat(full) - p^{-1} sum_j theta_hat(row j).
 
     Zero (up to floating-point roundoff) exactly when the full-data
-    estimator is the weighted combination of its row versions, which is
-    the premise of the row-combination variance formulas.  Means satisfy
-    this identically; medians generally do not.
+    estimator is the equal-weight combination of its row versions, which
+    is the premise of the row-combination variance formulas.  Means
+    satisfy this identically; medians generally do not.
     """
     full = apply_estimator(estimator, array.series(), "full series")
     rows = np.stack(
         [apply_estimator(estimator, array.row(j), f"row {j}") for j in range(1, array.p + 1)]
     )
-    w = combination_weights(estimator, array.p)
-    resid = full - w @ rows
+    resid = full - _row_weights(None, array.p) @ rows
     return float(np.linalg.norm(resid))

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataArray, EstimatorSpec, VarianceEstimate, apply_estimator, psd_project
-from .errors import BoundsError, DimensionError, FewRowsWarning, InsufficientDataError
+from .errors import DimensionError, FewRowsWarning, InsufficientDataError
 from .resample import BootstrapConfig, iid_bootstrap_variance
 
 __all__ = [
     "RowEstimates",
     "collect_row_estimates",
-    "cross_covariance",
     "gb1_variance",
     "pairwise_difference_variance",
 ]
@@ -90,22 +89,6 @@ def pairwise_difference_variance(estimates: np.ndarray) -> np.ndarray:
         raise InsufficientDataError(f"need at least 2 rows for pairwise differences, got {p}")
     diff = e[:, None, :] - e[None, :, :]
     return np.einsum("jka,jkb->ab", diff, diff) / (p * (p - 1))
-
-
-def cross_covariance(rows: RowEstimates, j: int, k: int) -> np.ndarray:
-    """Moment-matched covariance between the row-j and row-k estimators.
-
-    [Sigma_j + Sigma_k - pairwise_difference_variance] / 2, symmetrised.
-    Requires j != k; the diagonal is the row's own bootstrap variance.
-    """
-    if j == k:
-        raise ValueError(f"j = k = {j}: a row's covariance with itself is its bootstrap variance")
-    p = rows.p
-    if not (1 <= j <= p and 1 <= k <= p):
-        raise BoundsError(f"row pair ({j}, {k}) outside 1..{p}")
-    vtilde = pairwise_difference_variance(rows.estimates)
-    c = 0.5 * (rows.variances[j - 1] + rows.variances[k - 1] - vtilde)
-    return 0.5 * (c + c.T)
 
 
 def gb1_variance(rows: RowEstimates) -> VarianceEstimate:

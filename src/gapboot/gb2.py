@@ -19,7 +19,10 @@ from .core import (
     DataArray,
     EstimatorSpec,
     VarianceEstimate,
-    _validate_weights,
+    _check_degenerate_policy,
+    _check_symmetric,
+    _check_window,
+    _row_weights,
     apply_estimator,
     apply_estimator_batch,
     psd_project,
@@ -27,7 +30,6 @@ from .core import (
 from .errors import (
     BoundsError,
     ConfigError,
-    ConsistencyError,
     DegenerateCorrelationError,
     DimensionError,
     InsufficientDataError,
@@ -38,7 +40,6 @@ __all__ = [
     "correlation_matrix",
     "default_block_length",
     "gb2_variance",
-    "sampling_window_correlation",
     "subseries_estimates",
     "sym_inverse_sqrt",
     "sym_sqrt",
@@ -101,12 +102,6 @@ class SubseriesEstimates:
     def r(self) -> int:
         return self.grid.shape[2]
 
-    def deviations(self, j: int) -> np.ndarray:
-        """Window-estimate deviations from the full estimate for row j, (I, r)."""
-        if not 1 <= j <= self.p:
-            raise BoundsError(f"row index {j} outside 1..{self.p}")
-        return self.grid[:, j - 1, :] - self.full_estimates[j - 1]
-
 
 def subseries_estimates(array: DataArray, estimator: EstimatorSpec, ell: int) -> SubseriesEstimates:
     """Evaluate the estimator on each row restricted to sliding column windows.
@@ -114,10 +109,8 @@ def subseries_estimates(array: DataArray, estimator: EstimatorSpec, ell: int) ->
     ell must satisfy 1 < ell < m (BoundsError otherwise); there are
     I = m - ell + 1 overlapping windows.
     """
-    m = array.m
-    if not 1 < ell < m:
-        raise BoundsError(f"window length {ell} outside 2..{m - 1}")
-    count = m - ell + 1
+    _check_window(ell, array.m)
+    count = array.m - ell + 1
     grid = np.empty((count, array.p, estimator.dim))
     full = np.empty((array.p, estimator.dim))
     for j in range(1, array.p + 1):
@@ -129,33 +122,6 @@ def subseries_estimates(array: DataArray, estimator: EstimatorSpec, ell: int) ->
             estimator, np.moveaxis(windows, -1, 1), f"row {j} windows"
         )
     return SubseriesEstimates(grid=grid, full_estimates=full, ell=int(ell))
-
-
-def sampling_window_correlation(
-    sub: SubseriesEstimates, j: int, k: int, comp_j: int = 1, comp_k: int = 1
-) -> float:
-    """Correlation of two rows' window-estimate series, centred at the full estimate.
-
-    sum_i a_i b_i / sqrt(sum a_i^2 * sum b_i^2) with a_i, b_i the window
-    deviations of the chosen components; clipped to [-1, 1].  Raises
-    DegenerateCorrelationError when either series is identically at the
-    full estimate (zero denominator).
-    """
-    r = sub.r
-    if not (1 <= comp_j <= r and 1 <= comp_k <= r):
-        raise BoundsError(f"component pair ({comp_j}, {comp_k}) outside 1..{r}")
-    count = sub.count
-    a = sub.deviations(j)[:, comp_j - 1]
-    b = sub.deviations(k)[:, comp_k - 1]
-    num = float(a @ b) / count
-    da = float(a @ a) / count
-    db = float(b @ b) / count
-    if da == 0.0 or db == 0.0:
-        raise DegenerateCorrelationError(
-            f"window deviations identically zero for row {j if da == 0.0 else k}; "
-            "correlation undefined"
-        )
-    return float(np.clip(num / np.sqrt(da * db), -1.0, 1.0))
 
 
 def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -194,18 +160,6 @@ def sym_inverse_sqrt(matrix: np.ndarray, eps: float | None = None) -> np.ndarray
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
-def _check_symmetric(matrix: np.ndarray, where: str) -> np.ndarray:
-    """A square matrix, or a stack of them, as float64; each must be
-    symmetric to 1e-10 of max(|entry|, 1)."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise DimensionError(f"{where}: expected a square matrix, got shape {m.shape}")
-    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
-    if np.any(np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-10 * scale):
-        raise ConsistencyError(f"{where}: matrix is not symmetric")
-    return m
-
-
 def _window_correlations(
     sub: SubseriesEstimates, rows=slice(None), eps: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -236,9 +190,10 @@ def correlation_matrix(
 
     A_j^{-1/2} C_{jk} A_k^{-1/2}, where A_j is the window second-moment
     matrix of row j's deviations and C_{jk} the cross second moment.
-    For r = 1 this reduces to sampling_window_correlation up to the
-    [-1, 1] clip.  A block with trace(A_j) == 0 has no variability to
-    normalise by and raises DegenerateCorrelationError.  ``eps`` is the
+    For r = 1 this is sum_i a_i b_i / sqrt(sum a_i^2 * sum b_i^2), the
+    correlation of the two rows' window deviations, unclipped.  A block
+    with trace(A_j) == 0 has no variability to normalise by and raises
+    DegenerateCorrelationError.  ``eps`` is the
     eigenvalue floor of ``sym_inverse_sqrt``.  ``gb2_variance`` computes
     the same matrices for every pair at once.
     """
@@ -295,21 +250,14 @@ def gb2_variance(
     >>> gb2_variance([[[4.0]], [[1.0]]], sub).scalar  # rho = -1
     0.25
     """
-    if degenerate not in ("error", "zero"):
-        raise ConfigError(f"degenerate policy must be 'error' or 'zero', got {degenerate!r}")
+    _check_degenerate_policy(degenerate)
     v = np.asarray(row_variances, dtype=np.float64)
     p, r = sub.p, sub.r
     if v.shape != (p, r, r):
         raise DimensionError(
             f"row_variances must be (p, r, r) = {(p, r, r)}, got shape {v.shape}"
         )
-    if weights is None:
-        w = np.full(p, 1.0 / p)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (p,):
-            raise DimensionError(f"expected {p} weights, got shape {w.shape}")
-        _validate_weights(w)
+    w = _row_weights(weights, p)
 
     if p == 1:
         return VarianceEstimate(matrix=v[0].copy(), method="gb2")

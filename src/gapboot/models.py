@@ -21,8 +21,7 @@ distinct columns of the array are effectively independent; pass
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -34,15 +33,9 @@ from .errors import ConfigError, DimensionError
 __all__ = [
     "FAMILY_GAPS",
     "ModelSpec",
-    "ar2_model",
     "generate_series",
-    "ma2_model",
     "make_model",
-    "mar_model",
-    "mma_model",
     "monte_carlo_true_se",
-    "mperiodic_model",
-    "periodic_model",
     "row_mean_spread",
 ]
 
@@ -79,14 +72,14 @@ _MULTIVARIATE = ("mar", "mma", "mperiodic")
 _INNOVATIONS = ("normal", "centered_exponential")
 
 
-def _mma_coefficients(preset_seed: int) -> tuple[tuple, tuple]:
+def _mma_coefficients(seed: int) -> tuple[tuple, tuple]:
     """The two 4x4 MA coefficient matrices with fixed random fill-ins.
 
     Phi_1 has diagonal (1, 2, 2, 2); Phi_2 is one eighth of a unit lower
     triangular matrix.  The strictly-lower entries are Uniform(0, 1)
-    draws from ``preset_seed``, generated row-major for Phi_1 then Phi_2.
+    draws from ``seed``, generated row-major for Phi_1 then Phi_2.
     """
-    rng = np.random.default_rng(preset_seed)
+    rng = np.random.default_rng(seed)
     lower = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
     phi1 = np.diag([1.0, 2.0, 2.0, 2.0])
     for i, j in lower:
@@ -100,7 +93,11 @@ def _mma_coefficients(preset_seed: int) -> tuple[tuple, tuple]:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Fully resolved description of one synthetic-data configuration."""
+    """Fully resolved description of one synthetic-data configuration.
+
+    ``gap_q`` defaults to the family's ``FAMILY_GAPS`` entry and ``mu``
+    to 1.0 for ``periodic``, 0.1 otherwise.
+    """
 
     family: str
     n: int
@@ -108,7 +105,7 @@ class ModelSpec:
     innovation: str = "normal"
     gap_q: int | None = None
     sigma: float = 0.2
-    mu: float = 0.1
+    mu: float | None = None
     ar: tuple[float, float] = (0.8, 0.1)
     ma: tuple[float, float] = (0.3, 0.5)
     mean: tuple[float, ...] = MULTIVARIATE_MEAN
@@ -131,6 +128,8 @@ class ModelSpec:
             raise DimensionError(f"n = {self.n}, p = {self.p} gives fewer than 2 columns")
         if self.gap_q is None:
             object.__setattr__(self, "gap_q", FAMILY_GAPS[self.family])
+        if self.mu is None:
+            object.__setattr__(self, "mu", 1.0 if self.family == "periodic" else 0.1)
         if self.gap_q < 0:
             raise ConfigError(f"gap_q must be >= 0, got {self.gap_q}")
         if not 0.0 <= self.rho < 1.0:
@@ -159,50 +158,10 @@ class ModelSpec:
         return 4 if self.family in _MULTIVARIATE else 1
 
 
-def ar2_model(n, p, *, innovation="normal", ar=(0.8, 0.1), mu=0.1, sigma=0.2, gap_q=None) -> ModelSpec:
-    return ModelSpec(family="ar2", n=n, p=p, innovation=innovation, ar=tuple(ar), mu=mu, sigma=sigma, gap_q=gap_q)
-
-
-def ma2_model(n, p, *, innovation="normal", ma=(0.3, 0.5), mu=0.1, sigma=0.2, gap_q=None) -> ModelSpec:
-    return ModelSpec(family="ma2", n=n, p=p, innovation=innovation, ma=tuple(ma), mu=mu, sigma=sigma, gap_q=gap_q)
-
-
-def periodic_model(n, p, *, innovation="normal", mu=1.0, sigma=0.2, gap_q=None) -> ModelSpec:
-    return ModelSpec(family="periodic", n=n, p=p, innovation=innovation, mu=mu, sigma=sigma, gap_q=gap_q)
-
-
-def mar_model(n, p, *, innovation="normal", cov_kind="toeplitz", rho=0.55, gap_q=None) -> ModelSpec:
-    return ModelSpec(family="mar", n=n, p=p, innovation=innovation, cov_kind=cov_kind, rho=rho, gap_q=gap_q)
-
-
-def mma_model(n, p, *, innovation="normal", cov_kind="toeplitz", rho=0.55, preset_seed=MMA_PRESET_SEED, gap_q=None) -> ModelSpec:
-    return ModelSpec(
-        family="mma", n=n, p=p, innovation=innovation, cov_kind=cov_kind, rho=rho,
-        gap_q=gap_q, ma_mats=_mma_coefficients(preset_seed),
-    )
-
-
-def mperiodic_model(n, p, *, innovation="normal", cov_kind="toeplitz", rho=0.55, gap_q=None) -> ModelSpec:
-    return ModelSpec(family="mperiodic", n=n, p=p, innovation=innovation, cov_kind=cov_kind, rho=rho, gap_q=gap_q)
-
-
-_FACTORIES = {
-    "ar2": ar2_model,
-    "ma2": ma2_model,
-    "periodic": periodic_model,
-    "mar": mar_model,
-    "mma": mma_model,
-    "mperiodic": mperiodic_model,
-}
-
-
 def make_model(family: str, n: int, p: int, **kwargs) -> ModelSpec:
-    """Build a ModelSpec by family name; unknown names raise ConfigError."""
-    try:
-        factory = _FACTORIES[family]
-    except KeyError:
-        raise ConfigError(f"unknown model family {family!r}") from None
-    return factory(n, p, **kwargs)
+    """Build a ModelSpec by family name with that family's defaults;
+    unknown names raise ConfigError."""
+    return ModelSpec(family=family, n=n, p=p, **kwargs)
 
 
 def _innovations(rng: np.random.Generator, kind: str, size) -> np.ndarray:

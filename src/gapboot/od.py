@@ -37,6 +37,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ._rand import derived_stream
+from .core import _check_degenerate_policy, _check_window
 from .errors import (
     BoundsError,
     ConfigError,
@@ -226,9 +227,10 @@ def read_od_csv(path) -> ODDataset:
 
     The records are parsed in one ``np.loadtxt`` pass.  Anything it
     refuses or warns about (a header-only file, ``1_000``, extra fields,
-    a malformed record) goes to ``_read_records``, the record-by-record
-    reader, which accepts what ``int``/``float`` accept and otherwise
-    raises the error naming the record.
+    a malformed record), and any table with a duplicate, a missing record
+    or slots that do not cover 1..S, goes to ``_read_records``, the
+    record-by-record reader, which accepts what ``int``/``float`` accept
+    and otherwise raises the error naming the record and its line.
     """
     with open(path, newline="") as fh:
         fieldnames = next(csv.reader(fh), None)
@@ -249,36 +251,34 @@ def read_od_csv(path) -> ODDataset:
     order = np.lexsort((slot, day))
     day_sorted, slot_sorted = day[order], slot[order]
     repeat = (day_sorted[1:] == day_sorted[:-1]) & (slot_sorted[1:] == slot_sorted[:-1])
-    if repeat.any():
-        # the record whose key was seen before, earliest in the file
-        i = order[1:][repeat].min()
-        raise DataError(f"duplicate record for day {day[i]}, slot {slot[i]} at line {i + 2}")
     days, slots = np.unique(day_sorted), np.unique(slot_sorted)
-    if not np.array_equal(slots, np.arange(1, slots.size + 1)):
-        raise DataError(f"slots must cover 1..S, got {slots.tolist()}")
-    if day.size != days.size * slots.size:
-        present = np.zeros((days.size, slots.size), dtype=bool)
-        present[np.searchsorted(days, day), slot - 1] = True
-        di, si = np.argwhere(~present)[0]
-        raise DataError(f"missing record for day {days[di]}, slot {slots[si]}")
+    if (
+        repeat.any()
+        or day.size != days.size * slots.size
+        or not np.array_equal(slots, np.arange(1, slots.size + 1))
+    ):
+        return _read_records(path)
     values = table["v"][order].reshape(days.size, slots.size, 14)
     return ODDataset(origins=values[..., :7], destinations=values[..., 7:])
 
 
 def _read_records(path) -> ODDataset:
-    """``read_od_csv`` record by record, for a file with a valid header."""
+    """``read_od_csv`` record by record, for a file with a valid header;
+    errors name the physical line a record ends on."""
     records: dict[tuple[int, int], np.ndarray] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 day = int(row["day"])
                 slot = int(row["slot"])
                 vals = np.array([float(row[c]) for c in OD_CSV_COLUMNS[2:]])
             except (TypeError, ValueError) as exc:
-                raise DataError(f"unparseable record at line {lineno}: {exc}") from exc
+                raise DataError(f"unparseable record at line {reader.line_num}: {exc}") from exc
             if (day, slot) in records:
-                raise DataError(f"duplicate record for day {day}, slot {slot} at line {lineno}")
+                raise DataError(
+                    f"duplicate record for day {day}, slot {slot} at line {reader.line_num}"
+                )
             records[(day, slot)] = vals
     if not records:
         raise DataError("empty dataset")
@@ -568,13 +568,8 @@ def _window_estimates(
 def _check_gb2_options(ell: int | None, days: int, degenerate: str) -> int:
     """Check the GB-II degeneracy policy and window length; returns the
     length (default ``default_block_length(days)``)."""
-    if degenerate not in ("error", "zero"):
-        raise ConfigError(f"degenerate policy must be 'error' or 'zero', got {degenerate!r}")
-    if ell is None:
-        ell = default_block_length(days)
-    if not 1 < ell < days:
-        raise BoundsError(f"window length {ell} outside 2..{days - 1}")
-    return ell
+    _check_degenerate_policy(degenerate)
+    return _check_window(default_block_length(days) if ell is None else ell, days)
 
 
 # ---------------------------------------------------------------------------

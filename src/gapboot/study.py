@@ -13,7 +13,7 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .core import mean_estimator
 from .errors import ConfigError, GapBootstrapError
 from .gb1 import collect_row_estimates, gb1_variance
 from .gb2 import default_block_length, gb2_variance, subseries_estimates
-from .models import FAMILY_GAPS, generate_series, make_model, monte_carlo_true_se
+from .models import generate_series, make_model, monte_carlo_true_se
 from .resample import BootstrapConfig
 
 __all__ = [
@@ -38,13 +38,7 @@ __all__ = [
 
 METHODS = ("gb1", "gb2", "ss", "bb", "naive")
 
-_DIST_ALIASES = {
-    "normal": "normal",
-    "exp": "centered_exponential",
-    "centered_exponential": "centered_exponential",
-}
-
-_MULTIVARIATE = ("mar", "mma", "mperiodic")
+_DIST_ALIASES = {"exp": "centered_exponential"}
 
 
 @dataclass(frozen=True)
@@ -69,12 +63,13 @@ class StudyConfig:
         object.__setattr__(self, "dists", tuple(_DIST_ALIASES.get(d, d) for d in self.dists))
         object.__setattr__(self, "sizes", tuple((int(n), int(p)) for n, p in self.sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
+        # ModelSpec and BootstrapConfig hold the rules for the family,
+        # innovation, covariance, gap and replicate count; a 2 x 1 spec
+        # checks them before any cell does work.
         for family in self.models:
-            if family not in FAMILY_GAPS:
-                raise ConfigError(f"unknown model family {family!r}")
-        for dist in self.dists:
-            if dist not in ("normal", "centered_exponential"):
-                raise ConfigError(f"unknown innovation distribution {dist!r}")
+            for dist in self.dists:
+                _model_for_cell(self, family, dist, 2, 1)
+        BootstrapConfig(replicates=self.replicates)
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
@@ -123,10 +118,7 @@ class StudyResult:
 
 
 def _model_for_cell(config: StudyConfig, family: str, dist: str, n: int, p: int):
-    kwargs = {"innovation": dist, "gap_q": config.gap_q}
-    if family in _MULTIVARIATE:
-        kwargs["cov_kind"] = config.cov_kind
-    return make_model(family, n, p, **kwargs)
+    return make_model(family, n, p, innovation=dist, gap_q=config.gap_q, cov_kind=config.cov_kind)
 
 
 def _one_run(spec, estimator, methods, ell, config: StudyConfig, ci: int, ri: int) -> dict[str, float]:
@@ -222,22 +214,9 @@ def write_study_json(result: StudyResult, path, include_timing: bool = False) ->
     """Full per-run detail; with ``include_timing`` false (the default)
     the payload is a pure function of config+seed."""
     cfg = result.config
-    payload = {
-        "config": {
-            "models": list(cfg.models),
-            "dists": list(cfg.dists),
-            "sizes": [list(s) for s in cfg.sizes],
-            "methods": list(cfg.methods),
-            "runs": cfg.runs,
-            "truth_runs": cfg.truth_runs,
-            "replicates": cfg.replicates,
-            "block_length": cfg.block_length,
-            "cov_kind": cfg.cov_kind,
-            "gap_q": cfg.gap_q,
-            "seed": cfg.seed,
-        },
-        "cells": [],
-    }
+    # threads changes no result, so it stays out of the payload
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "threads"}
+    payload = {"config": config, "cells": []}
     for cell in result.cells:
         entry = {
             "model": cell.family,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from gapboot import study as study_module
 from gapboot.cli import main
 from gapboot.od import od_gb1_standard_errors, od_gb2_standard_errors, read_od_csv
 from gapboot.resample import BootstrapConfig
@@ -34,6 +35,23 @@ class TestUsage:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 1
         assert "unknown config fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, config",
+        [([], {"cov_kind": "foo"}), (["--gap-q", "-1"], {}), (["--replicates", "1"], {})],
+        ids=["cov_kind", "gap_q", "replicates"],
+    )
+    def test_bad_study_field_fails_before_any_cell(self, tmp_path, capsys, monkeypatch, extra, config):
+        def no_truth(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(study_module, "monte_carlo_true_se", no_truth)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": ["mar"], "sizes": [[60, 3]], "truth_runs": 100, **config}))
+        out = tmp_path / "r.csv"
+        assert run("simulate", "--config", str(cfg), *extra, "--out", str(out)) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit):

@@ -9,10 +9,12 @@ from gapboot import (
     DimensionError,
     EstimatorSpec,
     EvaluationError,
+    SubseriesEstimates,
     VarianceEstimate,
     apply_estimator_batch,
     build_data_array,
     componentwise_mean_estimator,
+    gb2_variance,
     mean_estimator,
     median_estimator,
     pooled_variance_estimator,
@@ -105,10 +107,15 @@ class TestEstimators:
             verify_linearity(arr, est)
 
     def test_weight_validation(self):
-        with pytest.raises(ConsistencyError):
-            EstimatorSpec(name="w", dim=1, evaluate=np.mean, weights=[0.5, 0.6])
-        with pytest.raises(ConsistencyError):
-            EstimatorSpec(name="w", dim=1, evaluate=np.mean, weights=[-0.5, 1.5])
+        # row weights are gb2_variance's argument; an estimator carries none
+        sub = SubseriesEstimates(
+            grid=[[[1.0], [3.0]], [[3.0], [1.0]]], full_estimates=[[2.0], [2.0]], ell=2
+        )
+        for weights in ([0.5, 0.6], [-0.5, 1.5]):
+            with pytest.raises(ConsistencyError):
+                gb2_variance([[[4.0]], [[1.0]]], sub, weights=weights)
+        with pytest.raises(DimensionError, match="expected 2 weights"):
+            gb2_variance([[[4.0]], [[1.0]]], sub, weights=[1.0])
 
 
 class TestLinearity:

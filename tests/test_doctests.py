@@ -1,6 +1,8 @@
 import doctest
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +22,15 @@ def test_docstring_examples(name):
 def test_gb2_has_examples():
     tests = doctest.DocTestFinder().find(importlib.import_module("gapboot.gb2"))
     assert sum(len(t.examples) for t in tests) >= 5
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    documented = re.search(r"print\(.*\)\s*#\s*(\[.*\])\s*$", block, flags=re.M).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    expected = [float(x) for x in re.findall(r"[-+.\deE]+", documented)]
+    got = [float(x) for x in re.findall(r"[-+.\deE]+", printed)]
+    assert len(got) == len(expected) == 2
+    assert [round(x, 4) for x in got] == expected, printed

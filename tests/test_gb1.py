@@ -4,16 +4,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from gapboot import (
     BootstrapConfig,
-    BoundsError,
     FewRowsWarning,
     InsufficientDataError,
     RowEstimates,
     build_data_array,
     collect_row_estimates,
-    cross_covariance,
     gb1_variance,
     mean_estimator,
     pairwise_difference_variance,
+    psd_project,
 )
 
 
@@ -41,24 +40,46 @@ class TestPairwiseDifferenceVariance:
             pairwise_difference_variance(np.array([[1.0]]))
 
 
+def cross_covariance(rows, j, k):
+    """Moment-matched covariance of the row-j and row-k estimators (j != k):
+    [Sigma_j + Sigma_k - pairwise_difference_variance] / 2."""
+    vtilde = pairwise_difference_variance(rows.estimates)
+    return 0.5 * (rows.variances[j - 1] + rows.variances[k - 1] - vtilde)
+
+
+def pairwise_gb1(rows):
+    """GB-I as its defining sum p^{-2} [sum_j Sigma_j + sum_{j != k} cov(j, k)],
+    the form the closed form in ``gb1_variance`` replaces."""
+    p = rows.p
+    acc = rows.variances.sum(axis=0)
+    for j in range(1, p + 1):
+        for k in range(1, p + 1):
+            if j != k:
+                acc = acc + cross_covariance(rows, j, k)
+    return psd_project(acc / p**2)
+
+
 class TestCrossCovariance:
     def test_hand_value(self):
         rows = scalar_rows([1.0, 3.0], [4.0, 4.0])
         assert cross_covariance(rows, 1, 2)[0, 0] == 2.0
+        with pytest.warns(FewRowsWarning):
+            assert gb1_variance(rows).scalar == pairwise_gb1(rows)[0, 0] == 3.0
 
     def test_identical_rows(self):
         rows = scalar_rows([2.0, 2.0], [1.0, 1.0])
         assert cross_covariance(rows, 1, 2)[0, 0] == 1.0
+        with pytest.warns(FewRowsWarning):
+            assert gb1_variance(rows).scalar == pairwise_gb1(rows)[0, 0] == 1.0
 
-    def test_same_index_rejected(self):
-        rows = scalar_rows([1.0, 3.0], [4.0, 4.0])
-        with pytest.raises(ValueError, match="bootstrap variance"):
-            cross_covariance(rows, 2, 2)
-
-    def test_bounds(self):
-        rows = scalar_rows([1.0, 3.0], [4.0, 4.0])
-        with pytest.raises(BoundsError):
-            cross_covariance(rows, 1, 3)
+    def test_closed_form_matches_pairwise_sum(self):
+        rng = np.random.default_rng(22)
+        for p, r in ((5, 1), (6, 2), (9, 3)):
+            est = 0.1 * rng.standard_normal((p, r))
+            x = rng.standard_normal((p, r, r))
+            rows = RowEstimates(est, x @ x.swapaxes(1, 2) + np.eye(r))
+            got, ref = gb1_variance(rows).matrix, pairwise_gb1(rows)
+            assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * np.abs(ref).max())
 
 
 class TestGb1Variance:

@@ -16,7 +16,6 @@ from gapboot import (
     gb2_variance,
     mean_estimator,
     psd_project,
-    sampling_window_correlation,
     subseries_estimates,
     sym_inverse_sqrt,
     sym_sqrt,
@@ -66,6 +65,11 @@ class TestSubseriesEstimates:
             subseries_estimates(arr, mean_estimator(), ell=ell)
 
 
+def deviations(sub, j):
+    """Row j's window estimates minus its full estimate, shape (I, r)."""
+    return sub.grid[:, j - 1, :] - sub.full_estimates[j - 1]
+
+
 def make_sub(rows, full):
     """Scalar SubseriesEstimates from per-row window sequences."""
     grid = np.asarray(rows, float).T[:, :, None]
@@ -74,31 +78,43 @@ def make_sub(rows, full):
     )
 
 
+def window_correlation(sub, j, k):
+    """The scalar window correlation of rows j and k: the r = 1 case of
+    ``correlation_matrix``, which does not clip it to [-1, 1]."""
+    return correlation_matrix(sub, j, k)[0, 0]
+
+
 class TestSamplingWindowCorrelation:
     def test_self_correlation_is_one(self):
         sub = make_sub([[1.0, 2.0, 3.0]], [2.0])
-        assert sampling_window_correlation(sub, 1, 1) == pytest.approx(1.0, abs=1e-15)
+        assert window_correlation(sub, 1, 1) == pytest.approx(1.0, abs=1e-15)
 
     def test_identical_sequences(self):
         sub = make_sub([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], [2.0, 2.0])
-        assert sampling_window_correlation(sub, 1, 2) == pytest.approx(1.0, abs=1e-15)
+        assert window_correlation(sub, 1, 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_hand_value(self):
         # Deviations (-1,0,1) and (0,-1,1): num 1/3, dens 2/3 -> 0.5.
         sub = make_sub([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]], [2.0, 2.0])
-        assert sampling_window_correlation(sub, 1, 2) == pytest.approx(0.5, abs=1e-15)
+        assert window_correlation(sub, 1, 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_degenerate(self):
         sub = make_sub([[2.0, 2.0, 2.0], [1.0, 2.0, 3.0]], [2.0, 2.0])
-        with pytest.raises(DegenerateCorrelationError):
-            sampling_window_correlation(sub, 1, 2)
+        with pytest.raises(DegenerateCorrelationError, match="row 1"):
+            window_correlation(sub, 1, 2)
 
-    def test_clipped_to_unit_interval(self):
+    def test_bounded_by_one(self):
+        # Unclipped, so rounding may carry |rho| past 1: collinear windows
+        # reach 1 + 4 ulp (of 1.0); the bound allows 8.
+        bound = 1.0 + 8 * np.spacing(1.0)
         rng = np.random.default_rng(0)
-        for _ in range(50):
+        for _ in range(200):
             seqs = rng.standard_normal((2, 6))
             sub = make_sub(seqs, rng.standard_normal(2))
-            assert abs(sampling_window_correlation(sub, 1, 2)) <= 1.0
+            assert abs(window_correlation(sub, 1, 2)) <= bound
+            seqs[1] = rng.uniform(-3.0, 3.0) * seqs[0]
+            sub = make_sub(seqs, [0.0, 0.0])
+            assert abs(window_correlation(sub, 1, 2)) <= bound
 
 
 class TestSymmetricRoots:
@@ -157,9 +173,9 @@ class TestCorrelationMatrix:
         rng = np.random.default_rng(5)
         arr = build_data_array(rng.standard_normal(40), p=2)
         sub = subseries_estimates(arr, mean_estimator(), ell=5)
-        matrix = correlation_matrix(sub, 1, 2)
-        scalar = sampling_window_correlation(sub, 1, 2)
-        assert_allclose(matrix[0, 0], scalar, rtol=1e-10)
+        a, b = deviations(sub, 1)[:, 0], deviations(sub, 2)[:, 0]
+        scalar = (a @ b) / np.sqrt((a @ a) * (b @ b))
+        assert_allclose(correlation_matrix(sub, 1, 2)[0, 0], scalar, rtol=1e-10)
 
     def test_mirror_gives_minus_identity(self):
         rng = np.random.default_rng(6)
@@ -231,8 +247,8 @@ def test_rho_scale_invariant_for_mean():
     arr2 = build_data_array(17.5 * series, p=2)
     sub1 = subseries_estimates(arr1, mean_estimator(), ell=4)
     sub2 = subseries_estimates(arr2, mean_estimator(), ell=4)
-    r1 = sampling_window_correlation(sub1, 1, 2)
-    r2 = sampling_window_correlation(sub2, 1, 2)
+    r1 = window_correlation(sub1, 1, 2)
+    r2 = window_correlation(sub2, 1, 2)
     assert_allclose(r1, r2, rtol=1e-12)
 
 
@@ -243,7 +259,7 @@ def _root(a, power):
 
 def reference_correlation(sub, j, k):
     """A_j^{-1/2} C_jk A_k^{-1/2} from row j's and row k's deviations alone."""
-    dj, dk = sub.deviations(j), sub.deviations(k)
+    dj, dk = deviations(sub, j), deviations(sub, k)
     count = sub.count
     return _root(dj.T @ dj / count, -0.5) @ (dj.T @ dk / count) @ _root(dk.T @ dk / count, -0.5)
 
@@ -258,7 +274,7 @@ def reference_gb2(row_variances, sub, weights=None, degenerate="error"):
     acc = np.einsum("j,jab->ab", w * w, v)
     for j in range(1, p + 1):
         for k in range(j + 1, p + 1):
-            flat = [row for row in (j, k) if not sub.deviations(row).any()]
+            flat = [row for row in (j, k) if not deviations(sub, row).any()]
             if flat:
                 if degenerate == "zero":
                     continue

@@ -253,10 +253,17 @@ class TestCsv:
         assert_array_equal(dataset.origins[:, 0, 0], [1.0, 2.0])
 
     def test_blank_lines_do_not_count_as_records(self, tmp_path):
-        # a record's line number counts the header and the records before it
+        # errors name the physical line: the blank line 3 counts, so the
+        # duplicate of line 2 sits on line 5
         path = tmp_path / "blank_dup.csv"
         self._write(path, [self._record(1, 1), "", self._record(2, 1), self._record(1, 1)])
-        with pytest.raises(DataError, match="duplicate record for day 1, slot 1 at line 4"):
+        with pytest.raises(DataError, match="duplicate record for day 1, slot 1 at line 5"):
+            read_od_csv(path)
+
+    def test_blank_line_before_bad_record_names_its_line(self, tmp_path):
+        path = tmp_path / "blank_bad.csv"
+        self._write(path, [self._record(1, 1), "", self._record(2, 1, value="x")])
+        with pytest.raises(DataError, match="unparseable record at line 4:"):
             read_od_csv(path)
 
     def test_header_only_is_empty(self, tmp_path):
@@ -297,6 +304,11 @@ class TestCsv:
         self._write(path, [self._record(3, 1), self._record(1, 2), self._record(1, 1),
                            self._record(2, 1)])
         with pytest.raises(DataError, match="missing record for day 2, slot 2$"):
+            read_od_csv(path)
+        # a duplicate that a missing record balances keeps the D x S count
+        self._write(path, [self._record(1, 1), self._record(2, 1), self._record(1, 1),
+                           self._record(1, 2)])
+        with pytest.raises(DataError, match="duplicate record for day 1, slot 1 at line 4"):
             read_od_csv(path)
 
     def test_records_in_any_order(self, tmp_path):

@@ -130,6 +130,8 @@ class TestReports:
         write_study_json(result, path)
         payload = json.loads(path.read_text())
         assert payload["config"]["seed"] == 42
+        assert "threads" not in payload["config"]
+        assert len(payload["config"]) == 11
         cell = payload["cells"][0]
         assert "runtime_ms" not in cell
         assert len(cell["methods"]["gb1"]["estimates"]) == 3
