@@ -25,7 +25,6 @@ from .core import (
     _row_weights,
     apply_estimator,
     apply_estimator_batch,
-    psd_project,
 )
 from .errors import (
     BoundsError,
@@ -134,16 +133,16 @@ def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (root + root.swapaxes(-1, -2))
 
 
-def sym_inverse_sqrt(matrix: np.ndarray, eps: float | None = None) -> np.ndarray:
+def sym_inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root with an eigenvalue floor.
 
-    Eigenvalues below ``eps`` are raised to it before inversion;
-    ``eps`` defaults to 1e-12 * lambda_max, relative so that
+    Eigenvalues below 1e-12 * lambda_max are raised to it before
+    inversion; the floor is relative so that
     ``sym_inverse_sqrt(c**2 * M) == sym_inverse_sqrt(M) / c`` at any
-    scale (1e-12 when that is not positive).  Asymmetric
+    scale (1e-12 when lambda_max is not positive).  Asymmetric
     input (relative tolerance 1e-10) is rejected.  A stack of matrices,
     shape (..., r, r), is inverted matrix by matrix, each with its own
-    default floor.
+    floor.
 
     >>> sym_inverse_sqrt(np.diag([4.0, 9.0]))
     array([[0.5       , 0.        ],
@@ -153,39 +152,58 @@ def sym_inverse_sqrt(matrix: np.ndarray, eps: float | None = None) -> np.ndarray
            [0.00000000e+00, 3.33333333e+09]])
     """
     w, v = np.linalg.eigh(_check_symmetric(matrix, "sym_inverse_sqrt"))
-    if eps is None:
-        eps = 1e-12 * w[..., -1:]
-        eps = np.where(eps > 0.0, eps, 1e-12)
+    eps = 1e-12 * w[..., -1:]
+    eps = np.where(eps > 0.0, eps, 1e-12)
     out = (v / np.sqrt(np.maximum(w, eps))[..., None, :]) @ v.swapaxes(-1, -2)
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
-def _window_correlations(
-    sub: SubseriesEstimates, rows=slice(None), eps: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Window correlation matrices R(j, k) of the selected rows (0-based).
+def _window_correlations(dev: np.ndarray, floor, degenerate: str, label) -> np.ndarray:
+    """R[..., j, k] = A_j^{-1/2} C_jk A_k^{-1/2}, shape (..., q, q, r, r).
 
-    Every row's window deviations form one (I, q r) array, so one GEMM
-    gives each row's own moment A_j and every cross moment C_jk; each
-    A_j is then inverted (square root) once.  Returns R, shape
-    (q, q, r, r) with R[j, k] = A_j^{-1/2} C_jk A_k^{-1/2}, and the
-    degenerate rows, shape (q,): those with trace(A_j) == 0, whose R
-    rows and columns are zero.  ``eps`` is as for ``sym_inverse_sqrt``.
+    One GEMM of the window deviations ``dev``, shape (..., I, q, r),
+    gives each row's own moment A_j and every cross moment C_jk; each A_j
+    is inverted (square root) once.  Rows with trace(A_j) <= ``floor``
+    (broadcast to (..., q)) are degenerate: under ``degenerate="error"``
+    the first, in C order, raises DegenerateCorrelationError naming
+    ``label(*its index)``; under ``"zero"`` their rows and columns of R
+    are zero.
     """
-    dev = sub.grid[:, rows, :] - sub.full_estimates[rows]  # (I, q, r)
-    count, q, r = dev.shape
-    flat = dev.reshape(count, q * r)
-    moments = (flat.T @ flat / count).reshape(q, r, q, r).transpose(0, 2, 1, 3)
-    own = moments[np.arange(q), np.arange(q)]  # (q, r, r)
-    degenerate = np.trace(own, axis1=1, axis2=2) == 0.0
+    *batch, count, q, r = dev.shape
+    flat = dev.reshape(*batch, count, q * r)
+    moments = (flat.swapaxes(-1, -2) @ flat / count).reshape(*batch, q, r, q, r).swapaxes(-3, -2)
+    own = moments[..., np.arange(q), np.arange(q), :, :]  # (..., q, r, r)
+    flat_rows = np.trace(own, axis1=-2, axis2=-1) <= floor
+    if degenerate == "error" and flat_rows.any():
+        raise DegenerateCorrelationError(
+            f"window deviations carry no variation for {label(*np.argwhere(flat_rows)[0])}; "
+            "correlation undefined"
+        )
     whiten = np.zeros_like(own)
-    whiten[~degenerate] = sym_inverse_sqrt(own[~degenerate], eps)
-    return whiten[:, None] @ moments @ whiten[None, :], degenerate
+    whiten[~flat_rows] = sym_inverse_sqrt(own[~flat_rows])
+    return whiten[..., :, None, :, :] @ moments @ whiten[..., None, :, :, :]
 
 
-def correlation_matrix(
-    sub: SubseriesEstimates, j: int, k: int, eps: float | None = None
-) -> np.ndarray:
+def _gb2_combine(variances, dev, weights, floor, degenerate: str, label) -> np.ndarray:
+    """sum_{j,k} w_j w_k Sigma_j^{1/2} R(j, k) Sigma_k^{1/2} of the (..., q, r, r)
+    ``variances``, shape (..., r, r); the other arguments are as for
+    ``_window_correlations``, and ``weights`` has shape (q,).  The sum is
+    U M U', M a whitened Gram matrix with its diagonal blocks raised to I
+    (the diagonal terms use Sigma_j itself), so it is PSD up to rounding.
+    """
+    *batch, q, r, _ = variances.shape
+    corr = _window_correlations(dev, floor, degenerate, label)
+    rows = np.arange(q)
+    corr[..., rows, rows, :, :] = 0.0  # diagonal terms use Sigma_j itself
+    # scaled[a, (j, b)] = w_j Sigma_j^{1/2}[a, b], so the q^2 cross terms
+    # w_j w_k Sigma_j^{1/2} R(j, k) Sigma_k^{1/2} sum to one matrix product
+    roots = weights[:, None, None] * sym_sqrt(variances)
+    scaled = roots.swapaxes(-3, -2).reshape(*batch, r, q * r)
+    cross = scaled @ corr.swapaxes(-3, -2).reshape(*batch, q * r, q * r) @ scaled.swapaxes(-1, -2)
+    return np.einsum("j,...jab->...ab", weights * weights, variances) + cross
+
+
+def correlation_matrix(sub: SubseriesEstimates, j: int, k: int) -> np.ndarray:
     """Matrix generalisation of the window correlation for vector estimators.
 
     A_j^{-1/2} C_{jk} A_k^{-1/2}, where A_j is the window second-moment
@@ -193,20 +211,15 @@ def correlation_matrix(
     For r = 1 this is sum_i a_i b_i / sqrt(sum a_i^2 * sum b_i^2), the
     correlation of the two rows' window deviations, unclipped.  A block
     with trace(A_j) == 0 has no variability to normalise by and raises
-    DegenerateCorrelationError.  ``eps`` is the
-    eigenvalue floor of ``sym_inverse_sqrt``.  ``gb2_variance`` computes
-    the same matrices for every pair at once.
+    DegenerateCorrelationError.  ``gb2_variance`` computes the same
+    matrices for every pair at once.
     """
     for row in (j, k):
         if not 1 <= row <= sub.p:
             raise BoundsError(f"row index {row} outside 1..{sub.p}")
-    corr, degenerate = _window_correlations(sub, [j - 1, k - 1], eps)
-    if degenerate.any():
-        raise DegenerateCorrelationError(
-            f"window deviations identically zero for row {j if degenerate[0] else k}; "
-            "correlation matrix undefined"
-        )
-    return corr[0, 1]
+    rows = [j - 1, k - 1]
+    dev = sub.grid[:, rows, :] - sub.full_estimates[rows]
+    return _window_correlations(dev, 0.0, "error", lambda i: f"row {rows[i] + 1}")[0, 1]
 
 
 def gb2_variance(
@@ -220,7 +233,7 @@ def gb2_variance(
     sum_{j,k} w_j w_k Sigma_j^{1/2} R(j, k) Sigma_k^{1/2}, where the
     diagonal terms use Sigma_j itself (a series has correlation one with
     itself) and off-diagonal R(j, k) equals ``correlation_matrix``.
-    The sum is symmetrised and PSD-projected.
+    The sum is PSD by construction; ``VarianceEstimate`` clips rounding.
 
     Cost: one GEMM of the (I, p r) window deviations gives every moment;
     p eigendecompositions of A_j and p of Sigma_j (each batched into one
@@ -261,19 +274,6 @@ def gb2_variance(
 
     if p == 1:
         return VarianceEstimate(matrix=v[0].copy(), method="gb2")
-
-    roots = sym_sqrt(v)
-    corr, flat = _window_correlations(sub)
-    if degenerate == "error" and flat.any():
-        raise DegenerateCorrelationError(
-            f"window deviations identically zero for row {int(np.argmax(flat)) + 1}; "
-            "correlation matrix undefined"
-        )
-    rows = np.arange(p)
-    corr[rows, rows] = 0.0  # diagonal terms use Sigma_j itself
-    # scaled[a, (j, b)] = w_j Sigma_j^{1/2}[a, b], so the p^2 cross terms
-    # w_j w_k Sigma_j^{1/2} R(j, k) Sigma_k^{1/2} sum to one matrix product
-    scaled = (w[:, None, None] * roots).transpose(1, 0, 2).reshape(r, p * r)
-    cross = scaled @ corr.transpose(0, 2, 1, 3).reshape(p * r, p * r) @ scaled.T
-    acc = np.einsum("j,jab->ab", w * w, v) + cross
-    return VarianceEstimate(matrix=psd_project(acc), method="gb2")
+    dev = sub.grid - sub.full_estimates
+    acc = _gb2_combine(v, dev, w, 0.0, degenerate, lambda j: f"row {j + 1}")
+    return VarianceEstimate(matrix=acc, method="gb2")

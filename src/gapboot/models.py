@@ -254,14 +254,18 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
     return build_data_array(values.reshape(spec.n, 4), p=p, m=m, gap_q=q)
 
 
+def _check_truth_runs(runs: int) -> None:
+    if runs < 100:
+        raise ConfigError(f"need at least 100 Monte Carlo runs for a usable truth, got {runs}")
+
+
 def monte_carlo_true_se(spec: ModelSpec, estimator: EstimatorSpec, runs: int, seed) -> np.ndarray:
     """Monte Carlo standard error of the estimator under the model, shape (r,).
 
     Simulates ``runs`` independent arrays (runs >= 100) and reports the
     componentwise standard deviation (divisor runs - 1) of the estimates.
     """
-    if runs < 100:
-        raise ConfigError(f"need at least 100 Monte Carlo runs for a usable truth, got {runs}")
+    _check_truth_runs(runs)
     base = seed if isinstance(seed, tuple) else (seed,)
     estimates = np.empty((runs, estimator.dim))
     for r in range(runs):

@@ -17,7 +17,7 @@ and the per-slot pairs-bootstrap covariances, each computed on first
 use.  GB-I and GB-II are two combinations of one fit, so
 ``od_standard_errors`` -- what ``gapboot od`` runs -- draws each slot's
 bootstrap stream once for both; ``ls_estimate`` never runs the
-bootstrap.
+bootstrap.  GB-II runs ``gb2``'s kernel batched over the parameters.
 
 The slots are independent subproblems: each slot's bootstrap and window
 solves run on one of up to nproc threads, each slot draws from its own
@@ -43,13 +43,12 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     DataError,
-    DegenerateCorrelationError,
     DimensionError,
     InsufficientDataError,
     RankError,
 )
 from .gb1 import RowEstimates, gb1_variance
-from .gb2 import default_block_length
+from .gb2 import _gb2_combine, default_block_length
 from .resample import BootstrapConfig
 
 __all__ = [
@@ -189,9 +188,7 @@ def recover_split_matrix(theta) -> np.ndarray:
     Row k holds p_kk..p_k6 from theta, then p_k7 = 1 - their sum; row 7
     is (0, ..., 0, 1).  Rows therefore sum to one by construction.
     """
-    t = np.asarray(theta, dtype=np.float64)
-    if t.shape != (21,):
-        raise DimensionError(f"theta must have 21 entries, got shape {t.shape}")
+    t = SplitProportions(theta).theta
     full = np.zeros((7, 7))
     col = 0
     for k in range(6):
@@ -651,33 +648,15 @@ class ODFit:
         theta = self.theta
         weights = self.weights
         window = _window_estimates(self._products, self._h, ell, self.ridge)  # (S, I, 21)
-        count = window.shape[1]
-        dev = window - theta[None, None, :]
-        proj = np.einsum("kab,kib->aki", weights, dev)  # (21, S, I)
-        moment = np.einsum("aki,aki->ak", proj, proj) / count  # (21, S)
-        num = np.einsum("aki,ali->akl", proj, proj) / count  # (21, S, S)
-        # Window solves on noise-free data leave round-off residue (~1e-13 of
-        # the estimate), so degeneracy is judged against a scale-aware floor
-        # rather than exact zero: genuine window variation sits many orders
-        # above it.
-        floor = (1e-9 * (1.0 + np.abs(theta))) ** 2
-        flat = moment <= floor[:, None]  # (21, S)
-        if degenerate == "error" and flat.any():
-            a, k = np.argwhere(flat)[0]
-            raise DegenerateCorrelationError(
-                f"window projections carry no variation for parameter {PARAM_NAMES[a]} "
-                f"in slot {k + 1}"
-            )
-        den = np.sqrt(moment[:, :, None] * moment[:, None, :])
-        live = ~(flat[:, :, None] | flat[:, None, :])
-        rho = np.divide(num, den, out=np.zeros_like(num), where=live & (den > 0.0))
-        rho = np.clip(rho, -1.0, 1.0)
-        ident = np.arange(slots)
-        rho[:, ident, ident] = 1.0
-
+        # kernel rows of size r = 1, batched over parameters a: projections
+        # w_ak' (window_k - theta), (21, I, S, 1); variances w_ak' Cov_k w_ak
+        proj = np.einsum("kab,kib->aik", weights, window - theta)[..., None]
         quad = np.einsum("kab,kbc,kac->ak", weights, self.slot_covariances, weights)
-        sigma = np.sqrt(np.clip(quad, 0.0, None))
-        var = np.einsum("ak,akl,al->a", sigma, rho, sigma)
+        floor = (1e-9 * (1.0 + np.abs(theta))) ** 2
+        var = _gb2_combine(
+            quad[..., None, None], proj, np.ones(slots), floor[:, None], degenerate,
+            lambda a, k: f"parameter {PARAM_NAMES[a]} in slot {k + 1}",
+        )[:, 0, 0]
         return np.sqrt(np.clip(var, 0.0, None))
 
 
@@ -718,6 +697,14 @@ def od_gb2_standard_errors(
     projections, centred at the full-data estimate:
 
         Var(theta_n[a]) = sum_{k,l} sigma_ak sigma_al rho_a(k, l).
+
+    This scalar form is the r = 1 case of ``gb2_variance``'s matrix form
+    A_j^{-1/2} C_jk A_k^{-1/2}, computed by the same kernel with the 21
+    parameters as a batch axis and unit slot weights (W_k enters through
+    the projections).  Only the degeneracy floor on a window moment
+    differs: ``gb2_variance`` tests for exact zero, which keeps it
+    ``c**2``-equivariant; here noise-free window solves leave round-off of
+    ~1e-13 of the estimate, so the floor is (1e-9 (1 + |theta_a|))**2.
 
     Parameters
     ----------

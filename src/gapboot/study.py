@@ -23,7 +23,7 @@ from .core import mean_estimator
 from .errors import ConfigError, GapBootstrapError
 from .gb1 import collect_row_estimates, gb1_variance
 from .gb2 import default_block_length, gb2_variance, subseries_estimates
-from .models import generate_series, make_model, monte_carlo_true_se
+from .models import _check_truth_runs, generate_series, make_model, monte_carlo_true_se
 from .resample import BootstrapConfig
 
 __all__ = [
@@ -75,8 +75,7 @@ class StudyConfig:
                 raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.truth_runs < 100:
-            raise ConfigError(f"truth_runs must be >= 100, got {self.truth_runs}")
+        _check_truth_runs(self.truth_runs)
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.block_length is not None and self.block_length < 2:

@@ -20,7 +20,7 @@ from gapboot import (
     sym_inverse_sqrt,
     sym_sqrt,
 )
-from gapboot.gb2 import _window_correlations
+from gapboot.gb2 import _gb2_combine, _window_correlations
 
 
 class TestDefaultBlockLength:
@@ -324,8 +324,7 @@ class TestGb2Kernel:
 
     def test_correlations_match_correlation_matrix(self):
         sub, _ = kernel_case(p=5, r=3, n=600, seed=4)
-        corr, degenerate = _window_correlations(sub)
-        assert not degenerate.any()
+        corr = _window_correlations(sub.grid - sub.full_estimates, 0.0, "error", str)
         for j in range(1, 6):
             for k in range(1, 6):
                 expected = correlation_matrix(sub, j, k)
@@ -374,6 +373,49 @@ class TestGb2Kernel:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         gb2_variance(variances, sub)
         assert 0 < len(calls) <= 2 * 40 + 2
+
+    def test_combination_is_psd_before_projection(self):
+        # 1000 cases, with near-collinear rows and, under "zero",
+        # degenerate rows; the kernel's own output, before VarianceEstimate
+        rng = np.random.default_rng(12)
+        for case in range(1000):
+            p, r, count = int(rng.integers(2, 10)), int(rng.integers(1, 4)), int(rng.integers(3, 30))
+            dev = rng.standard_normal((count, p, r)) * rng.uniform(1e-3, 1e3)
+            if case % 3 == 0:
+                dev += rng.uniform(1.0, 30.0) * rng.standard_normal((count, 1, r))
+            policy = "zero" if case % 4 == 0 else "error"
+            if policy == "zero":
+                dev[:, rng.integers(p)] = 0.0
+            x = rng.standard_normal((p, r, r + int(rng.integers(0, 3))))
+            w = rng.uniform(0.0, 1.0, p)
+            out = _gb2_combine(x @ x.swapaxes(1, 2), dev, w / w.sum(), 0.0, policy, str)
+            eig = np.linalg.eigvalsh(0.5 * (out + out.T))
+            assert eig[0] >= -1e-12 * eig[-1], f"case {case}: {eig}"
+
+    def test_batch_axes_match_single_calls(self):
+        rng = np.random.default_rng(13)
+        dev = rng.standard_normal((4, 3, 25, 6, 2))
+        x = rng.standard_normal((4, 3, 6, 2, 2))
+        variances = x @ x.swapaxes(-1, -2)
+        w = np.full(6, 1.0 / 6.0)
+        floor = rng.uniform(0.0, 1.0, (4, 3, 6))
+        batched = _gb2_combine(variances, dev, w, floor, "zero", str)
+        for b in np.ndindex(4, 3):
+            assert_array_equal(batched[b], _gb2_combine(variances[b], dev[b], w, floor[b], "zero", str))
+
+    def test_psd_combination_makes_one_eigvalsh(self, monkeypatch):
+        sub, variances = kernel_case(p=6, r=2, n=600, seed=9)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        v = gb2_variance(variances, sub)
+        assert len(calls) == 1
+        assert np.linalg.eigvalsh(v.matrix)[0] >= 0.0
 
     @pytest.mark.parametrize("c", [1e-8, 1e-3, 1e4])
     def test_scale_equivariance(self, c):

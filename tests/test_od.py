@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -20,8 +21,10 @@ from gapboot import (
     ODDataset,
     ODFit,
     RankError,
+    RowEstimates,
     SplitProportions,
     build_design,
+    gb1_variance,
     ls_estimate,
     od_gb1_standard_errors,
     od_gb2_standard_errors,
@@ -32,11 +35,18 @@ from gapboot import (
     surrogate_od_dataset,
     write_od_csv,
 )
-from gapboot import od
+from gapboot import gb2, od
 from gapboot._rand import derived_stream
 from gapboot.od import OD_CSV_COLUMNS
 
 THETA = np.asarray(DEFAULT_SPLIT_THETA)
+
+#: Relative bounds on how far theta, the GB-I and the GB-II standard
+#: errors move when every count is scaled by 3, over the random corridors
+#: of ``TestInvariants``; measured at most 6.6e-10, 2.3e-12 and 4.1e-8.
+#: GB-II moves most at 6-day windows, whose 21x21 solves rest on only six
+#: records each and amplify the rounding of the scaled counts.
+SCALE3_RTOL = (5e-9, 1e-11, 2e-7)
 
 
 def exact_dataset(days=5, slots=3, seed=0):
@@ -111,6 +121,51 @@ def whole_stack_window_estimates(products, h, ell, ridge):
             gwin += ridge * np.eye(21)
         out.append(np.linalg.solve(gwin, od._window_sums(h[:, k], ell)[..., None])[..., 0])
     return np.stack(out)
+
+
+def reference_od_gb2(fit, ell, degenerate="error"):
+    """OD GB-II as it was written before it ran the gb2 kernel: per-parameter
+    window moments, rho = num / sqrt(m_k m_l) clipped to [-1, 1], slot
+    scales sqrt(w_ak' Cov_k w_ak), and its own degeneracy branch."""
+    theta = fit.theta
+    weights = fit.weights
+    window = od._window_estimates(fit._products, fit._h, ell, fit.ridge)  # (S, I, 21)
+    count = window.shape[1]
+    proj = np.einsum("kab,kib->aki", weights, window - theta)  # (21, S, I)
+    moment = np.einsum("aki,aki->ak", proj, proj) / count  # (21, S)
+    num = np.einsum("aki,ali->akl", proj, proj) / count  # (21, S, S)
+    floor = (1e-9 * (1.0 + np.abs(theta))) ** 2
+    flat = moment <= floor[:, None]  # (21, S)
+    if degenerate == "error" and flat.any():
+        a, k = np.argwhere(flat)[0]
+        raise DegenerateCorrelationError(f"parameter {PARAM_NAMES[a]} in slot {k + 1}")
+    den = np.sqrt(moment[:, :, None] * moment[:, None, :])
+    live = ~(flat[:, :, None] | flat[:, None, :])
+    rho = np.divide(num, den, out=np.zeros_like(num), where=live & (den > 0.0))
+    rho = np.clip(rho, -1.0, 1.0)
+    ident = np.arange(fit.dataset.slots)
+    rho[:, ident, ident] = 1.0
+    quad = np.einsum("kab,kbc,kac->ak", weights, fit.slot_covariances, weights)
+    sigma = np.sqrt(np.clip(quad, 0.0, None))
+    var = np.einsum("ak,akl,al->a", sigma, rho, sigma)
+    return np.sqrt(np.clip(var, 0.0, None))
+
+
+def od_kernel_inputs(fit, ell):
+    """The GB-II kernel inputs of a fit at r = 1: slot variances
+    w_ak' Cov_k w_ak, shape (21, S, 1, 1), window projections
+    w_ak' (window_k - theta), shape (21, I, S, 1), and the floor (21, 1)."""
+    window = od._window_estimates(fit._products, fit._h, ell, fit.ridge)
+    proj = np.einsum("kab,kib->aik", fit.weights, window - fit.theta)[..., None]
+    quad = np.einsum("kab,kbc,kac->ak", fit.weights, fit.slot_covariances, fit.weights)
+    return quad[..., None, None], proj, ((1e-9 * (1.0 + np.abs(fit.theta))) ** 2)[:, None]
+
+
+def degenerate_name(call):
+    """The parameter and slot a DegenerateCorrelationError names."""
+    with pytest.raises(DegenerateCorrelationError) as info:
+        call()
+    return re.search(r"parameter (p\d\d) in slot (\d+)", str(info.value)).groups()
 
 
 class TestDesign:
@@ -630,6 +685,99 @@ class TestInvariants:
         for a, b in zip(od_standard_errors(dataset, config=config),
                         od_standard_errors(scaled, config=config)):
             assert_array_equal(a, b)
+
+    @pytest.mark.filterwarnings("ignore::gapboot.FewRowsWarning")
+    def test_random_corridors(self):
+        # 200 small random corridors; one in ten is noise-free, where every
+        # window projection is degenerate
+        rng = np.random.default_rng(20)
+        for case in range(200):
+            days, slots = int(rng.integers(24, 49)), int(rng.integers(2, 7))
+            noise_free = case % 10 == 9
+            dataset, _ = surrogate_od_dataset(
+                days, slots=slots, seed=case, design_seed=int(rng.integers(100)),
+                day_ar=rng.uniform(0.0, 0.8), slot_spread=rng.uniform(0.0, 0.5),
+                noise=0.0 if noise_free else rng.uniform(0.01, 0.1),
+                split_drift=0.0 if noise_free else rng.uniform(0.0, 0.15),
+            )
+            ell = int(rng.integers(6, days // 2))
+            config = BootstrapConfig(replicates=int(rng.integers(20, 61)), seed=case)
+            fit = ODFit(dataset, config)
+            msg = f"case {case}"
+            if noise_free:
+                assert degenerate_name(lambda: fit.gb2_standard_errors(ell)) == degenerate_name(
+                    lambda: reference_od_gb2(fit, ell)), msg
+                continue
+            se2 = fit.gb2_standard_errors(ell)
+            assert_allclose(se2, reference_od_gb2(fit, ell), rtol=1e-12, err_msg=msg)
+            # count scaling: by a power of two exact, by 3 within rounding
+            unit = (fit.theta, fit.gb1_standard_errors(), se2)
+            for c in (4.0, 0.25, 3.0):
+                scaled = ODFit(ODDataset(origins=c * dataset.origins,
+                                         destinations=c * dataset.destinations), config)
+                got = (scaled.theta, scaled.gb1_standard_errors(), scaled.gb2_standard_errors(ell))
+                for a, b, rtol in zip(got, unit, SCALE3_RTOL):
+                    if c == 3.0:
+                        assert_allclose(a, b, rtol=rtol, err_msg=msg)
+                    else:
+                        assert_array_equal(a, b, err_msg=msg)
+            # slot relabelling, given the permuted slot inputs
+            quad, proj, floor = od_kernel_inputs(fit, ell)
+            perm = rng.permutation(slots)
+            ones = np.ones(slots)
+            assert_allclose(
+                gb2._gb2_combine(quad[:, perm], proj[:, :, perm], ones, floor, "error", str),
+                gb2._gb2_combine(quad, proj, ones, floor, "error", str), rtol=1e-12, err_msg=msg,
+            )
+            gb1 = gb1_variance(RowEstimates(fit.slot_estimates, fit.slot_covariances)).matrix
+            shuffled = RowEstimates(fit.slot_estimates[perm], fit.slot_covariances[perm])
+            assert_allclose(gb1_variance(shuffled).matrix, gb1, rtol=1e-12,
+                            atol=1e-12 * np.abs(gb1).max(), err_msg=msg)
+            # the unclipped projection correlations
+            rho = gb2._window_correlations(proj, floor, "error", str)
+            assert np.abs(rho).max() <= 1.0 + 1e-12, msg
+
+    @pytest.mark.parametrize("kind", ["zero-volume", "constant"])
+    @pytest.mark.parametrize("degenerate", ["error", "zero"])
+    def test_rank_deficient_slot_is_named(self, kind, degenerate):
+        for seed, slots in ((0, 3), (1, 5), (2, 6)):
+            dataset, _ = surrogate_od_dataset(30, slots=slots, seed=seed, split_drift=0.1)
+            origins, destinations = dataset.origins.copy(), dataset.destinations.copy()
+            k = seed + 1
+            if kind == "zero-volume":
+                origins[:, k] = destinations[:, k] = 0.0
+            else:
+                origins[:, k], destinations[:, k] = origins[0, k], destinations[0, k]
+            bad = ODDataset(origins=origins, destinations=destinations)
+            with pytest.raises(RankError, match=f"slot {k + 1}\\b"):
+                od_standard_errors(bad, 6, BootstrapConfig(replicates=20), degenerate=degenerate)
+
+
+class TestGb2Reference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("ridge", [0.0, 1e-6])
+    def test_kernel_matches_reference(self, seed, ridge):
+        dataset, _ = surrogate_od_dataset(120, slots=8, seed=seed, day_ar=0.5, split_drift=0.1)
+        fit = ODFit(dataset, BootstrapConfig(replicates=200, seed=seed), ridge=ridge)
+        assert_allclose(fit.gb2_standard_errors(12), reference_od_gb2(fit, 12), rtol=1e-12)
+
+    def test_zero_volume_slot_with_ridge(self):
+        rng = np.random.default_rng(4)
+        origins = rng.uniform(20.0, 80.0, size=(12, 3, 7))
+        origins[:, 1, :] = 0.0
+        destinations = origins @ recover_split_matrix(THETA) + rng.normal(0.0, 3.0, (12, 3, 7))
+        dataset = ODDataset(origins=origins, destinations=np.clip(destinations, 0.0, None))
+        fit = ODFit(dataset, BootstrapConfig(replicates=100, seed=1), ridge=1e-6)
+        se = fit.gb2_standard_errors(4, "zero")
+        assert_allclose(se, reference_od_gb2(fit, 4, "zero"), rtol=1e-12)
+        assert (se > 0).all()
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_noise_free_names_the_same_parameter_and_slot(self, seed):
+        dataset, _ = surrogate_od_dataset(40, slots=6, seed=seed, noise=0.0)
+        fit = ODFit(dataset, BootstrapConfig(replicates=200, seed=5))
+        kernel = degenerate_name(lambda: fit.gb2_standard_errors(8))
+        assert kernel == degenerate_name(lambda: reference_od_gb2(fit, 8))
 
 
 class TestSurrogate:
