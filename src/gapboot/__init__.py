@@ -52,7 +52,7 @@ from .gb2 import (
     sym_inverse_sqrt,
     sym_sqrt,
 )
-from .models import ModelSpec, generate_series, make_model, monte_carlo_true_se
+from .models import ModelSpec, generate_series, monte_carlo_true_se
 from .od import (
     DEFAULT_SPLIT_THETA,
     ODDataset,
@@ -60,13 +60,8 @@ from .od import (
     PARAM_NAMES,
     SplitProportions,
     build_design,
-    ls_estimate,
-    od_gb1_standard_errors,
-    od_gb2_standard_errors,
     od_standard_errors,
-    od_weights,
     read_od_csv,
-    recover_split_matrix,
     surrogate_od_dataset,
     write_od_csv,
 )

@@ -31,7 +31,7 @@ from .core import (
 from .errors import ConfigError, FewRowsWarning, GapBootstrapError
 from .gb1 import collect_row_estimates, gb1_variance
 from .gb2 import correlation_matrix, subseries_estimates
-from .models import FAMILY_GAPS, make_model, row_mean_spread
+from .models import FAMILY_GAPS, ModelSpec, row_mean_spread
 from .od import (
     PARAM_NAMES,
     ODFit,
@@ -257,7 +257,7 @@ def _cmd_check(args) -> int:
     ok &= _check("pooled OD estimate equals weighted slot combination", lres <= 1e-8, f"residual {lres:.2e}")
 
     # Row means are exchangeable for constant-mean families, not for periodic.
-    spread = row_mean_spread(make_model("ar2", 120, 4), runs=200, seed=(args.seed, "chk"))
+    spread = row_mean_spread(ModelSpec("ar2", 120, 4), runs=200, seed=(args.seed, "chk"))
     ok &= _check(
         "constant-mean family has exchangeable row means",
         spread["max_z"] <= 4.5,

@@ -34,7 +34,6 @@ __all__ = [
     "FAMILY_GAPS",
     "ModelSpec",
     "generate_series",
-    "make_model",
     "monte_carlo_true_se",
     "row_mean_spread",
 ]
@@ -95,8 +94,10 @@ def _mma_coefficients(seed: int) -> tuple[tuple, tuple]:
 class ModelSpec:
     """Fully resolved description of one synthetic-data configuration.
 
-    ``gap_q`` defaults to the family's ``FAMILY_GAPS`` entry and ``mu``
-    to 1.0 for ``periodic``, 0.1 otherwise.
+    ``ModelSpec(family, n, p, **fields)`` takes the family's defaults for
+    every field not given: ``gap_q`` its ``FAMILY_GAPS`` entry and ``mu``
+    1.0 for ``periodic``, 0.1 otherwise.  Unknown families raise
+    ConfigError.
     """
 
     family: str
@@ -158,10 +159,9 @@ class ModelSpec:
         return 4 if self.family in _MULTIVARIATE else 1
 
 
-def make_model(family: str, n: int, p: int, **kwargs) -> ModelSpec:
-    """Build a ModelSpec by family name with that family's defaults;
-    unknown names raise ConfigError."""
-    return ModelSpec(family=family, n=n, p=p, **kwargs)
+def _key(seed) -> tuple:
+    """A seed as a stream-key tuple: ``s`` and ``(s,)`` are the same key."""
+    return seed if isinstance(seed, tuple) else (seed,)
 
 
 def _innovations(rng: np.random.Generator, kind: str, size) -> np.ndarray:
@@ -194,16 +194,11 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
     Parameters
     ----------
     spec : ModelSpec
-    seed : int, tuple of int/str, or numpy Generator
-        Stream key; integers and tuples map to a deterministic Philox
-        stream so equal keys reproduce equal arrays.
+    seed : int or tuple of int/str
+        Stream key; it maps to a deterministic Philox stream, so equal
+        keys reproduce equal arrays.
     """
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    elif isinstance(seed, tuple):
-        rng = derived_stream(*seed, "series")
-    else:
-        rng = derived_stream(seed, "series")
+    rng = derived_stream(*_key(seed), "series")
 
     m, p, q = spec.m, spec.p, spec.gap_q
     burn = spec.burn_in
@@ -266,7 +261,7 @@ def monte_carlo_true_se(spec: ModelSpec, estimator: EstimatorSpec, runs: int, se
     componentwise standard deviation (divisor runs - 1) of the estimates.
     """
     _check_truth_runs(runs)
-    base = seed if isinstance(seed, tuple) else (seed,)
+    base = _key(seed)
     estimates = np.empty((runs, estimator.dim))
     for r in range(runs):
         arr = generate_series(spec, base + ("truth", r))
@@ -283,7 +278,7 @@ def row_mean_spread(spec: ModelSpec, runs: int, seed) -> dict:
     (p, d), ``ses`` (p, d) and ``max_z`` (largest standardised spread
     between any row mean and the average row mean).
     """
-    base = seed if isinstance(seed, tuple) else (seed,)
+    base = _key(seed)
     rows = np.empty((runs, spec.p, spec.d))
     for r in range(runs):
         arr = generate_series(spec, base + ("rowcheck", r))

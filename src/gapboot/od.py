@@ -16,7 +16,7 @@ made of, and keeps the pooled and per-slot estimates, the weights W_k
 and the per-slot pairs-bootstrap covariances, each computed on first
 use.  GB-I and GB-II are two combinations of one fit, so
 ``od_standard_errors`` -- what ``gapboot od`` runs -- draws each slot's
-bootstrap stream once for both; ``ls_estimate`` never runs the
+bootstrap stream once for both; least squares alone never runs the
 bootstrap.  GB-II runs ``gb2``'s kernel batched over the parameters.
 
 The slots are independent subproblems: each slot's bootstrap and window
@@ -58,13 +58,8 @@ __all__ = [
     "PARAM_NAMES",
     "SplitProportions",
     "build_design",
-    "ls_estimate",
-    "od_gb1_standard_errors",
-    "od_gb2_standard_errors",
     "od_standard_errors",
-    "od_weights",
     "read_od_csv",
-    "recover_split_matrix",
     "surrogate_od_dataset",
     "write_od_csv",
 ]
@@ -72,7 +67,11 @@ __all__ = [
 #: Condition-number ceiling for the normal-equation solves.
 MAX_CONDITION = 1e12
 
-PARAM_NAMES = tuple(f"p{k}{j}" for k in range(1, 7) for j in range(k, 7))
+#: Origin and destination (0-based) of each free parameter, in theta
+#: order: parameter c is p_{k+1,e+1} for k = _ORIGIN[c], e = _DEST[c].
+_ORIGIN, _DEST = np.triu_indices(6)
+
+PARAM_NAMES = tuple(f"p{k + 1}{e + 1}" for k, e in zip(_ORIGIN, _DEST))
 
 #: A feasible default split used by the surrogate generator: mass decays
 #: with distance and every row leaves something for the final destination.
@@ -86,20 +85,18 @@ DEFAULT_SPLIT_THETA = (
 )
 
 
-def _design_basis() -> np.ndarray:
-    """basis[k] is d(O)/d(o_{k+1}), shape (7, 21), for origins 1..6."""
-    basis = np.zeros((6, 7, 21))
-    col = 0
-    for k in range(6):
-        width = 6 - k
-        for t in range(width):
-            basis[k, k + t, col + t] = 1.0
-            basis[k, 6, col + t] = -1.0
-        col += width
-    return basis
+def _zero_sum_rows(theta: np.ndarray) -> np.ndarray:
+    """Place free parameters (..., 21) in a (..., 7, 7) matrix whose rows
+    sum to zero: parameter c at (_ORIGIN[c], _DEST[c]), minus each row's
+    sum in the last column, and a zero last row."""
+    full = np.zeros(theta.shape[:-1] + (7, 7))
+    full[..., _ORIGIN, _DEST] = theta
+    full[..., :6, 6] = -full[..., :6, :6].sum(axis=-1)
+    return full
 
 
-_BASIS = _design_basis()
+#: _BASIS[k] is d(O)/d(o_{k+1}), shape (7, 21), for origins 1..6.
+_BASIS = _zero_sum_rows(np.eye(21))[:, :6].transpose(1, 2, 0)
 
 
 def build_design(origins, destinations) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +165,14 @@ class SplitProportions:
 
     @property
     def matrix(self) -> np.ndarray:
-        return recover_split_matrix(self.theta)
+        """Upper-triangular 7x7 split matrix implied by the 21 free parameters.
+
+        Row k holds p_kk..p_k6 from theta, then p_k7 = 1 - their sum; row 7
+        is (0, ..., 0, 1).  Rows therefore sum to one by construction.
+        """
+        full = _zero_sum_rows(self.theta)
+        full[:, 6] += 1.0
+        return full
 
     def infeasible_entries(self) -> list[tuple[int, int, float]]:
         """Cells of the full split matrix outside [0, 1], as (origin, destination, value)."""
@@ -180,25 +184,6 @@ class SplitProportions:
                 if not 0.0 <= v <= 1.0:
                     out.append((i + 1, j + 1, v))
         return out
-
-
-def recover_split_matrix(theta) -> np.ndarray:
-    """Upper-triangular 7x7 split matrix implied by the 21 free parameters.
-
-    Row k holds p_kk..p_k6 from theta, then p_k7 = 1 - their sum; row 7
-    is (0, ..., 0, 1).  Rows therefore sum to one by construction.
-    """
-    t = SplitProportions(theta).theta
-    full = np.zeros((7, 7))
-    col = 0
-    for k in range(6):
-        width = 6 - k
-        row = t[col : col + width]
-        full[k, k:6] = row
-        full[k, 6] = 1.0 - row.sum()
-        col += width
-    full[6, 6] = 1.0
-    return full
 
 
 # ---------------------------------------------------------------------------
@@ -345,29 +330,26 @@ def _gram(products: np.ndarray) -> np.ndarray:
     return np.take(products, _GRAM_PAIR, axis=-1) * _GRAM_COEF
 
 
-#: Column c of O is o_k on row e and -o_k on the last row, for origin
-#: k = _COL_ORIGIN[c] and destination e = _COL_DEST[c].
-_COL_ORIGIN, _COL_DEST = np.nonzero(_BASIS > 0)[:2]
-
-
 def _statistics(dataset: ODDataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-record normal-equation pieces: the 21 origin products o_a o_b
     (a <= b) that make up O'O (see ``_gram``), shape (D, S, 21), and
     h = O'D', shape (D, S, 21).
 
+    Column c of O is o_k on row e and -o_k on the last row, for origin
+    k = _ORIGIN[c] and destination e = _DEST[c], so
     h[c] = o_k d_e - o_k (d_7 - sum(o)) is formed directly, the two
     products in the order O'D' adds them, and C-contiguous, so that the
     pooled and per-slot sums of h add its entries in the same order.
     """
     o = dataset.origins
     d = dataset.destinations
-    ok = np.take(o, _COL_ORIGIN, axis=-1)
-    h = ok * np.take(d, _COL_DEST, axis=-1) - ok * (d[..., 6] - o.sum(axis=-1))[..., None]
+    ok = np.take(o, _ORIGIN, axis=-1)
+    h = ok * np.take(d, _DEST, axis=-1) - ok * (d[..., 6] - o.sum(axis=-1))[..., None]
     return np.take(o, _PAIR_A, axis=-1) * np.take(o, _PAIR_B, axis=-1), h
 
 
 # ---------------------------------------------------------------------------
-# Least squares and weights
+# Least squares
 # ---------------------------------------------------------------------------
 
 def _check_condition(gamma: np.ndarray, what: str) -> None:
@@ -384,54 +366,6 @@ def _solve(gamma: np.ndarray, rhs: np.ndarray, what: str, ridge: float = 0.0) ->
         return cho_solve(cho_factor(g), rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by cond check
         raise RankError(f"normal equations for {what} could not be factorised: {exc}") from exc
-
-
-def ls_estimate(dataset: ODDataset, slot: int | None = None, *, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares split estimate from one slot's records (or all).
-
-    Returns ``(theta, gamma)`` where gamma is the accumulated O'O matrix
-    actually solved (including any ridge term).  ``slot`` is 1-based;
-    ``None`` pools every record.  Rank-deficient or ill-conditioned
-    normal equations (condition number above 1e12) raise RankError.
-    """
-    fit = ODFit(dataset, ridge=ridge)
-    if slot is None:
-        theta, gamma = fit.theta, fit.gamma
-    else:
-        if not 1 <= slot <= dataset.slots:
-            raise BoundsError(f"slot {slot} outside 1..{dataset.slots}")
-        theta, gamma = fit.slot_estimate(slot), fit.slot_gammas[slot - 1]
-    return theta, (gamma + ridge * np.eye(21) if ridge else gamma)
-
-
-def _cholesky_weights(gamma: np.ndarray, slot_gammas: np.ndarray) -> np.ndarray:
-    """gamma^{-1} Gamma_k for every slot, from one Cholesky factor of gamma."""
-    factor = cho_factor(gamma)
-    return np.stack([cho_solve(factor, gk) for gk in slot_gammas])
-
-
-def od_weights(gamma_full: np.ndarray, slot_gammas: np.ndarray) -> np.ndarray:
-    """Slot weight matrices W_k = Gamma_full^{-1} Gamma_k, shape (S, r, r).
-
-    Validates that the slot matrices sum to the full matrix (the slots
-    partition the records) and that the weights sum to the identity,
-    both to within 1e-8 relative tolerance.
-    """
-    gf = np.asarray(gamma_full, dtype=np.float64)
-    gs = np.asarray(slot_gammas, dtype=np.float64)
-    if gf.ndim != 2 or gf.shape[0] != gf.shape[1]:
-        raise DimensionError(f"gamma_full must be square, got shape {gf.shape}")
-    r = gf.shape[0]
-    if gs.ndim != 3 or gs.shape[1:] != (r, r):
-        raise DimensionError(f"slot_gammas must be (S, {r}, {r}), got shape {gs.shape}")
-    scale = max(float(np.abs(gf).max()), 1.0)
-    if float(np.abs(gs.sum(axis=0) - gf).max()) > 1e-8 * scale:
-        raise ConsistencyError("slot matrices do not sum to the full matrix")
-    _check_condition(gf, "all slots")
-    weights = _cholesky_weights(gf, gs)
-    if float(np.abs(weights.sum(axis=0) - np.eye(r)).max()) > 1e-8:
-        raise ConsistencyError("slot weights do not sum to the identity")
-    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +517,10 @@ class ODFit:
     first use and kept, so least squares alone never pays for the
     bootstrap, and GB-I and GB-II on one fit share one slot bootstrap.
 
-    ``ridge`` is added to every normal-equation solve; it must be finite
-    and >= 0.  When positive, the weight/partition identity checks are
-    skipped (the ridge perturbs them by design).
+    ``config`` sets the slot bootstrap's replicates and seed.  ``ridge``,
+    for nearly collinear volumes, is added to every normal-equation solve;
+    it must be finite and >= 0.  When positive, the weight/partition
+    identity checks are skipped (the ridge perturbs them by design).
     """
 
     def __init__(
@@ -615,6 +550,8 @@ class ODFit:
 
     def slot_estimate(self, slot: int) -> np.ndarray:
         """Estimate from the records of one slot (1-based), shape (21,)."""
+        if not 1 <= slot <= self.dataset.slots:
+            raise BoundsError(f"slot {slot} outside 1..{self.dataset.slots}")
         return _solve(
             self.slot_gammas[slot - 1], self._slot_rhs[slot - 1], f"slot {slot}", self.ridge
         )
@@ -626,10 +563,26 @@ class ODFit:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Slot weights W_k = Gamma_full^{-1} Gamma_k, shape (S, 21, 21)."""
+        """Slot weights W_k = Gamma_full^{-1} Gamma_k, shape (S, 21, 21), from
+        one Cholesky factor of Gamma_full (plus the ridge).
+
+        Without a ridge, checks that the slot matrices sum to the full
+        matrix (the slots partition the records) and that the weights sum
+        to the identity, both to within 1e-8 relative tolerance.
+        """
+        gamma = self.gamma
         if self.ridge:
-            return _cholesky_weights(self.gamma + self.ridge * np.eye(21), self.slot_gammas)
-        return od_weights(self.gamma, self.slot_gammas)
+            gamma = gamma + self.ridge * np.eye(21)
+        else:
+            scale = max(float(np.abs(gamma).max()), 1.0)
+            if float(np.abs(self.slot_gammas.sum(axis=0) - gamma).max()) > 1e-8 * scale:
+                raise ConsistencyError("slot matrices do not sum to the full matrix")
+            _check_condition(gamma, "all slots")
+        factor = cho_factor(gamma)
+        weights = np.stack([cho_solve(factor, gk) for gk in self.slot_gammas])
+        if not self.ridge and float(np.abs(weights.sum(axis=0) - np.eye(21)).max()) > 1e-8:
+            raise ConsistencyError("slot weights do not sum to the identity")
+        return weights
 
     @cached_property
     def slot_covariances(self) -> np.ndarray:
@@ -637,17 +590,48 @@ class ODFit:
         return _slot_bootstrap_covs(self._products, self._h, self.config, self.ridge)
 
     def gb1_standard_errors(self) -> np.ndarray:
-        """Gap bootstrap I standard errors; see ``od_gb1_standard_errors``."""
+        """Gap bootstrap I standard errors from the per-slot split estimates.
+
+        Treats the S slot estimates as exchangeable rows: per-slot pairs
+        bootstraps give the slot variances, pairwise differences the common
+        cross-slot covariance, and the equally weighted combination formula
+        the variance of the pooled estimate.  Shares the slot bootstrap
+        with the GB-II path, so both report consistent slot scales.
+        """
         rows = RowEstimates(estimates=self.slot_estimates, variances=self.slot_covariances)
         return gb1_variance(rows).standard_errors
 
     def gb2_standard_errors(self, ell: int | None = None, degenerate: str = "error") -> np.ndarray:
-        """Gap bootstrap II standard errors; see ``od_gb2_standard_errors``."""
+        """Gap bootstrap II standard errors of the 21 pooled split estimates.
+
+        Combines, for each parameter a, the slot-level bootstrap scales
+        sigma_ak = sqrt(w_ak' Cov_k w_ak) (w_ak the a-th row of the slot
+        weight W_k) through the correlation of the slot window-estimate
+        projections, centred at the full-data estimate:
+
+            Var(theta_n[a]) = sum_{k,l} sigma_ak sigma_al rho_a(k, l).
+
+        This scalar form is the r = 1 case of ``gb2_variance``'s matrix form
+        A_j^{-1/2} C_jk A_k^{-1/2}, computed by the same kernel with the 21
+        parameters as a batch axis and unit slot weights (W_k enters through
+        the projections).  Only the degeneracy floor on a window moment
+        differs: ``gb2_variance`` tests for exact zero, which keeps it
+        ``c**2``-equivariant; here noise-free window solves leave round-off of
+        ~1e-13 of the estimate, so the floor is (1e-9 (1 + |theta_a|))**2.
+
+        ``ell`` is the window length in days (default
+        ``default_block_length(days)``) and ``degenerate`` the policy,
+        ``"error"`` or ``"zero"``, when a window-projection series has zero
+        variability.  A slot whose normal equations are rank deficient
+        raises RankError naming it, as GB-I does.  Returns the standard
+        errors ordered as PARAM_NAMES, shape (21,).
+        """
         days, slots = self.dataset.days, self.dataset.slots
         ell = _check_gb2_options(ell, days, degenerate)
         theta = self.theta
         weights = self.weights
         window = _window_estimates(self._products, self._h, ell, self.ridge)  # (S, I, 21)
+        self.slot_estimates  # names a rank-deficient slot the window solves let through
         # kernel rows of size r = 1, batched over parameters a: projections
         # w_ak' (window_k - theta), (21, I, S, 1); variances w_ak' Cov_k w_ak
         proj = np.einsum("kab,kib->aik", weights, window - theta)[..., None]
@@ -670,79 +654,17 @@ def od_standard_errors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pooled split estimate with its GB-I and GB-II standard errors.
 
-    Returns ``(theta, se_gb1, se_gb2)``, each of shape (21,), from one
-    ``ODFit``: the statistics are computed and the slot bootstrap is run
-    once for both standard errors.  The window length, the degeneracy
-    policy and the ridge are checked before any of that work.  Arguments
-    are as for ``od_gb2_standard_errors``.
+    Returns ``(theta, se_gb1, se_gb2)``, each of shape (21,) and ordered as
+    PARAM_NAMES, from one ``ODFit``: the statistics are computed and the
+    slot bootstrap is run once for both standard errors.  The window
+    length, the degeneracy policy and the ridge are checked before any of
+    that work.  ``config`` and ``ridge`` are as for ``ODFit``; ``ell``,
+    ``degenerate`` and the per-parameter scalar form of GB-II are described
+    at ``ODFit.gb2_standard_errors``.
     """
     _check_gb2_options(ell, dataset.days, degenerate)
     fit = ODFit(dataset, config, ridge=ridge)
     return fit.theta, fit.gb1_standard_errors(), fit.gb2_standard_errors(ell, degenerate)
-
-
-def od_gb2_standard_errors(
-    dataset: ODDataset,
-    ell: int | None = None,
-    config: BootstrapConfig = BootstrapConfig(),
-    *,
-    degenerate: str = "error",
-    ridge: float = 0.0,
-) -> np.ndarray:
-    """Gap bootstrap II standard errors of the 21 pooled split estimates.
-
-    Combines, for each parameter a, the slot-level bootstrap scales
-    sigma_ak = sqrt(w_ak' Cov_k w_ak) (w_ak the a-th row of the slot
-    weight W_k) through the correlation of the slot window-estimate
-    projections, centred at the full-data estimate:
-
-        Var(theta_n[a]) = sum_{k,l} sigma_ak sigma_al rho_a(k, l).
-
-    This scalar form is the r = 1 case of ``gb2_variance``'s matrix form
-    A_j^{-1/2} C_jk A_k^{-1/2}, computed by the same kernel with the 21
-    parameters as a batch axis and unit slot weights (W_k enters through
-    the projections).  Only the degeneracy floor on a window moment
-    differs: ``gb2_variance`` tests for exact zero, which keeps it
-    ``c**2``-equivariant; here noise-free window solves leave round-off of
-    ~1e-13 of the estimate, so the floor is (1e-9 (1 + |theta_a|))**2.
-
-    Parameters
-    ----------
-    dataset : ODDataset
-    ell : int, optional
-        Window length in days; default ``default_block_length(days)``.
-    config : BootstrapConfig
-        Slot bootstrap replicates and seed.
-    degenerate : {"error", "zero"}
-        Policy when a window-projection series has zero variability.
-    ridge : float
-        Optional ridge (finite, >= 0) added to every normal-equation solve
-        for nearly collinear volumes.  When positive, the weight/partition
-        identity checks are skipped (the ridge perturbs them by design).
-
-    Returns
-    -------
-    ndarray, shape (21,)
-        Standard errors ordered as PARAM_NAMES.
-    """
-    return ODFit(dataset, config, ridge=ridge).gb2_standard_errors(ell, degenerate)
-
-
-def od_gb1_standard_errors(
-    dataset: ODDataset,
-    config: BootstrapConfig = BootstrapConfig(),
-    *,
-    ridge: float = 0.0,
-) -> np.ndarray:
-    """Gap bootstrap I standard errors from the per-slot split estimates.
-
-    Treats the S slot estimates as exchangeable rows: per-slot pairs
-    bootstraps give the slot variances, pairwise differences the common
-    cross-slot covariance, and the equally weighted combination formula
-    the variance of the pooled estimate.  Shares the slot bootstrap
-    streams with the GB-II path, so both report consistent slot scales.
-    """
-    return ODFit(dataset, config, ridge=ridge).gb1_standard_errors()
 
 
 # ---------------------------------------------------------------------------
@@ -836,14 +758,7 @@ def surrogate_od_dataset(
     origins = base_volume * profile[None, :, :] * np.exp(delta[:, None, :] + wobble)
     destinations = np.einsum("dsk,kj->dsj", origins, full)
     if split_drift > 0.0:
-        wiggle = _ar1_path(rng, days, (21,), split_drift, day_ar)
-        dp = np.zeros((days, 7, 7))
-        col = 0
-        for k in range(6):
-            width = 6 - k
-            dp[:, k, k:6] = wiggle[:, col : col + width]
-            dp[:, k, 6] = -wiggle[:, col : col + width].sum(axis=1)
-            col += width
+        dp = _zero_sum_rows(_ar1_path(rng, days, (21,), split_drift, day_ar))
         exposure = np.exp(scale)
         exposure = exposure / exposure.mean()
         drifted = np.einsum("dsk,dkj->dsj", origins, dp)

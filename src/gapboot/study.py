@@ -23,7 +23,7 @@ from .core import mean_estimator
 from .errors import ConfigError, GapBootstrapError
 from .gb1 import collect_row_estimates, gb1_variance
 from .gb2 import default_block_length, gb2_variance, subseries_estimates
-from .models import _check_truth_runs, generate_series, make_model, monte_carlo_true_se
+from .models import ModelSpec, _check_truth_runs, generate_series, monte_carlo_true_se
 from .resample import BootstrapConfig
 
 __all__ = [
@@ -117,7 +117,7 @@ class StudyResult:
 
 
 def _model_for_cell(config: StudyConfig, family: str, dist: str, n: int, p: int):
-    return make_model(family, n, p, innovation=dist, gap_q=config.gap_q, cov_kind=config.cov_kind)
+    return ModelSpec(family, n, p, innovation=dist, gap_q=config.gap_q, cov_kind=config.cov_kind)
 
 
 def _one_run(spec, estimator, methods, ell, config: StudyConfig, ci: int, ri: int) -> dict[str, float]:

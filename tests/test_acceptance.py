@@ -16,6 +16,8 @@ import numpy as np
 from gapboot import (
     BootstrapConfig,
     FewRowsWarning,
+    ModelSpec,
+    ODFit,
     StudyConfig,
     bootstrap_replicates,
     build_data_array,
@@ -27,13 +29,9 @@ from gapboot import (
     gb2_variance,
     generate_series,
     iid_bootstrap_variance,
-    ls_estimate,
-    make_model,
     mean_estimator,
     monte_carlo_true_se,
     naive_column_variance,
-    od_gb1_standard_errors,
-    od_gb2_standard_errors,
     pooled_variance_estimator,
     run_study,
     subseries_estimates,
@@ -124,7 +122,7 @@ def test_criterion_5_relative_error_shrinks_with_n():
     for method in ("gb1", "gb2"):
         meds = []
         for si, n in enumerate((200, 1800, 10000)):
-            spec = make_model("ar2", n, 5)
+            spec = ModelSpec("ar2", n, 5)
             truth = float(monte_carlo_true_se(spec, est, 4000, (0, "truth", si))[0]) ** 2
             errs = []
             for r in range(100):
@@ -168,7 +166,7 @@ def test_criterion_7_od_pipeline(tmp_path):
 
     # (a) exact recovery without destination noise
     dataset, truth = surrogate_od_dataset(100, slots=12, seed=4, noise=0.0, split_drift=0.0)
-    theta, _ = ls_estimate(dataset)
+    theta = ODFit(dataset).theta
     assert float(np.abs(theta - truth.theta).max()) <= 1e-8
 
     iid = dict(day_ar=0.0, noise=0.05, split_drift=0.10, slot_spread=0.0, jitter=0.10)
@@ -179,10 +177,10 @@ def test_criterion_7_od_pipeline(tmp_path):
     reps = np.empty((200, 21))
     for r in range(200):
         ds, _ = surrogate_od_dataset(days, slots=slots, seed=3000 + r, **iid)
-        reps[r] = ls_estimate(ds)[0]
+        reps[r] = ODFit(ds).theta
     oracle = reps.std(axis=0, ddof=1)
     ds, _ = surrogate_od_dataset(days, slots=slots, seed=3000, **iid)
-    se2 = od_gb2_standard_errors(ds, ell, config=BootstrapConfig(replicates=400, seed=0))
+    se2 = ODFit(ds, BootstrapConfig(replicates=400, seed=0)).gb2_standard_errors(ell)
     ratio = se2 / oracle
     med = float(np.median(ratio))
     within = int(np.sum(np.abs(ratio - 1.0) <= 0.15))
@@ -191,8 +189,8 @@ def test_criterion_7_od_pipeline(tmp_path):
     # (c) day-to-day drift coupled to slot volume: gb1 must undershoot gb2
     ds, _ = surrogate_od_dataset(days, slots=slots, seed=3000, **serial)
     cfg = BootstrapConfig(replicates=200, seed=0)
-    se1 = od_gb1_standard_errors(ds, cfg)
-    se2s = od_gb2_standard_errors(ds, ell, config=cfg)
+    se1 = ODFit(ds, cfg).gb1_standard_errors()
+    se2s = ODFit(ds, cfg).gb2_standard_errors(ell)
     flips = int(np.sum(se1 < se2s))
     assert flips >= 17, f"gb1 < gb2 on only {flips}/21 components"
 

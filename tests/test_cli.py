@@ -9,7 +9,7 @@ from numpy.testing import assert_array_equal
 
 from gapboot import study as study_module
 from gapboot.cli import main
-from gapboot.od import od_gb1_standard_errors, od_gb2_standard_errors, read_od_csv
+from gapboot.od import ODFit, read_od_csv
 from gapboot.resample import BootstrapConfig
 
 
@@ -202,5 +202,5 @@ class TestOd:
         )
         dataset = read_od_csv(dump)
         config = BootstrapConfig(replicates=100, seed=2)
-        assert_array_equal(table[:, 1], od_gb1_standard_errors(dataset, config, ridge=0.5))
-        assert_array_equal(table[:, 2], od_gb2_standard_errors(dataset, 6, config, ridge=0.5))
+        assert_array_equal(table[:, 1], ODFit(dataset, config, ridge=0.5).gb1_standard_errors())
+        assert_array_equal(table[:, 2], ODFit(dataset, config, ridge=0.5).gb2_standard_errors(6))

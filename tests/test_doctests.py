@@ -34,3 +34,28 @@ def test_readme_quick_start_runs(capsys):
     got = [float(x) for x in re.findall(r"[-+.\deE]+", printed)]
     assert len(got) == len(expected) == 2
     assert [round(x, 4) for x in got] == expected, printed
+
+
+#: Backticked README names that are formula symbols, not package names.
+README_SYMBOLS = {"w_ak"}
+
+
+def test_readme_names_exist():
+    # every backticked snake_case name (or dotted path holding one) in
+    # README, outside code blocks, must resolve from ``gapboot``
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prose = re.sub(r"^```.*?^```$", "", readme, flags=re.S | re.M)
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        match = re.fullmatch(r"([A-Za-z]\w*(?:\.\w+)*)(?:\(.*\))?", span)
+        if match and re.search(r"[a-z0-9]_[a-z0-9]", match.group(1)):
+            names.add(match.group(1))
+    assert "od_standard_errors" in names
+    missing = []
+    for name in sorted(names - README_SYMBOLS):
+        target = gapboot
+        for part in name.split("."):
+            target = getattr(target, part, None)
+        if target is None:
+            missing.append(name)
+    assert missing == []

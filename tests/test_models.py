@@ -9,17 +9,17 @@ from numpy.testing import assert_allclose, assert_array_equal
 from gapboot import (
     ConfigError,
     DimensionError,
+    ModelSpec,
     generate_series,
-    make_model,
     mean_estimator,
     monte_carlo_true_se,
 )
 from gapboot.models import FAMILY_GAPS, _mma_coefficients, row_mean_spread
 
-#: Per family: the resolved gap_q and mu of ``make_model(family, 24, 4)``,
+#: Per family: the resolved gap_q and mu of ``ModelSpec(family, 24, 4)``,
 #: the SHA-256 of ``generate_series(spec, seed=3).values`` and the SHA-256
 #: of every resolved field (``spec_digest``), recorded from the per-family
-#: factories that make_model replaced (``ar2_model(24, 4)`` and so on).
+#: factories that ModelSpec replaced (``ar2_model(24, 4)`` and so on).
 FAMILY_PINS = {
     "ar2": (300, 0.1, "9afd30b5aaf34398c78c5240be9e21ad3c690ec5773d09ba4faa40649bc20a07",
             "b0a3a305619f6314890505171a184b0966fa9a16ade1fd642555c13da75cdd32"),
@@ -45,7 +45,7 @@ def spec_digest(spec):
 @pytest.mark.parametrize("family", list(FAMILY_PINS))
 def test_make_model_reproduces_family_pins(family):
     gap_q, mu, values_sha, fields_sha = FAMILY_PINS[family]
-    spec = make_model(family, 24, 4)
+    spec = ModelSpec(family, 24, 4)
     assert (spec.gap_q, spec.mu) == (gap_q, mu)
     assert spec_digest(spec) == fields_sha
     values = generate_series(spec, seed=3).values
@@ -54,42 +54,42 @@ def test_make_model_reproduces_family_pins(family):
 
 class TestModelSpec:
     def test_family_defaults(self):
-        assert make_model("ar2", 200, 5).gap_q == FAMILY_GAPS["ar2"]
-        assert make_model("periodic", 200, 5).gap_q == 0
-        assert make_model("mar", 200, 5).gap_q == FAMILY_GAPS["mar"]
+        assert ModelSpec("ar2", 200, 5).gap_q == FAMILY_GAPS["ar2"]
+        assert ModelSpec("periodic", 200, 5).gap_q == 0
+        assert ModelSpec("mar", 200, 5).gap_q == FAMILY_GAPS["mar"]
 
     def test_gap_override(self):
-        assert make_model("ar2", 200, 5, gap_q=0).gap_q == 0
+        assert ModelSpec("ar2", 200, 5, gap_q=0).gap_q == 0
 
     def test_dimensions(self):
-        assert make_model("ar2", 200, 5).d == 1
-        assert make_model("mar", 200, 5).d == 4
-        assert make_model("ar2", 200, 5).m == 40
+        assert ModelSpec("ar2", 200, 5).d == 1
+        assert ModelSpec("mar", 200, 5).d == 4
+        assert ModelSpec("ar2", 200, 5).m == 40
 
     def test_indivisible_length(self):
         with pytest.raises(DimensionError):
-            make_model("ar2", 201, 5)
+            ModelSpec("ar2", 201, 5)
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
-            make_model("arma", 100, 5)
+            ModelSpec("arma", 100, 5)
 
     def test_unknown_innovation(self):
         with pytest.raises(ConfigError):
-            make_model("ar2", 100, 5, innovation="cauchy")
+            ModelSpec("ar2", 100, 5, innovation="cauchy")
 
     def test_nonstationary_ar(self):
         with pytest.raises(ConfigError, match="stationary"):
-            make_model("ar2", 100, 5, ar=(1.2, 0.0))
+            ModelSpec("ar2", 100, 5, ar=(1.2, 0.0))
         with pytest.raises(ConfigError, match="stationary"):
-            make_model("ar2", 100, 5, ar=(0.5, 0.5))
+            ModelSpec("ar2", 100, 5, ar=(0.5, 0.5))
 
 
 class TestGeneration:
-    # the ids keep the names of the per-family factories make_model replaced
+    # the ids keep the names of the per-family factories ModelSpec replaced
     @pytest.mark.parametrize("family", list(FAMILY_GAPS), ids=lambda family: f"{family}_model")
     def test_shapes_and_determinism(self, family):
-        spec = make_model(family, 120, 4)
+        spec = ModelSpec(family, 120, 4)
         a = generate_series(spec, seed=5)
         b = generate_series(spec, seed=5)
         c = generate_series(spec, seed=6)
@@ -99,7 +99,7 @@ class TestGeneration:
         assert not np.array_equal(a.values, c.values)
 
     def test_centered_exponential_innovations(self):
-        spec = make_model("ar2", 5000, 5, innovation="centered_exponential", ar=(0.0, 0.0), mu=0.0)
+        spec = ModelSpec("ar2", 5000, 5, innovation="centered_exponential", ar=(0.0, 0.0), mu=0.0)
         x = generate_series(spec, seed=1).series().ravel() / spec.sigma**2
         assert abs(x.mean()) < 0.05
         # Exponential(1) - 1 is right-skewed with skewness 2.
@@ -107,7 +107,7 @@ class TestGeneration:
         assert 1.5 < skew < 2.5
 
     def test_periodic_row_means(self):
-        spec = make_model("periodic", 4 * 5000, 4, mu=1.0)
+        spec = ModelSpec("periodic", 4 * 5000, 4, mu=1.0)
         arr = generate_series(spec, seed=3)
         t = 2 * np.pi * np.arange(1, 5) / 4
         expected = 1.0 + np.cos(t) + np.sin(t)
@@ -115,20 +115,20 @@ class TestGeneration:
 
     def test_mar_lag_one_autocorrelation(self):
         # Component 1 follows a pure AR(1) with coefficient 0.5.
-        spec = make_model("mar", 100_000, 100, gap_q=0, cov_kind="identity")
+        spec = ModelSpec("mar", 100_000, 100, gap_q=0, cov_kind="identity")
         x = generate_series(spec, seed=8).series()[:, 0]
         x = x - x.mean()
         rho = (x[1:] @ x[:-1]) / (x @ x)
         assert rho == pytest.approx(0.5, abs=0.03)
 
     def test_mar_mean_vector(self):
-        spec = make_model("mar", 40_000, 10)
+        spec = ModelSpec("mar", 40_000, 10)
         got = generate_series(spec, seed=2).series().mean(axis=0)
         assert_allclose(got, [0.2, 0.3, 0.4, 0.5], atol=0.05)
 
     def test_gap_makes_columns_independent(self):
         # With a long deleted gap, adjacent-column grand means decorrelate.
-        spec = make_model("ar2", 400, 4)
+        spec = ModelSpec("ar2", 400, 4)
         cols = np.stack(
             [generate_series(spec, seed=s).values.mean(axis=(1, 2)) for s in range(150)]
         )
@@ -155,15 +155,15 @@ class TestMmaCoefficients:
 class TestMonteCarloTruth:
     def test_requires_enough_runs(self):
         with pytest.raises(ConfigError):
-            monte_carlo_true_se(make_model("ar2", 100, 5), mean_estimator(), runs=50, seed=0)
+            monte_carlo_true_se(ModelSpec("ar2", 100, 5), mean_estimator(), runs=50, seed=0)
 
     def test_ar2_desk_scale(self):
-        se = monte_carlo_true_se(make_model("ar2", 200, 5), mean_estimator(), runs=400, seed=123)
+        se = monte_carlo_true_se(ModelSpec("ar2", 200, 5), mean_estimator(), runs=400, seed=123)
         assert se[0] == pytest.approx(0.013, rel=0.15)
 
 
 def test_row_mean_spread_flags_periodic():
-    homogeneous = row_mean_spread(make_model("ar2", 120, 4), runs=150, seed=0)
+    homogeneous = row_mean_spread(ModelSpec("ar2", 120, 4), runs=150, seed=0)
     assert homogeneous["max_z"] < 4.5
-    periodic = row_mean_spread(make_model("periodic", 120, 4), runs=150, seed=0)
+    periodic = row_mean_spread(ModelSpec("periodic", 120, 4), runs=150, seed=0)
     assert periodic["max_z"] > 10.0

@@ -25,13 +25,8 @@ from gapboot import (
     SplitProportions,
     build_design,
     gb1_variance,
-    ls_estimate,
-    od_gb1_standard_errors,
-    od_gb2_standard_errors,
     od_standard_errors,
-    od_weights,
     read_od_csv,
-    recover_split_matrix,
     surrogate_od_dataset,
     write_od_csv,
 )
@@ -53,7 +48,7 @@ def exact_dataset(days=5, slots=3, seed=0):
     """Noise-free dataset satisfying the split model exactly."""
     rng = np.random.default_rng(seed)
     origins = rng.uniform(20.0, 80.0, size=(days, slots, 7))
-    destinations = origins @ recover_split_matrix(THETA)
+    destinations = origins @ SplitProportions(THETA).matrix
     return ODDataset(origins=origins, destinations=destinations)
 
 
@@ -184,7 +179,7 @@ class TestDesign:
 
     def test_exact_model_identity(self):
         rng = np.random.default_rng(3)
-        full = recover_split_matrix(THETA)
+        full = SplitProportions(THETA).matrix
         for _ in range(20):
             origins = rng.uniform(5.0, 100.0, size=7)
             design, response = build_design(origins, origins @ full)
@@ -206,7 +201,7 @@ class TestSplitMatrix:
         assert PARAM_NAMES[20] == "p66"
 
     def test_layout(self):
-        full = recover_split_matrix(np.arange(21.0) / 100.0)
+        full = SplitProportions(np.arange(21.0) / 100.0).matrix
         assert_array_equal(full[0, :6], [0.00, 0.01, 0.02, 0.03, 0.04, 0.05])
         assert_array_equal(full[1, 1:6], [0.06, 0.07, 0.08, 0.09, 0.10])
         assert full[5, 5] == 0.20
@@ -216,7 +211,7 @@ class TestSplitMatrix:
     def test_final_column_completes_rows(self):
         theta = THETA.copy()
         theta[:6] = [0.355, 0.104, 0.011, 0.064, 0.047, 0.022]
-        full = recover_split_matrix(theta)
+        full = SplitProportions(theta).matrix
         assert full[0, 6] == pytest.approx(0.397, abs=1e-12)
 
     def test_rows_sum_to_one(self):
@@ -236,7 +231,7 @@ class TestSplitMatrix:
 
     def test_wrong_length(self):
         with pytest.raises(DimensionError):
-            recover_split_matrix(np.ones(20))
+            SplitProportions(np.ones(20))
 
 
 class TestCsv:
@@ -397,83 +392,77 @@ class TestDataset:
 
 class TestLeastSquares:
     def test_noise_free_recovery(self):
-        dataset = exact_dataset(days=20, slots=4, seed=1)
-        theta, gamma = ls_estimate(dataset)
+        fit = ODFit(exact_dataset(days=20, slots=4, seed=1))
+        theta, gamma = fit.theta, fit.gamma
         assert_allclose(theta, THETA, rtol=0, atol=1e-8)
         assert gamma.shape == (21, 21)
-        slot_theta, _ = ls_estimate(dataset, slot=2)
+        slot_theta = fit.slot_estimate(2)
         assert_allclose(slot_theta, THETA, rtol=0, atol=1e-8)
 
     def test_slot_bounds(self):
-        dataset = exact_dataset()
-        with pytest.raises(BoundsError):
-            ls_estimate(dataset, slot=0)
-        with pytest.raises(BoundsError):
-            ls_estimate(dataset, slot=4)
+        fit = ODFit(exact_dataset())
+        with pytest.raises(BoundsError, match="slot 0 outside 1..3"):
+            fit.slot_estimate(0)
+        with pytest.raises(BoundsError, match="slot 4 outside 1..3"):
+            fit.slot_estimate(4)
 
     def test_zero_volume_slot_is_rank_deficient(self):
         rng = np.random.default_rng(2)
         origins = rng.uniform(20.0, 80.0, size=(5, 3, 7))
         origins[:, 1, :] = 0.0
-        destinations = origins @ recover_split_matrix(THETA)
+        destinations = origins @ SplitProportions(THETA).matrix
         dataset = ODDataset(origins=origins, destinations=destinations)
         with pytest.raises(RankError):
-            ls_estimate(dataset, slot=2)
+            ODFit(dataset).slot_estimate(2)
 
 
 class TestWeights:
     def test_weights_sum_to_identity(self):
         fit = ODFit(exact_dataset(days=12, slots=4, seed=5))
-        weights = od_weights(fit.gamma, fit.slot_gammas)
+        factor = cho_factor(fit.gamma)
+        weights = np.stack([cho_solve(factor, gk) for gk in fit.slot_gammas])
         assert weights.shape == (4, 21, 21)
         assert_allclose(weights.sum(axis=0), np.eye(21), rtol=0, atol=1e-10)
         assert_array_equal(fit.weights, weights)
 
     def test_partition_violation(self):
         fit = ODFit(exact_dataset(days=12, slots=4, seed=5))
-        slot_gammas = fit.slot_gammas.copy()
-        slot_gammas[0] *= 1.01
+        fit.slot_gammas[0] *= 1.01
         with pytest.raises(ConsistencyError, match="sum"):
-            od_weights(fit.gamma, slot_gammas)
-
-    def test_shape_errors(self):
-        with pytest.raises(DimensionError):
-            od_weights(np.ones((21, 20)), np.ones((4, 21, 21)))
-        with pytest.raises(DimensionError):
-            od_weights(np.eye(21), np.ones((4, 20, 20)))
+            fit.weights
 
 
 class TestStandardErrors:
     def test_zero_noise_collapses(self):
         dataset, _ = surrogate_od_dataset(40, slots=6, seed=3, noise=0.0)
         config = BootstrapConfig(replicates=200, seed=5)
-        se2 = od_gb2_standard_errors(dataset, config=config, degenerate="zero")
+        se2 = ODFit(dataset, config).gb2_standard_errors(degenerate="zero")
         assert se2.shape == (21,)
         assert (se2 <= 1e-8).all()
-        se1 = od_gb1_standard_errors(dataset, config)
+        se1 = ODFit(dataset, config).gb1_standard_errors()
         assert (se1 <= 1e-8).all()
 
     def test_zero_noise_degenerate_error(self):
         dataset, _ = surrogate_od_dataset(40, slots=6, seed=3, noise=0.0)
         with pytest.raises(DegenerateCorrelationError, match="p\\d\\d"):
-            od_gb2_standard_errors(dataset, config=BootstrapConfig(replicates=200, seed=5))
+            ODFit(dataset, BootstrapConfig(replicates=200, seed=5)).gb2_standard_errors()
 
     def test_bad_policy_and_window(self):
         dataset, _ = surrogate_od_dataset(30, slots=4, seed=1)
         with pytest.raises(ConfigError):
-            od_gb2_standard_errors(dataset, degenerate="ignore")
+            ODFit(dataset).gb2_standard_errors(degenerate="ignore")
         with pytest.raises(BoundsError):
-            od_gb2_standard_errors(dataset, ell=1)
+            ODFit(dataset).gb2_standard_errors(ell=1)
         with pytest.raises(BoundsError):
-            od_gb2_standard_errors(dataset, ell=30)
+            ODFit(dataset).gb2_standard_errors(ell=30)
 
     def test_deterministic(self):
         dataset, _ = surrogate_od_dataset(50, slots=5, seed=9)
         config = BootstrapConfig(replicates=150, seed=2)
-        a = od_gb2_standard_errors(dataset, config=config)
-        b = od_gb2_standard_errors(dataset, config=config)
+        a = ODFit(dataset, config).gb2_standard_errors()
+        b = ODFit(dataset, config).gb2_standard_errors()
         assert_array_equal(a, b)
-        c = od_gb2_standard_errors(dataset, config=BootstrapConfig(replicates=150, seed=3))
+        c = ODFit(dataset, BootstrapConfig(replicates=150, seed=3)).gb2_standard_errors()
         assert not np.array_equal(a, c)
 
     def test_gb1_gb2_agree_on_iid_days(self):
@@ -484,8 +473,8 @@ class TestStandardErrors:
             450, slots=36, seed=5, noise=0.05, split_drift=0.1, slot_spread=0.0
         )
         config = BootstrapConfig(replicates=200, seed=5)
-        se1 = od_gb1_standard_errors(dataset, config)
-        se2 = od_gb2_standard_errors(dataset, 50, config=config)
+        se1 = ODFit(dataset, config).gb1_standard_errors()
+        se2 = ODFit(dataset, config).gb2_standard_errors(50)
         assert (se1 > 0).all() and (se2 > 0).all()
         agree = np.sum(np.abs(se1 - se2) <= 0.25 * np.maximum(se1, se2))
         assert agree >= 17
@@ -499,22 +488,20 @@ class TestStandardErrors:
             slot_spread=0.35,
         )
         config = BootstrapConfig(replicates=200, seed=5)
-        se1 = od_gb1_standard_errors(dataset, config)
-        se2 = od_gb2_standard_errors(dataset, 50, config=config)
+        se1 = ODFit(dataset, config).gb1_standard_errors()
+        se2 = ODFit(dataset, config).gb2_standard_errors(50)
         assert np.sum(se1 < se2) >= 17
 
     def test_ridge_tolerates_rank_deficient_slot(self):
         rng = np.random.default_rng(4)
         origins = rng.uniform(20.0, 80.0, size=(12, 3, 7))
         origins[:, 1, :] = 0.0
-        destinations = origins @ recover_split_matrix(THETA)
+        destinations = origins @ SplitProportions(THETA).matrix
         dataset = ODDataset(origins=origins, destinations=destinations)
         config = BootstrapConfig(replicates=100, seed=1)
         with pytest.raises(RankError):
-            od_gb1_standard_errors(dataset, config)
-        se = od_gb2_standard_errors(
-            dataset, ell=4, config=config, degenerate="zero", ridge=1e-6
-        )
+            ODFit(dataset, config).gb1_standard_errors()
+        se = ODFit(dataset, config, ridge=1e-6).gb2_standard_errors(ell=4, degenerate="zero")
         assert np.isfinite(se).all()
         assert (se >= 0).all()
 
@@ -529,10 +516,9 @@ class TestFit:
         assert_array_equal(fit.gamma, g.sum(axis=(0, 1)))
         assert_array_equal(fit.slot_gammas, g.sum(axis=0))
         pooled = cho_solve(cho_factor(g.sum(axis=(0, 1))), h.sum(axis=(0, 1)))
-        assert_array_equal(ls_estimate(dataset)[0], pooled)
         assert_array_equal(fit.theta, pooled)
         slot = cho_solve(cho_factor(g[:, 2].sum(axis=0)), h[:, 2].sum(axis=0))
-        assert_array_equal(ls_estimate(dataset, slot=3)[0], slot)
+        assert_array_equal(fit.slot_estimate(3), slot)
         assert_array_equal(fit.slot_estimates[2], slot)
 
     @pytest.mark.parametrize("ridge", [0.0, 10.0])
@@ -547,8 +533,8 @@ class TestFit:
     def test_bootstrap_is_lazy_and_drawn_once(self, slot_draws):
         dataset, _ = surrogate_od_dataset(40, slots=5, seed=2, split_drift=0.1)
         fit = ODFit(dataset, BootstrapConfig(replicates=50, seed=1))
-        ls_estimate(dataset)
-        ls_estimate(dataset, slot=2)
+        fit.theta
+        fit.slot_estimate(2)
         assert fit.weights.shape == (5, 21, 21)
         assert fit.slot_estimates.shape == (5, 21)
         assert slot_draws == []
@@ -562,17 +548,17 @@ class TestFit:
         config = BootstrapConfig(replicates=150, seed=2)
         theta, se1, se2 = od_standard_errors(dataset, 10, config, ridge=0.5)
         assert slot_draws == [1, 2, 3, 4, 5]
-        assert_array_equal(theta, ls_estimate(dataset, ridge=0.5)[0])
-        assert_array_equal(se1, od_gb1_standard_errors(dataset, config, ridge=0.5))
-        assert_array_equal(se2, od_gb2_standard_errors(dataset, 10, config, ridge=0.5))
+        assert_array_equal(theta, ODFit(dataset, config, ridge=0.5).theta)
+        assert_array_equal(se1, ODFit(dataset, config, ridge=0.5).gb1_standard_errors())
+        assert_array_equal(se2, ODFit(dataset, config, ridge=0.5).gb2_standard_errors(10))
 
     @pytest.mark.parametrize("ridge", [-0.5, np.nan, np.inf])
     def test_bad_ridge(self, ridge):
         dataset = exact_dataset(days=12, slots=3)
         calls = (
-            lambda: ls_estimate(dataset, ridge=ridge),
-            lambda: od_gb1_standard_errors(dataset, ridge=ridge),
-            lambda: od_gb2_standard_errors(dataset, 4, ridge=ridge),
+            lambda: ODFit(dataset, ridge=ridge).theta,
+            lambda: ODFit(dataset, ridge=ridge).gb1_standard_errors(),
+            lambda: ODFit(dataset, ridge=ridge).gb2_standard_errors(4),
             lambda: od_standard_errors(dataset, 4, ridge=ridge),
         )
         for call in calls:
@@ -665,7 +651,7 @@ class TestSlotThreads:
         rng = np.random.default_rng(2)
         origins = rng.uniform(20.0, 80.0, size=(12, 4, 7))
         origins[:, 1:3, :] = 0.0
-        destinations = origins @ recover_split_matrix(THETA)
+        destinations = origins @ SplitProportions(THETA).matrix
         dataset = ODDataset(origins=origins, destinations=destinations)
         fit = ODFit(dataset, BootstrapConfig(replicates=50, seed=1))
         with pytest.raises(RankError, match="^singular bootstrap normal equations in slot 2: "):
@@ -749,8 +735,13 @@ class TestInvariants:
             else:
                 origins[:, k], destinations[:, k] = origins[0, k], destinations[0, k]
             bad = ODDataset(origins=origins, destinations=destinations)
-            with pytest.raises(RankError, match=f"slot {k + 1}\\b"):
-                od_standard_errors(bad, 6, BootstrapConfig(replicates=20), degenerate=degenerate)
+            config = BootstrapConfig(replicates=20)
+            for call in (
+                lambda: od_standard_errors(bad, 6, config, degenerate=degenerate),
+                lambda: ODFit(bad, config).gb2_standard_errors(6, degenerate),
+            ):
+                with pytest.raises(RankError, match=f"slot {k + 1}\\b"):
+                    call()
 
 
 class TestGb2Reference:
@@ -765,7 +756,7 @@ class TestGb2Reference:
         rng = np.random.default_rng(4)
         origins = rng.uniform(20.0, 80.0, size=(12, 3, 7))
         origins[:, 1, :] = 0.0
-        destinations = origins @ recover_split_matrix(THETA) + rng.normal(0.0, 3.0, (12, 3, 7))
+        destinations = origins @ SplitProportions(THETA).matrix + rng.normal(0.0, 3.0, (12, 3, 7))
         dataset = ODDataset(origins=origins, destinations=np.clip(destinations, 0.0, None))
         fit = ODFit(dataset, BootstrapConfig(replicates=100, seed=1), ridge=1e-6)
         se = fit.gb2_standard_errors(4, "zero")
