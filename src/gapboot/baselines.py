@@ -53,7 +53,7 @@ def subsampling_variance(array: DataArray, estimator: EstimatorSpec, ell: int) -
     dev = theta - full
     cov = dev.T @ dev / count
     scaled = (ell * p / array.n) * cov
-    return VarianceEstimate(matrix=scaled, method="subsampling")
+    return VarianceEstimate(matrix=scaled)
 
 
 def block_bootstrap_variance(
@@ -91,7 +91,7 @@ def block_bootstrap_variance(
         )
     dev = theta - theta.mean(axis=0)
     cov = dev.T @ dev / reps
-    return VarianceEstimate(matrix=cov, method="block_bootstrap")
+    return VarianceEstimate(matrix=cov)
 
 
 def naive_column_variance(
@@ -110,5 +110,5 @@ def naive_column_variance(
     centre = theta.mean(axis=0)
     dev = theta - centre
     cov = dev.T @ dev / (array.m - 1)
-    estimate = VarianceEstimate(matrix=cov / array.m, method="naive_column")
+    estimate = VarianceEstimate(matrix=cov / array.m)
     return estimate, full - centre

@@ -46,7 +46,7 @@ SYMMETRY_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class DataArray:
-    """A p x m grid of d-dimensional observations plus gap metadata.
+    """A p x m grid of d-dimensional observations.
 
     Parameters
     ----------
@@ -55,15 +55,9 @@ class DataArray:
         ``i + 1``, i.e. the series element with 1-based index
         ``i*p + j + 1``.  Periods are stored contiguously because whole
         columns are the dominant access pattern of the window methods.
-    gap_q : int
-        Number of unobserved steps of the parent series between the end
-        of one period and the start of the next.  Pure metadata: no
-        computation reads it, but carrying it along keeps provenance of
-        generated datasets inspectable.
     """
 
     values: np.ndarray
-    gap_q: int = 0
 
     def __post_init__(self):
         v = self.values
@@ -72,8 +66,6 @@ class DataArray:
                 "values must be an ndarray of shape (m, p, d); "
                 f"got {getattr(v, 'shape', None)}"
             )
-        if self.gap_q < 0:
-            raise DimensionError(f"gap_q must be >= 0, got {self.gap_q}")
 
     @property
     def m(self) -> int:
@@ -109,8 +101,8 @@ class DataArray:
         return self.values.reshape(self.n, self.d)
 
 
-def build_data_array(series, p: int, m: int | None = None, gap_q: int = 0) -> DataArray:
-    """Fold a series of length m*p into its p x m grid.
+def build_data_array(series, p: int) -> DataArray:
+    """Fold a series of length m*p into its p x m grid, m = ``len(series) // p``.
 
     Parameters
     ----------
@@ -118,11 +110,6 @@ def build_data_array(series, p: int, m: int | None = None, gap_q: int = 0) -> Da
         Observations in time order.
     p : int
         Slots per period.
-    m : int, optional
-        Number of periods.  Defaults to ``len(series) // p``; the length
-        must equal ``m * p`` either way.
-    gap_q : int
-        Deleted steps between periods, recorded as metadata.
 
     Raises
     ------
@@ -140,8 +127,7 @@ def build_data_array(series, p: int, m: int | None = None, gap_q: int = 0) -> Da
     if p < 1:
         raise DimensionError(f"p must be >= 1, got {p}")
     n = arr.shape[0]
-    if m is None:
-        m = n // p
+    m = n // p
     if m < 2:
         raise DimensionError(f"need at least 2 periods, got m={m}")
     if n != m * p:
@@ -149,7 +135,7 @@ def build_data_array(series, p: int, m: int | None = None, gap_q: int = 0) -> Da
     if not np.isfinite(arr).all():
         bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
         raise DataError(f"non-finite value at series position {bad + 1}")
-    return DataArray(values=arr.reshape(m, p, arr.shape[1]).copy(), gap_q=int(gap_q))
+    return DataArray(values=arr.reshape(m, p, arr.shape[1]).copy())
 
 
 @dataclass(frozen=True)
@@ -301,6 +287,14 @@ def _check_symmetric(matrix, where: str) -> np.ndarray:
     return m
 
 
+def _check_int(value, name: str) -> int:
+    """``value`` as an int if it is an int or numpy integer (a bool is
+    not); otherwise ConfigError naming the field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_degenerate_policy(degenerate: str) -> None:
     if degenerate not in ("error", "zero"):
         raise ConfigError(f"degenerate policy must be 'error' or 'zero', got {degenerate!r}")
@@ -352,7 +346,6 @@ class VarianceEstimate:
     """
 
     matrix: np.ndarray
-    method: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)

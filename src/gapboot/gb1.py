@@ -116,4 +116,4 @@ def gb1_variance(rows: RowEstimates) -> VarianceEstimate:
     total = rows.variances.sum(axis=0)
     cross_total = (p - 1) * total - 0.5 * p * (p - 1) * vtilde
     combined = (total + cross_total) / p**2
-    return VarianceEstimate(matrix=psd_project(combined), method="gb1")
+    return VarianceEstimate(matrix=psd_project(combined))

@@ -28,7 +28,6 @@ from .core import (
 )
 from .errors import (
     BoundsError,
-    ConfigError,
     DegenerateCorrelationError,
     DimensionError,
     InsufficientDataError,
@@ -45,20 +44,17 @@ __all__ = [
 ]
 
 
-def default_block_length(m: int, scale: float = 2.0) -> int:
-    """Rule-of-thumb window length: round(scale * m**(1/3)), clamped to [2, m-1].
+def default_block_length(m: int) -> int:
+    """Rule-of-thumb window length round(2 * m**(1/3)).
 
-    Requires m >= 8 so that the clamped range is non-trivial.
+    Requires m >= 8; from there the value lies in 2..m-1 (4 at m = 8).
 
     >>> default_block_length(575)
     17
     """
     if m < 8:
         raise InsufficientDataError(f"need at least 8 columns for an automatic window length, got {m}")
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
-    ell = int(np.floor(scale * float(m) ** (1.0 / 3.0) + 0.5))
-    return int(min(max(ell, 2), m - 1))
+    return int(np.floor(2.0 * float(m) ** (1.0 / 3.0) + 0.5))
 
 
 @dataclass(frozen=True)
@@ -66,15 +62,14 @@ class SubseriesEstimates:
     """Row estimates on every window of ell consecutive columns.
 
     grid[i, j - 1] is the row-j estimate on columns i+1 .. i+ell, for
-    i = 0 .. I-1 with I = m - ell + 1.  full_estimate is the row
-    estimate on all m columns; window deviations are measured from it
-    (not from the window average), which keeps the correlations honest
-    when the window series drifts.
+    i = 0 .. I-1 with I = m - ell + 1 (ell itself is not kept).
+    full_estimates[j - 1] is the row-j estimate on all m columns; window
+    deviations are measured from it (not from the window average), which
+    keeps the correlations honest when the window series drifts.
     """
 
     grid: np.ndarray
     full_estimates: np.ndarray
-    ell: int
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=np.float64)
@@ -120,7 +115,7 @@ def subseries_estimates(array: DataArray, estimator: EstimatorSpec, ell: int) ->
         grid[:, j - 1, :] = apply_estimator_batch(
             estimator, np.moveaxis(windows, -1, 1), f"row {j} windows"
         )
-    return SubseriesEstimates(grid=grid, full_estimates=full, ell=int(ell))
+    return SubseriesEstimates(grid=grid, full_estimates=full)
 
 
 def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -259,7 +254,7 @@ def gb2_variance(
     With a single row the result is exactly Sigma_1.
 
     >>> sub = SubseriesEstimates(grid=[[[1.0], [3.0]], [[3.0], [1.0]]],
-    ...                          full_estimates=[[2.0], [2.0]], ell=2)
+    ...                          full_estimates=[[2.0], [2.0]])
     >>> gb2_variance([[[4.0]], [[1.0]]], sub).scalar  # rho = -1
     0.25
     """
@@ -273,7 +268,7 @@ def gb2_variance(
     w = _row_weights(weights, p)
 
     if p == 1:
-        return VarianceEstimate(matrix=v[0].copy(), method="gb2")
+        return VarianceEstimate(matrix=v[0].copy())
     dev = sub.grid - sub.full_estimates
     acc = _gb2_combine(v, dev, w, 0.0, degenerate, lambda j: f"row {j + 1}")
-    return VarianceEstimate(matrix=acc, method="gb2")
+    return VarianceEstimate(matrix=acc)

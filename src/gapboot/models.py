@@ -27,7 +27,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ._rand import derived_stream
-from .core import DataArray, EstimatorSpec, apply_estimator, build_data_array
+from .core import DataArray, EstimatorSpec, _check_int, apply_estimator, build_data_array
 from .errors import ConfigError, DimensionError
 
 __all__ = [
@@ -123,7 +123,7 @@ class ModelSpec:
             raise ConfigError(f"unknown innovation {self.innovation!r}")
         if self.cov_kind not in ("identity", "toeplitz"):
             raise ConfigError(f"unknown innovation covariance {self.cov_kind!r}")
-        if self.n < 1 or self.p < 1 or self.n % self.p != 0:
+        if _check_int(self.n, "n") < 1 or _check_int(self.p, "p") < 1 or self.n % self.p != 0:
             raise DimensionError(f"n = {self.n} must be a positive multiple of p = {self.p}")
         if self.n // self.p < 2:
             raise DimensionError(f"n = {self.n}, p = {self.p} gives fewer than 2 columns")
@@ -131,7 +131,7 @@ class ModelSpec:
             object.__setattr__(self, "gap_q", FAMILY_GAPS[self.family])
         if self.mu is None:
             object.__setattr__(self, "mu", 1.0 if self.family == "periodic" else 0.1)
-        if self.gap_q < 0:
+        if _check_int(self.gap_q, "gap_q") < 0:
             raise ConfigError(f"gap_q must be >= 0, got {self.gap_q}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
@@ -221,14 +221,14 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
                 b1, b2 = spec.ma
                 parent = lfilter([1.0, b1, b2], [1.0], eps)[burn:]
             values = spec.mu + parent[idx]
-        return build_data_array(values.reshape(spec.n), p=p, m=m, gap_q=q)
+        return build_data_array(values.reshape(spec.n), p=p)
 
     chol = _sigma0_cholesky(spec)
     mean = np.asarray(spec.mean, dtype=np.float64)
     if spec.family == "mperiodic":
         eta = _innovations(rng, spec.innovation, (m, p, 4)) @ chol.T
         values = mean[None, None, :] + _slot_phase(p)[None, :, None] + eta
-        return build_data_array(values.reshape(spec.n, 4), p=p, m=m, gap_q=q)
+        return build_data_array(values.reshape(spec.n, 4), p=p)
 
     eta = _innovations(rng, spec.innovation, (burn + parent_len, 4)) @ chol.T
     if spec.family == "mar":
@@ -246,11 +246,11 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
         lagged2 = np.vstack([np.zeros((2, 4)), eta[:-2]])
         parent = (eta + lagged1 @ phi1.T + lagged2 @ phi2.T)[burn:]
     values = mean[None, None, :] + parent[idx]
-    return build_data_array(values.reshape(spec.n, 4), p=p, m=m, gap_q=q)
+    return build_data_array(values.reshape(spec.n, 4), p=p)
 
 
 def _check_truth_runs(runs: int) -> None:
-    if runs < 100:
+    if _check_int(runs, "truth_runs") < 100:
         raise ConfigError(f"need at least 100 Monte Carlo runs for a usable truth, got {runs}")
 
 

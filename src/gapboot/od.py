@@ -29,14 +29,13 @@ from __future__ import annotations
 import csv
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ._rand import derived_stream
+from ._rand import _thread_map, derived_stream
 from .core import _check_degenerate_policy, _check_window
 from .errors import (
     BoundsError,
@@ -373,6 +372,7 @@ def _solve(gamma: np.ndarray, rhs: np.ndarray, what: str, ridge: float = 0.0) ->
 # ---------------------------------------------------------------------------
 
 #: Threads the per-slot work runs on: the CPUs this process may use.
+#: Each slot's task writes only that slot's results.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -380,30 +380,6 @@ _WORKERS = (
 #: Replicates per chunk of index draws, and replicates or windows per
 #: batch of 21x21 solves: a batch's O'O matrices take about 350 KiB.
 _BATCH = 100
-
-
-def _per_slot(task, slots: int) -> None:
-    """Run ``task(k)`` for every slot k = 0..slots-1 on up to ``_WORKERS``
-    threads (none with one worker).
-
-    Each task writes only its own slot's results.  Errors are taken in
-    slot order, so the lowest failing slot's error is raised, as a loop
-    over the slots would raise it.
-    """
-    workers = min(_WORKERS, slots)
-    if workers <= 1:
-        for k in range(slots):
-            task(k)
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(task, k) for k in range(slots)]
-        try:
-            for future in futures:
-                future.result()
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
 
 
 def _solve_normal_equations(
@@ -440,7 +416,7 @@ def _slot_bootstrap_covs(
     for the solves.
 
     Every stream is derived here, in slot order, before the slots run on
-    ``_per_slot``'s threads.  Each slot draws its indices ``_BATCH``
+    ``_WORKERS`` threads.  Each slot draws its indices ``_BATCH``
     replicates at a time into one (B, D) table of day multiplicities;
     consecutive draws from a stream concatenate, so the table is the
     one-draw table.  The GEMM ``counts @ products`` stays whole: BLAS
@@ -466,7 +442,7 @@ def _slot_bootstrap_covs(
         dev = thetas - thetas.mean(axis=0)
         covs[k] = dev.T @ dev / reps
 
-    _per_slot(bootstrap, slots)
+    _thread_map(bootstrap, slots, _WORKERS)
     return covs
 
 
@@ -482,7 +458,7 @@ def _window_estimates(
     products: np.ndarray, h: np.ndarray, ell: int, ridge: float
 ) -> np.ndarray:
     """Slot estimates on sliding windows of ell whole days, shape (S, I, 21),
-    each slot on one of ``_per_slot``'s threads."""
+    each slot on one of ``_WORKERS`` threads."""
     days, slots = products.shape[0], products.shape[1]
     out = np.empty((slots, days - ell + 1, 21))
 
@@ -492,7 +468,7 @@ def _window_estimates(
             f"window normal equations in slot {k + 1}",
         )
 
-    _per_slot(windows, slots)
+    _thread_map(windows, slots, _WORKERS)
     return out
 
 
@@ -691,25 +667,23 @@ def surrogate_od_dataset(
     seed: int = 0,
     design_seed: int = 0,
     day_ar: float = 0.0,
-    day_scale: float = 0.15,
     noise: float = 0.05,
     split_drift: float = 0.0,
     slot_spread: float = 0.35,
-    jitter: float = 0.1,
-    base_volume: float = 60.0,
     theta=None,
 ) -> tuple[ODDataset, SplitProportions]:
     """Generate a synthetic corridor dataset with known split proportions.
 
-    Origin volumes are lognormal: a fixed per-origin level plus a
-    per-(slot, origin) profile with log-scale ``slot_spread`` (both drawn
-    once from ``design_seed``; vary ``seed`` alone to replicate the same
-    corridor), an AR(1) day effect with coefficient ``day_ar`` shared by
-    all slots of a day, and independent log-scale ``jitter`` per record.
-    ``slot_spread=0`` makes the slots statistically interchangeable.
+    Origin volumes are 60 times a lognormal: a fixed per-origin level
+    plus a per-(slot, origin) profile with log-scale ``slot_spread``
+    (both drawn once from ``design_seed``; vary ``seed`` alone to
+    replicate the same corridor), an AR(1) day effect with coefficient
+    ``day_ar`` and standard deviation 0.15 shared by all slots of a day,
+    and independent log-scale jitter 0.1 per record.  ``slot_spread=0``
+    makes the slots statistically interchangeable.
 
     Destination counts are ``origins @ P`` plus mean-zero noise with two
-    parts.  The first is i.i.d. N(0, (noise * base_volume)^2) per count.
+    parts.  The first is i.i.d. N(0, (noise * 60)^2) per count.
     The second, scaled by ``split_drift``, perturbs the day's effective
     split pattern: destinations gain ``origins @ dP_d`` where dP_d
     spreads an AR(1) path (coefficient ``day_ar``, per-entry standard
@@ -737,10 +711,6 @@ def surrogate_od_dataset(
         raise ConfigError(f"split_drift must be >= 0, got {split_drift}")
     if slot_spread < 0.0:
         raise ConfigError(f"slot_spread must be >= 0, got {slot_spread}")
-    if jitter < 0.0:
-        raise ConfigError(f"jitter must be >= 0, got {jitter}")
-    if day_scale < 0.0:
-        raise ConfigError(f"day_scale must be >= 0, got {day_scale}")
     truth = SplitProportions(theta=np.asarray(theta if theta is not None else DEFAULT_SPLIT_THETA))
     bad = truth.infeasible_entries()
     if bad:
@@ -753,9 +723,9 @@ def surrogate_od_dataset(
     profile = np.exp(level[None, :] + scale[:, None])
 
     rng = derived_stream(seed, "od-surrogate")
-    delta = _ar1_path(rng, days, (7,), day_scale, day_ar)
-    wobble = rng.normal(0.0, jitter, size=(days, slots, 7))
-    origins = base_volume * profile[None, :, :] * np.exp(delta[:, None, :] + wobble)
+    delta = _ar1_path(rng, days, (7,), 0.15, day_ar)
+    wobble = rng.normal(0.0, 0.1, size=(days, slots, 7))
+    origins = 60.0 * profile[None, :, :] * np.exp(delta[:, None, :] + wobble)
     destinations = np.einsum("dsk,kj->dsj", origins, full)
     if split_drift > 0.0:
         dp = _zero_sum_rows(_ar1_path(rng, days, (21,), split_drift, day_ar))
@@ -764,7 +734,7 @@ def surrogate_od_dataset(
         drifted = np.einsum("dsk,dkj->dsj", origins, dp)
         destinations = destinations + exposure[None, :, None] * drifted
     if noise > 0.0:
-        destinations = destinations + rng.normal(0.0, noise * base_volume, size=(days, slots, 7))
+        destinations = destinations + rng.normal(0.0, noise * 60.0, size=(days, slots, 7))
     if noise > 0.0 or split_drift > 0.0:
         destinations = np.clip(destinations, 0.0, None)
     return ODDataset(origins=origins, destinations=destinations), truth

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rand import derived_stream
-from .core import EstimatorSpec, VarianceEstimate, apply_estimator_batch
+from .core import EstimatorSpec, VarianceEstimate, _check_int, apply_estimator_batch
 from .errors import ConfigError, InsufficientDataError
 
 __all__ = [
@@ -47,7 +47,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.mode not in ("monte_carlo", "exhaustive"):
             raise ConfigError(f"unknown bootstrap mode {self.mode!r}")
-        if self.mode == "monte_carlo" and self.replicates < 2:
+        _check_int(self.seed, "seed")
+        if self.mode == "monte_carlo" and _check_int(self.replicates, "replicates") < 2:
             raise ConfigError(f"need at least 2 replicates, got {self.replicates}")
 
 
@@ -163,4 +164,4 @@ def iid_bootstrap_variance(
     reps = bootstrap_replicates(sample, estimator, config, key)
     dev = reps - reps.mean(axis=0)
     cov = dev.T @ dev / reps.shape[0]
-    return VarianceEstimate(matrix=cov, method=f"iid_bootstrap[{config.mode}]")
+    return VarianceEstimate(matrix=cov)

@@ -12,14 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._rand import derived_seed
+from ._rand import _thread_map, derived_seed
 from .baselines import block_bootstrap_variance, naive_column_variance, subsampling_variance
-from .core import mean_estimator
+from .core import _check_int, mean_estimator
 from .errors import ConfigError, GapBootstrapError
 from .gb1 import collect_row_estimates, gb1_variance
 from .gb2 import default_block_length, gb2_variance, subseries_estimates
@@ -61,24 +60,26 @@ class StudyConfig:
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "dists", tuple(_DIST_ALIASES.get(d, d) for d in self.dists))
-        object.__setattr__(self, "sizes", tuple((int(n), int(p)) for n, p in self.sizes))
+        object.__setattr__(
+            self, "sizes", tuple((_check_int(n, "n"), _check_int(p, "p")) for n, p in self.sizes)
+        )
         object.__setattr__(self, "methods", tuple(self.methods))
         # ModelSpec and BootstrapConfig hold the rules for the family,
-        # innovation, covariance, gap and replicate count; a 2 x 1 spec
-        # checks them before any cell does work.
+        # innovation, covariance, gap, replicate count and seed; a 2 x 1
+        # spec checks them before any cell does work.
         for family in self.models:
             for dist in self.dists:
                 _model_for_cell(self, family, dist, 2, 1)
-        BootstrapConfig(replicates=self.replicates)
+        BootstrapConfig(replicates=self.replicates, seed=self.seed)
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-        if self.runs < 1:
+        if _check_int(self.runs, "runs") < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         _check_truth_runs(self.truth_runs)
-        if self.threads < 1:
+        if _check_int(self.threads, "threads") < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.block_length is not None and self.block_length < 2:
+        if self.block_length is not None and _check_int(self.block_length, "block_length") < 2:
             raise ConfigError(f"block_length must be >= 2, got {self.block_length}")
 
 
@@ -154,12 +155,10 @@ def _run_cell(config: StudyConfig, ci: int, family: str, dist: str, n: int, p: i
         true_se = float(
             monte_carlo_true_se(spec, estimator, config.truth_runs, (config.seed, "truth", ci))[0]
         )
-        runner = lambda ri: _one_run(spec, estimator, config.methods, ell, config, ci, ri)
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                per_run = list(pool.map(runner, range(config.runs)))
-        else:
-            per_run = [runner(ri) for ri in range(config.runs)]
+        per_run = _thread_map(
+            lambda ri: _one_run(spec, estimator, config.methods, ell, config, ci, ri),
+            config.runs, config.threads,
+        )
         estimates = {
             method: np.array([r[method] for r in per_run]) for method in config.methods
         }

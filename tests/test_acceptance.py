@@ -169,8 +169,8 @@ def test_criterion_7_od_pipeline(tmp_path):
     theta = ODFit(dataset).theta
     assert float(np.abs(theta - truth.theta).max()) <= 1e-8
 
-    iid = dict(day_ar=0.0, noise=0.05, split_drift=0.10, slot_spread=0.0, jitter=0.10)
-    serial = dict(day_ar=0.5, noise=0.05, split_drift=0.10, slot_spread=0.35, jitter=0.10)
+    iid = dict(day_ar=0.0, noise=0.05, split_drift=0.10, slot_spread=0.0)
+    serial = dict(day_ar=0.5, noise=0.05, split_drift=0.10, slot_spread=0.35)
     days, slots, ell = 450, 36, 50
 
     # (b) gb2 standard errors against a 200-replication oracle

@@ -38,8 +38,11 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "extra, config",
-        [([], {"cov_kind": "foo"}), (["--gap-q", "-1"], {}), (["--replicates", "1"], {})],
-        ids=["cov_kind", "gap_q", "replicates"],
+        [
+            ([], {"cov_kind": "foo"}), (["--gap-q", "-1"], {}), (["--replicates", "1"], {}),
+            ([], {"runs": 2.5}),
+        ],
+        ids=["cov_kind", "gap_q", "replicates", "runs"],
     )
     def test_bad_study_field_fails_before_any_cell(self, tmp_path, capsys, monkeypatch, extra, config):
         def no_truth(*args, **kwargs):

@@ -42,12 +42,12 @@ class TestBuildDataArray:
             arr.row(0)
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError, match="expected m\\*p=6, actual 5"):
-            build_data_array([1.0, 2.0, 3.0, 4.0, 5.0], p=2, m=3)
+        with pytest.raises(DimensionError, match="expected m\\*p=4, actual 5"):
+            build_data_array([1.0, 2.0, 3.0, 4.0, 5.0], p=2)
 
     def test_non_divisible_length(self):
         with pytest.raises(DimensionError):
-            build_data_array(np.arange(7.0), p=2, m=3)
+            build_data_array(np.arange(7.0), p=2)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError, match="position 3"):
@@ -108,9 +108,7 @@ class TestEstimators:
 
     def test_weight_validation(self):
         # row weights are gb2_variance's argument; an estimator carries none
-        sub = SubseriesEstimates(
-            grid=[[[1.0], [3.0]], [[3.0], [1.0]]], full_estimates=[[2.0], [2.0]], ell=2
-        )
+        sub = SubseriesEstimates(grid=[[[1.0], [3.0]], [[3.0], [1.0]]], full_estimates=[[2.0], [2.0]])
         for weights in ([0.5, 0.6], [-0.5, 1.5]):
             with pytest.raises(ConsistencyError):
                 gb2_variance([[[4.0]], [[1.0]]], sub, weights=weights)

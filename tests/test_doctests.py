@@ -2,11 +2,13 @@ import doctest
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import gapboot
+from gapboot import cli
 
 MODULES = sorted(
     f"gapboot.{info.name}" for info in pkgutil.iter_modules(gapboot.__path__)
@@ -59,3 +61,19 @@ def test_readme_names_exist():
         if target is None:
             missing.append(name)
     assert missing == []
+
+
+def test_readme_commands_parse():
+    # every ``gapboot ...`` command in README's sh blocks, its backslash
+    # continuations joined, must parse: a removed or renamed flag fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = "\n".join(re.findall(r"^```sh\n(.*?)^```$", readme, flags=re.S | re.M))
+    commands = [
+        shlex.split(line)[1:]
+        for line in blocks.replace("\\\n", " ").splitlines()
+        if line.startswith("gapboot ")
+    ]
+    assert len(commands) >= 5
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -28,17 +28,12 @@ class TestDefaultBlockLength:
     def test_values(self, m, expected):
         assert default_block_length(m) == expected
 
-    def test_clamped_to_valid_range(self):
-        assert default_block_length(8, scale=0.1) == 2
-        assert default_block_length(9, scale=100.0) == 8
+    def test_in_valid_range(self):
+        assert all(2 <= default_block_length(m) <= m - 1 for m in range(8, 20_001))
 
     def test_too_few_columns(self):
         with pytest.raises(InsufficientDataError):
             default_block_length(7)
-
-    def test_bad_scale(self):
-        with pytest.raises(ConfigError):
-            default_block_length(100, scale=0.0)
 
 
 class TestSubseriesEstimates:
@@ -73,9 +68,7 @@ def deviations(sub, j):
 def make_sub(rows, full):
     """Scalar SubseriesEstimates from per-row window sequences."""
     grid = np.asarray(rows, float).T[:, :, None]
-    return SubseriesEstimates(
-        grid=grid, full_estimates=np.asarray(full, float)[:, None], ell=2
-    )
+    return SubseriesEstimates(grid=grid, full_estimates=np.asarray(full, float)[:, None])
 
 
 def window_correlation(sub, j, k):
@@ -182,13 +175,13 @@ class TestCorrelationMatrix:
         dev = rng.standard_normal((9, 2))
         full = np.array([[0.3, -0.2], [0.3, -0.2]])
         grid = np.stack([full[0] + dev, full[1] - dev], axis=1)
-        sub = SubseriesEstimates(grid=grid, full_estimates=full, ell=3)
+        sub = SubseriesEstimates(grid=grid, full_estimates=full)
         assert_allclose(correlation_matrix(sub, 1, 2), -np.eye(2), atol=1e-8)
 
     def test_degenerate_row_propagates_index(self):
         grid = self.sub.grid.copy()
         grid[:, 1, :] = self.sub.full_estimates[1]
-        sub = SubseriesEstimates(grid=grid, full_estimates=self.sub.full_estimates, ell=6)
+        sub = SubseriesEstimates(grid=grid, full_estimates=self.sub.full_estimates)
         with pytest.raises(DegenerateCorrelationError, match="row 2"):
             correlation_matrix(sub, 1, 2)
 
@@ -337,7 +330,7 @@ class TestGb2Kernel:
         grid = sub.grid.copy()
         for row in (5, 3):
             grid[:, row - 1] = sub.full_estimates[row - 1]
-        sub = SubseriesEstimates(grid=grid, full_estimates=sub.full_estimates, ell=sub.ell)
+        sub = SubseriesEstimates(grid=grid, full_estimates=sub.full_estimates)
         with pytest.raises(DegenerateCorrelationError, match=r"row 3\b"):
             gb2_variance(variances, sub)
         with pytest.raises(DegenerateCorrelationError, match=r"row 3\b"):
@@ -352,9 +345,7 @@ class TestGb2Kernel:
         w = np.random.default_rng(6).uniform(0.1, 1.0, 9)
         w /= w.sum()
         perm = np.random.default_rng(7).permutation(9)
-        shuffled = SubseriesEstimates(
-            grid=sub.grid[:, perm], full_estimates=sub.full_estimates[perm], ell=sub.ell
-        )
+        shuffled = SubseriesEstimates(grid=sub.grid[:, perm], full_estimates=sub.full_estimates[perm])
         assert_allclose(
             gb2_variance(variances[perm], shuffled, weights=w[perm]).matrix,
             gb2_variance(variances, sub, weights=w).matrix,

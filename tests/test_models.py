@@ -94,7 +94,6 @@ class TestGeneration:
         b = generate_series(spec, seed=5)
         c = generate_series(spec, seed=6)
         assert a.values.shape == (30, 4, spec.d)
-        assert a.gap_q == spec.gap_q
         assert_array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 

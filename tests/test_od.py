@@ -643,7 +643,7 @@ class TestSlotThreads:
                 raise RankError("slot 1")
 
         with pytest.raises(RankError, match="slot 1"):
-            od._per_slot(task, 3)
+            od._thread_map(task, 3, od._WORKERS)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_zero_volume_slots_name_the_first(self, monkeypatch, workers):
@@ -818,10 +818,6 @@ class TestSurrogate:
             surrogate_od_dataset(10, split_drift=-0.01)
         with pytest.raises(ConfigError):
             surrogate_od_dataset(10, slot_spread=-0.2)
-        with pytest.raises(ConfigError):
-            surrogate_od_dataset(10, jitter=-0.1)
-        with pytest.raises(ConfigError):
-            surrogate_od_dataset(10, day_scale=-0.5)
         bad = THETA.copy()
         bad[0] = 1.5
         with pytest.raises(ConfigError, match="outside"):

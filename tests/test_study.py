@@ -44,6 +44,15 @@ class TestStudyConfig:
             dict(truth_runs=50),
             dict(threads=0),
             dict(block_length=1),
+            # integer fields reject non-integers instead of failing later
+            dict(runs=2.5),
+            dict(runs="3"),
+            dict(runs=True),
+            dict(truth_runs=150.5),
+            dict(replicates=10.5),
+            dict(gap_q=1.5),
+            dict(seed=1.5),
+            dict(sizes=((200.5, 5),)),
         ],
     )
     def test_rejects_bad_fields(self, overrides):
