@@ -59,13 +59,12 @@ from .od import (
     ODFit,
     PARAM_NAMES,
     SplitProportions,
-    build_design,
     od_standard_errors,
     read_od_csv,
     surrogate_od_dataset,
     write_od_csv,
 )
-from .resample import BootstrapConfig, bootstrap_replicates, iid_bootstrap_variance, resample_indices
+from .resample import BootstrapConfig, bootstrap_replicates, iid_bootstrap_variance
 from .study import METHODS, StudyConfig, StudyResult, run_study, write_study_csv, write_study_json
 
 __version__ = "0.1.0"

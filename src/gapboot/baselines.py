@@ -61,7 +61,6 @@ def block_bootstrap_variance(
     estimator: EstimatorSpec,
     ell: int,
     config: BootstrapConfig = BootstrapConfig(),
-    key: tuple = (),
 ) -> VarianceEstimate:
     """Moving-block bootstrap over columns.
 
@@ -76,7 +75,7 @@ def block_bootstrap_variance(
         raise BoundsError(f"block length {ell} outside 1..{m - 1}")
     reps = config.replicates
     nblocks = -(-m // ell)  # ceil
-    rng = derived_stream(config.seed, "block_bootstrap", *key)
+    rng = derived_stream(config.seed, "block_bootstrap")
     columns = array.values.reshape(m, p * d)
     offsets = np.arange(ell)
     theta = np.empty((reps, estimator.dim))

@@ -11,13 +11,14 @@ periods:
 * ``mma``        4-dimensional vector MA(2)
 * ``mperiodic``  4-dimensional noise around a slot-dependent mean
 
-Univariate presets interpret ``sigma`` as a variance-like scale: the
-innovation standard deviation is ``sigma ** 2`` (0.04 at the default
-sigma = 0.2).  The multivariate families draw unit-scale innovations
-with covariance ``Sigma0`` equal to the identity or the Toeplitz matrix
-(-rho)^|i-j|.  Each family carries a default gap long enough that
-distinct columns of the array are effectively independent; pass
-``gap_q=0`` to keep the parent contiguous instead.
+The univariate families draw innovations with standard deviation
+``UNIVARIATE_SD`` = 0.2**2 = 0.04; the multivariate families draw
+unit-scale innovations with covariance ``Sigma0`` equal to the identity
+or the Toeplitz matrix (-0.55)^|i-j|.  These scales reproduce the
+reference true-standard-error magnitudes the acceptance gates check.
+Each family carries a default gap long enough that distinct columns of
+the array are effectively independent; pass ``gap_q=0`` to keep the
+parent contiguous instead.
 """
 from __future__ import annotations
 
@@ -52,9 +53,21 @@ MAR_TRANSITION = (
     (0.0, 0.1, 0.0, 0.4),
 )
 
-#: Seed fixing the randomly drawn lower-triangular entries of the
-#: vector-MA coefficient matrices; drawn once, stored with the package.
-MMA_PRESET_SEED = 212
+#: ``ar2`` is x_t = a1 x_{t-1} + a2 x_{t-2} + e_t, ``ma2`` is
+#: x_t = e_t + b1 e_{t-1} + b2 e_{t-2}, with (a1, a2) and (b1, b2) these.
+AR_COEFFICIENTS = (0.8, 0.1)
+MA_COEFFICIENTS = (0.3, 0.5)
+
+#: Innovation SD of the univariate families, the square of a nominal 0.2,
+#: written 0.2**2 (0.04000000000000001) so the series keep their bits.
+UNIVARIATE_SD = 0.2**2
+
+#: rho of the multivariate families' Toeplitz innovation covariance
+#: (-rho)^|i-j|, and the covariance's Cholesky factor.
+TOEPLITZ_RHO = 0.55
+_TOEPLITZ_CHOLESKY = np.linalg.cholesky(
+    (-TOEPLITZ_RHO) ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+)
 
 #: Default deleted-gap lengths making columns effectively independent.
 FAMILY_GAPS = {
@@ -90,31 +103,22 @@ def _mma_coefficients(seed: int) -> tuple[tuple, tuple]:
     return tuple(map(tuple, phi1)), tuple(map(tuple, phi2))
 
 
+#: The vector-MA matrices (Phi_1, Phi_2) of ``mma``, their fill-ins drawn from seed 212.
+_MMA_MATRICES = tuple(np.asarray(phi) for phi in _mma_coefficients(212))
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """Fully resolved description of one synthetic-data configuration.
-
-    ``ModelSpec(family, n, p, **fields)`` takes the family's defaults for
-    every field not given: ``gap_q`` its ``FAMILY_GAPS`` entry and ``mu``
-    1.0 for ``periodic``, 0.1 otherwise.  Unknown families raise
-    ConfigError.
-    """
+    """One synthetic-data configuration; ``gap_q`` defaults to the
+    family's ``FAMILY_GAPS`` entry, and the rest of the model is fixed by
+    the module constants.  Unknown families raise ConfigError."""
 
     family: str
     n: int
     p: int
     innovation: str = "normal"
     gap_q: int | None = None
-    sigma: float = 0.2
-    mu: float | None = None
-    ar: tuple[float, float] = (0.8, 0.1)
-    ma: tuple[float, float] = (0.3, 0.5)
-    mean: tuple[float, ...] = MULTIVARIATE_MEAN
-    transition: tuple = MAR_TRANSITION
-    ma_mats: tuple = ()
     cov_kind: str = "toeplitz"
-    rho: float = 0.55
-    burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
         if self.family not in _UNIVARIATE + _MULTIVARIATE:
@@ -129,26 +133,13 @@ class ModelSpec:
             raise DimensionError(f"n = {self.n}, p = {self.p} gives fewer than 2 columns")
         if self.gap_q is None:
             object.__setattr__(self, "gap_q", FAMILY_GAPS[self.family])
-        if self.mu is None:
-            object.__setattr__(self, "mu", 1.0 if self.family == "periodic" else 0.1)
         if _check_int(self.gap_q, "gap_q") < 0:
             raise ConfigError(f"gap_q must be >= 0, got {self.gap_q}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.family == "ar2":
-            a1, a2 = self.ar
-            roots = np.roots([-a2, -a1, 1.0]) if a2 != 0.0 else np.roots([-a1, 1.0])
-            if np.any(np.abs(roots) <= 1.0 + 1e-12):
-                raise ConfigError(f"AR coefficients {self.ar} are not stationary")
-        if self.family == "mar":
-            psi = np.asarray(self.transition, dtype=np.float64)
-            if psi.shape != (4, 4):
-                raise DimensionError(f"transition must be 4x4, got {psi.shape}")
-            radius = float(np.max(np.abs(np.linalg.eigvals(psi))))
-            if radius >= 1.0 - 1e-12:
-                raise ConfigError(f"transition spectral radius {radius:.3f} is not < 1")
-        if self.family == "mma" and not self.ma_mats:
-            object.__setattr__(self, "ma_mats", _mma_coefficients(MMA_PRESET_SEED))
+
+    @property
+    def mu(self) -> float:
+        """Mean of the univariate families: 1.0 for ``periodic``, else 0.1."""
+        return 1.0 if self.family == "periodic" else 0.1
 
     @property
     def m(self) -> int:
@@ -169,13 +160,6 @@ def _innovations(rng: np.random.Generator, kind: str, size) -> np.ndarray:
         return rng.standard_normal(size)
     # Exponential(1) shifted to mean zero: same variance, skewness 2.
     return rng.exponential(1.0, size) - 1.0
-
-
-def _sigma0_cholesky(spec: ModelSpec) -> np.ndarray:
-    if spec.cov_kind == "identity":
-        return np.eye(4)
-    cov = (-spec.rho) ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
-    return np.linalg.cholesky(cov)
 
 
 def _gap_indices(m: int, p: int, q: int) -> np.ndarray:
@@ -201,30 +185,29 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
     rng = derived_stream(*_key(seed), "series")
 
     m, p, q = spec.m, spec.p, spec.gap_q
-    burn = spec.burn_in
+    burn = DEFAULT_BURN_IN
     parent_len = (m - 1) * (p + q) + p
     idx = _gap_indices(m, p, q)
-    scale = spec.sigma**2
 
     if spec.family in _UNIVARIATE:
         if spec.family == "periodic":
             # Slot-indexed mean; the gap only discards i.i.d. noise, so
             # draw the array directly.
-            noise = scale * _innovations(rng, spec.innovation, (m, p))
+            noise = UNIVARIATE_SD * _innovations(rng, spec.innovation, (m, p))
             values = spec.mu + _slot_phase(p)[None, :] + noise
         else:
-            eps = scale * _innovations(rng, spec.innovation, burn + parent_len)
+            eps = UNIVARIATE_SD * _innovations(rng, spec.innovation, burn + parent_len)
             if spec.family == "ar2":
-                a1, a2 = spec.ar
+                a1, a2 = AR_COEFFICIENTS
                 parent = lfilter([1.0], [1.0, -a1, -a2], eps)[burn:]
             else:
-                b1, b2 = spec.ma
+                b1, b2 = MA_COEFFICIENTS
                 parent = lfilter([1.0, b1, b2], [1.0], eps)[burn:]
             values = spec.mu + parent[idx]
         return build_data_array(values.reshape(spec.n), p=p)
 
-    chol = _sigma0_cholesky(spec)
-    mean = np.asarray(spec.mean, dtype=np.float64)
+    chol = np.eye(4) if spec.cov_kind == "identity" else _TOEPLITZ_CHOLESKY
+    mean = np.asarray(MULTIVARIATE_MEAN)
     if spec.family == "mperiodic":
         eta = _innovations(rng, spec.innovation, (m, p, 4)) @ chol.T
         values = mean[None, None, :] + _slot_phase(p)[None, :, None] + eta
@@ -232,7 +215,7 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
 
     eta = _innovations(rng, spec.innovation, (burn + parent_len, 4)) @ chol.T
     if spec.family == "mar":
-        psi = np.asarray(spec.transition, dtype=np.float64)
+        psi = np.asarray(MAR_TRANSITION)
         parent = np.empty_like(eta)
         state = np.zeros(4)
         for t in range(eta.shape[0]):
@@ -240,8 +223,7 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
             parent[t] = state
         parent = parent[burn:]
     else:
-        phi1 = np.asarray(spec.ma_mats[0], dtype=np.float64)
-        phi2 = np.asarray(spec.ma_mats[1], dtype=np.float64)
+        phi1, phi2 = _MMA_MATRICES
         lagged1 = np.vstack([np.zeros((1, 4)), eta[:-1]])
         lagged2 = np.vstack([np.zeros((2, 4)), eta[:-2]])
         parent = (eta + lagged1 @ phi1.T + lagged2 @ phi2.T)[burn:]

@@ -56,7 +56,6 @@ __all__ = [
     "ODFit",
     "PARAM_NAMES",
     "SplitProportions",
-    "build_design",
     "od_standard_errors",
     "read_od_csv",
     "surrogate_od_dataset",
@@ -72,8 +71,8 @@ _ORIGIN, _DEST = np.triu_indices(6)
 
 PARAM_NAMES = tuple(f"p{k + 1}{e + 1}" for k, e in zip(_ORIGIN, _DEST))
 
-#: A feasible default split used by the surrogate generator: mass decays
-#: with distance and every row leaves something for the final destination.
+#: The feasible split of the surrogate generator: mass decays with
+#: distance and every row leaves something for the final destination.
 DEFAULT_SPLIT_THETA = (
     0.55, 0.18, 0.10, 0.07, 0.05, 0.03,
     0.50, 0.20, 0.12, 0.08, 0.06,
@@ -96,24 +95,6 @@ def _zero_sum_rows(theta: np.ndarray) -> np.ndarray:
 
 #: _BASIS[k] is d(O)/d(o_{k+1}), shape (7, 21), for origins 1..6.
 _BASIS = _zero_sum_rows(np.eye(21))[:, :6].transpose(1, 2, 0)
-
-
-def build_design(origins, destinations) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix and response of one record.
-
-    Returns (O, D') with O of shape (7, 21) -- block k carrying o_k on
-    the shifted diagonal of rows k..6 and -o_k across the last row --
-    and D' = (d_1, ..., d_6, d_7 - sum_k o_k).
-    """
-    o = np.asarray(origins, dtype=np.float64)
-    d = np.asarray(destinations, dtype=np.float64)
-    if o.shape != (7,) or d.shape != (7,):
-        raise DimensionError(f"expected 7 origins and 7 destinations, got {o.shape} and {d.shape}")
-    if not (np.isfinite(o).all() and np.isfinite(d).all()):
-        raise DataError("record contains non-finite counts")
-    design = np.einsum("k,kij->ij", o[:6], _BASIS)
-    response = np.concatenate([d[:6], [d[6] - o.sum()]])
-    return design, response
 
 
 @dataclass(frozen=True)
@@ -665,37 +646,33 @@ def surrogate_od_dataset(
     slots: int = 36,
     *,
     seed: int = 0,
-    design_seed: int = 0,
     day_ar: float = 0.0,
     noise: float = 0.05,
     split_drift: float = 0.0,
     slot_spread: float = 0.35,
-    theta=None,
 ) -> tuple[ODDataset, SplitProportions]:
-    """Generate a synthetic corridor dataset with known split proportions.
+    """Generate a synthetic corridor dataset split by DEFAULT_SPLIT_THETA.
 
-    Origin volumes are 60 times a lognormal: a fixed per-origin level
-    plus a per-(slot, origin) profile with log-scale ``slot_spread``
-    (both drawn once from ``design_seed``; vary ``seed`` alone to
-    replicate the same corridor), an AR(1) day effect with coefficient
-    ``day_ar`` and standard deviation 0.15 shared by all slots of a day,
-    and independent log-scale jitter 0.1 per record.  ``slot_spread=0``
-    makes the slots statistically interchangeable.
+    Origin volumes are 60 times a lognormal: a fixed per-origin level and
+    a per-(slot, origin) profile with log-scale ``slot_spread``, both from
+    one fixed stream so every ``seed`` gives the same corridor; an AR(1)
+    day effect with coefficient ``day_ar`` and standard deviation 0.15
+    shared by all slots of a day; and log-scale jitter 0.1 per record.
+    ``slot_spread=0`` makes the slots statistically interchangeable.
 
     Destination counts are ``origins @ P`` plus mean-zero noise with two
-    parts.  The first is i.i.d. N(0, (noise * 60)^2) per count.
-    The second, scaled by ``split_drift``, perturbs the day's effective
-    split pattern: destinations gain ``origins @ dP_d`` where dP_d
-    spreads an AR(1) path (coefficient ``day_ar``, per-entry standard
-    deviation ``split_drift``) over the 21 free proportions, the last
-    column absorbing the row sums.  By linearity of the design this is a
-    mean-zero shift of the fitted coefficients shared by all slots of
-    the day, so with ``day_ar > 0`` the slot estimates are serially
-    dependent in a way i.i.d. within-slot resampling cannot see, while
-    ``E[destinations]`` still follows the fixed generating theta.
-    Counts are truncated at zero; with ``noise = split_drift = 0`` the
-    split model holds exactly and least squares recovers theta to solver
-    precision.
+    parts.  The first is i.i.d. N(0, (noise * 60)^2) per count.  The
+    second, scaled by ``split_drift``, perturbs the day's effective split
+    pattern: destinations gain ``origins @ dP_d``, where dP_d spreads an
+    AR(1) path (coefficient ``day_ar``, per-entry standard deviation
+    ``split_drift``) over the 21 free proportions, the last column
+    absorbing the row sums.  By linearity of the design this is a
+    mean-zero shift of the fitted coefficients shared by all slots of the
+    day, so with ``day_ar > 0`` the slot estimates are serially dependent
+    in a way i.i.d. within-slot resampling cannot see, while
+    ``E[destinations]`` still follows DEFAULT_SPLIT_THETA.  Counts are
+    truncated at zero; with ``noise = split_drift = 0`` the split model
+    holds exactly and least squares recovers theta to solver precision.
 
     Returns the dataset together with the generating SplitProportions.
     """
@@ -711,13 +688,9 @@ def surrogate_od_dataset(
         raise ConfigError(f"split_drift must be >= 0, got {split_drift}")
     if slot_spread < 0.0:
         raise ConfigError(f"slot_spread must be >= 0, got {slot_spread}")
-    truth = SplitProportions(theta=np.asarray(theta if theta is not None else DEFAULT_SPLIT_THETA))
-    bad = truth.infeasible_entries()
-    if bad:
-        raise ConfigError(f"theta implies split proportions outside [0, 1]: {bad[:3]}")
-    full = truth.matrix
+    truth = SplitProportions(DEFAULT_SPLIT_THETA)
 
-    design_rng = derived_stream(design_seed, "od-profile")
+    design_rng = derived_stream(0, "od-profile")
     level = design_rng.normal(0.0, 0.35, size=7)
     scale = design_rng.normal(0.0, slot_spread, size=slots)
     profile = np.exp(level[None, :] + scale[:, None])
@@ -726,7 +699,7 @@ def surrogate_od_dataset(
     delta = _ar1_path(rng, days, (7,), 0.15, day_ar)
     wobble = rng.normal(0.0, 0.1, size=(days, slots, 7))
     origins = 60.0 * profile[None, :, :] * np.exp(delta[:, None, :] + wobble)
-    destinations = np.einsum("dsk,kj->dsj", origins, full)
+    destinations = np.einsum("dsk,kj->dsj", origins, truth.matrix)
     if split_drift > 0.0:
         dp = _zero_sum_rows(_ar1_path(rng, days, (21,), split_drift, day_ar))
         exposure = np.exp(scale)

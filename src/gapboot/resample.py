@@ -20,7 +20,6 @@ __all__ = [
     "BootstrapConfig",
     "bootstrap_replicates",
     "iid_bootstrap_variance",
-    "resample_indices",
 ]
 
 #: Largest number of resamples the exhaustive mode will enumerate (m**m).
@@ -52,23 +51,6 @@ class BootstrapConfig:
             raise ConfigError(f"need at least 2 replicates, got {self.replicates}")
 
 
-def resample_indices(m: int, replicates: int, seed: int, key: tuple = ()) -> np.ndarray:
-    """Draw a (replicates, m) table of with-replacement indices in [0, m).
-
-    The whole table is one batched draw from a stream derived from
-    ``(seed, *key)``; replicate b is row b.  Consequently the draw for
-    replicate b never depends on the total replicate count requested by
-    other callers, only on its own position.
-
-    This is the whole-table form of the stream ``bootstrap_replicates``
-    draws chunk by chunk, kept as the reference: consecutive draws from
-    one Philox generator concatenate to the single draw, so replicate b
-    of a bootstrap resamples row b of this table.
-    """
-    rng = derived_stream(seed, *key)
-    return rng.integers(0, m, size=(replicates, m), dtype=np.int64)
-
-
 def _chunk_ranges(total: int, row_bytes: int):
     """Closed-open ``(lo, hi)`` ranges covering ``range(total)`` in chunks
     of about ``_CHUNK_BYTES`` when each item takes ``row_bytes``."""
@@ -98,9 +80,9 @@ def bootstrap_replicates(
 
     In exhaustive mode B = m**m and the rows enumerate every resample in
     lexicographic index order, each occurring exactly once.  In Monte
-    Carlo mode replicate b resamples row b of ``resample_indices(m, B,
-    seed, key)``.  Either way resamples are drawn and evaluated in chunks
-    of about ``_CHUNK_BYTES``, so no (B, m) table is ever held.
+    Carlo mode replicate b resamples row b of one (B, m) index draw from
+    the ``(seed, *key)`` stream.  Either way resamples are drawn and
+    evaluated in chunks of about ``_CHUNK_BYTES``; no (B, m) table is held.
     """
     arr = np.ascontiguousarray(_as_sample(sample))
     m = arr.shape[0]

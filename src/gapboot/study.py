@@ -40,6 +40,15 @@ METHODS = ("gb1", "gb2", "ss", "bb", "naive")
 _DIST_ALIASES = {"exp": "centered_exponential"}
 
 
+def _as_tuple(value, name: str, length: int | None = None) -> tuple:
+    """A list field as a tuple.  Anything but a list or tuple, a string
+    included, raises ConfigError, as does a length other than ``length``."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length} items"
+        raise ConfigError(f"{name} must be {shape}, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Grid definition plus sampling parameters for one study."""
@@ -58,12 +67,16 @@ class StudyConfig:
     threads: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "models", tuple(self.models))
+        for name in ("models", "dists", "methods"):
+            names = _as_tuple(getattr(self, name), name)
+            if not all(isinstance(item, str) for item in names):
+                raise ConfigError(f"{name} must be a list of names, got {list(names)!r}")
+            object.__setattr__(self, name, names)
         object.__setattr__(self, "dists", tuple(_DIST_ALIASES.get(d, d) for d in self.dists))
+        pairs = (_as_tuple(pair, "each entry of sizes", 2) for pair in _as_tuple(self.sizes, "sizes"))
         object.__setattr__(
-            self, "sizes", tuple((_check_int(n, "n"), _check_int(p, "p")) for n, p in self.sizes)
+            self, "sizes", tuple((_check_int(n, "n"), _check_int(p, "p")) for n, p in pairs)
         )
-        object.__setattr__(self, "methods", tuple(self.methods))
         # ModelSpec and BootstrapConfig hold the rules for the family,
         # innovation, covariance, gap, replicate count and seed; a 2 x 1
         # spec checks them before any cell does work.
@@ -108,13 +121,6 @@ class StudyCellResult:
 class StudyResult:
     config: StudyConfig
     cells: list[StudyCellResult]
-
-    def cell(self, family: str, dist: str, n: int, p: int) -> StudyCellResult:
-        dist = _DIST_ALIASES.get(dist, dist)
-        for c in self.cells:
-            if (c.family, c.dist, c.n, c.p) == (family, dist, n, p):
-                return c
-        raise KeyError(f"no cell ({family}, {dist}, {n}, {p})")
 
 
 def _model_for_cell(config: StudyConfig, family: str, dist: str, n: int, p: int):

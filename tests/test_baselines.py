@@ -29,11 +29,11 @@ def _spread(theta):
     return VarianceEstimate(dev.T @ dev / theta.shape[0]).matrix
 
 
-def _block_reference(array, estimator, ell, config, key=()):
+def _block_reference(array, estimator, ell, config):
     """The moving-block bootstrap with its whole (B, m) column table."""
     m, p, d, reps = array.m, array.p, array.d, config.replicates
     nblocks = -(-m // ell)
-    rng = derived_stream(config.seed, "block_bootstrap", *key)
+    rng = derived_stream(config.seed, "block_bootstrap")
     starts = rng.integers(0, m - ell + 1, size=(reps, nblocks), dtype=np.int64)
     cols = (starts[:, :, None] + np.arange(ell)).reshape(reps, nblocks * ell)[:, :m]
     stack = array.values[cols].reshape(reps, m * p, d)
@@ -140,8 +140,8 @@ class TestBlockBootstrap:
         cfg = BootstrapConfig(replicates=250, seed=12)
         for est in _estimators(d):
             for ell in (1, 2, 4):
-                got = block_bootstrap_variance(arr, est, ell, cfg, key=("cell", 1))
-                assert_array_equal(got.matrix, _block_reference(arr, est, ell, cfg, ("cell", 1)))
+                got = block_bootstrap_variance(arr, est, ell, cfg)
+                assert_array_equal(got.matrix, _block_reference(arr, est, ell, cfg))
 
     def test_memory_does_not_grow_with_replicates(self, traced_peak):
         arr = build_data_array(np.random.default_rng(5).standard_normal(50_000), p=5)

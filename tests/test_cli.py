@@ -1,14 +1,17 @@
 """End-to-end command-line runs, in process through ``gapboot.cli.main``."""
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from gapboot import ModelSpec, StudyConfig, surrogate_od_dataset
 from gapboot import study as study_module
-from gapboot.cli import main
+from gapboot.cli import _build_parser, main
 from gapboot.od import ODFit, read_od_csv
 from gapboot.resample import BootstrapConfig
 
@@ -40,9 +43,11 @@ class TestUsage:
         "extra, config",
         [
             ([], {"cov_kind": "foo"}), (["--gap-q", "-1"], {}), (["--replicates", "1"], {}),
-            ([], {"runs": 2.5}),
+            ([], {"runs": 2.5}), ([], {"sizes": [[200]]}), ([], {"sizes": 200}),
+            ([], {"models": "ar2"}), ([], {"dists": "normal"}), ([], {"methods": "gb1"}),
         ],
-        ids=["cov_kind", "gap_q", "replicates", "runs"],
+        ids=["cov_kind", "gap_q", "replicates", "runs", "sizes-pair", "sizes-int",
+             "models-str", "dists-str", "methods-str"],
     )
     def test_bad_study_field_fails_before_any_cell(self, tmp_path, capsys, monkeypatch, extra, config):
         def no_truth(*args, **kwargs):
@@ -60,6 +65,18 @@ class TestUsage:
         with pytest.raises(SystemExit):
             run("--version")
         assert "gapboot" in capsys.readouterr().out
+
+
+def test_every_generator_knob_has_a_caller():
+    # a model setting no study field sets, or a surrogate keyword no
+    # `gapboot od` flag sets, is a settable value without a caller
+    study_fields = {f.name for f in dataclasses.fields(StudyConfig)}
+    set_by = {"family": "models", "innovation": "dists", "n": "sizes", "p": "sizes"}
+    for f in dataclasses.fields(ModelSpec):
+        assert set_by.get(f.name, f.name) in study_fields, f.name
+    od_dests = vars(_build_parser().parse_args(["od", "--surrogate", "--out", "x.csv"]))
+    for name in inspect.signature(surrogate_od_dataset).parameters:
+        assert name in od_dests, name
 
 
 class TestCheck:

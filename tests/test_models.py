@@ -14,12 +14,25 @@ from gapboot import (
     mean_estimator,
     monte_carlo_true_se,
 )
-from gapboot.models import FAMILY_GAPS, _mma_coefficients, row_mean_spread
+from gapboot.models import (
+    AR_COEFFICIENTS,
+    DEFAULT_BURN_IN,
+    FAMILY_GAPS,
+    MA_COEFFICIENTS,
+    MAR_TRANSITION,
+    MULTIVARIATE_MEAN,
+    TOEPLITZ_RHO,
+    UNIVARIATE_SD,
+    _mma_coefficients,
+    row_mean_spread,
+)
+from gapboot.od import DEFAULT_SPLIT_THETA, SplitProportions
 
 #: Per family: the resolved gap_q and mu of ``ModelSpec(family, 24, 4)``,
 #: the SHA-256 of ``generate_series(spec, seed=3).values`` and the SHA-256
 #: of every resolved field (``spec_digest``), recorded from the per-family
-#: factories that ModelSpec replaced (``ar2_model(24, 4)`` and so on).
+#: factories that ModelSpec replaced (``ar2_model(24, 4)`` and so on), when
+#: ModelSpec still held the 15 fields ``spec_digest`` rebuilds.
 FAMILY_PINS = {
     "ar2": (300, 0.1, "9afd30b5aaf34398c78c5240be9e21ad3c690ec5773d09ba4faa40649bc20a07",
             "b0a3a305619f6314890505171a184b0966fa9a16ade1fd642555c13da75cdd32"),
@@ -37,8 +50,16 @@ FAMILY_PINS = {
 
 
 def spec_digest(spec):
-    """SHA-256 of every ModelSpec field, numbers as Python floats and ints."""
-    fields = {f.name: np.asarray(getattr(spec, f.name)).tolist() for f in dataclasses.fields(spec)}
+    """SHA-256 of the 15 resolved fields ModelSpec once held -- its own six
+    plus the generator constants that moved to module level -- numbers as
+    Python floats and ints."""
+    fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    fields.update(
+        sigma=0.2, mu=spec.mu, ar=AR_COEFFICIENTS, ma=MA_COEFFICIENTS, mean=MULTIVARIATE_MEAN,
+        transition=MAR_TRANSITION, rho=TOEPLITZ_RHO, burn_in=DEFAULT_BURN_IN,
+        ma_mats=_mma_coefficients(212) if spec.family == "mma" else (),
+    )
+    fields = {name: np.asarray(value).tolist() for name, value in fields.items()}
     return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
@@ -78,11 +99,15 @@ class TestModelSpec:
         with pytest.raises(ConfigError):
             ModelSpec("ar2", 100, 5, innovation="cauchy")
 
-    def test_nonstationary_ar(self):
-        with pytest.raises(ConfigError, match="stationary"):
-            ModelSpec("ar2", 100, 5, ar=(1.2, 0.0))
-        with pytest.raises(ConfigError, match="stationary"):
-            ModelSpec("ar2", 100, 5, ar=(0.5, 0.5))
+
+def test_generator_constants_are_valid():
+    # what ModelSpec's range checks guarded while these were settable
+    a1, a2 = AR_COEFFICIENTS
+    assert (np.abs(np.roots([-a2, -a1, 1.0])) > 1.0).all()
+    assert np.abs(np.linalg.eigvals(np.asarray(MAR_TRANSITION))).max() < 1.0
+    toeplitz = (-TOEPLITZ_RHO) ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+    np.linalg.cholesky(toeplitz)
+    assert SplitProportions(DEFAULT_SPLIT_THETA).infeasible_entries() == []
 
 
 class TestGeneration:
@@ -98,15 +123,18 @@ class TestGeneration:
         assert not np.array_equal(a.values, c.values)
 
     def test_centered_exponential_innovations(self):
-        spec = ModelSpec("ar2", 5000, 5, innovation="centered_exponential", ar=(0.0, 0.0), mu=0.0)
-        x = generate_series(spec, seed=1).series().ravel() / spec.sigma**2
+        # periodic: the array is the slot mean plus the scaled innovations
+        spec = ModelSpec("periodic", 5000, 5, innovation="centered_exponential")
+        t = 2 * np.pi * np.arange(1, 6) / 5
+        mean = spec.mu + np.cos(t) + np.sin(t)
+        x = (generate_series(spec, seed=1).values[..., 0] - mean).ravel() / UNIVARIATE_SD
         assert abs(x.mean()) < 0.05
         # Exponential(1) - 1 is right-skewed with skewness 2.
         skew = np.mean(x**3) / np.mean(x**2) ** 1.5
         assert 1.5 < skew < 2.5
 
     def test_periodic_row_means(self):
-        spec = ModelSpec("periodic", 4 * 5000, 4, mu=1.0)
+        spec = ModelSpec("periodic", 4 * 5000, 4)
         arr = generate_series(spec, seed=3)
         t = 2 * np.pi * np.arange(1, 5) / 4
         expected = 1.0 + np.cos(t) + np.sin(t)

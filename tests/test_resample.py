@@ -16,10 +16,18 @@ from gapboot import (
     iid_bootstrap_variance,
     mean_estimator,
     median_estimator,
-    resample_indices,
 )
+from gapboot._rand import derived_stream
 
 EXHAUSTIVE = BootstrapConfig(mode="exhaustive")
+
+
+def resample_indices(m, replicates, seed, key=()):
+    """The (replicates, m) table of with-replacement indices that one draw
+    from the ``(seed, *key)`` stream gives: the whole-table form of the
+    stream ``bootstrap_replicates`` draws chunk by chunk."""
+    rng = derived_stream(seed, *key)
+    return rng.integers(0, m, size=(replicates, m), dtype=np.int64)
 
 
 def test_constant_row_gives_zero():

@@ -53,11 +53,23 @@ class TestStudyConfig:
             dict(gap_q=1.5),
             dict(seed=1.5),
             dict(sizes=((200.5, 5),)),
+            # list fields take lists: no pair unpacking, no string split
+            dict(sizes=[[200]]),
+            dict(sizes=200),
+            dict(models="ar2"),
+            dict(dists="normal"),
+            dict(methods="gb1"),
+            dict(dists=[["normal"]]),
         ],
     )
     def test_rejects_bad_fields(self, overrides):
         with pytest.raises(ConfigError):
             tiny_config(**overrides)
+
+    @pytest.mark.parametrize("name", ["models", "dists", "methods", "sizes"])
+    def test_string_for_a_list_names_the_field(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be a list"):
+            tiny_config(**{name: "ar2"})
 
 
 class TestRunStudy:
@@ -89,12 +101,6 @@ class TestRunStudy:
         write_study_csv(first, a)
         write_study_csv(threaded, b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_cell_accessor(self):
-        result = run_study(tiny_config(runs=2, methods=("naive",)))
-        assert result.cell("ar2", "normal", 200, 5).error is None
-        with pytest.raises(KeyError):
-            result.cell("ar2", "normal", 400, 5)
 
     def test_failed_cell_is_recorded(self, tmp_path):
         # 201 is not a multiple of 5, so the first cell fails while the
