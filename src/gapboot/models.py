@@ -19,13 +19,18 @@ reference true-standard-error magnitudes the acceptance gates check.
 Each family carries a default gap long enough that distinct columns of
 the array are effectively independent; pass ``gap_q=0`` to keep the
 parent contiguous instead.
+
+``ma2`` is a finite filter, ``np.convolve([1, b1, b2], eps)`` cut to the
+parent's length: the call ``scipy.signal.lfilter`` makes for a filter
+with denominator ``[1]``, so the bits are lfilter's.  ``ar2``'s feedback
+recursion cannot be vectorised bit for bit, so it keeps ``lfilter``,
+imported in its branch: importing this module loads nothing from scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ._rand import derived_stream
 from .core import DataArray, EstimatorSpec, _check_int, apply_estimator, build_data_array
@@ -198,11 +203,13 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
         else:
             eps = UNIVARIATE_SD * _innovations(rng, spec.innovation, burn + parent_len)
             if spec.family == "ar2":
+                from scipy.signal import lfilter
+
                 a1, a2 = AR_COEFFICIENTS
                 parent = lfilter([1.0], [1.0, -a1, -a2], eps)[burn:]
             else:
                 b1, b2 = MA_COEFFICIENTS
-                parent = lfilter([1.0, b1, b2], [1.0], eps)[burn:]
+                parent = np.convolve([1.0, b1, b2], eps)[burn : burn + parent_len]
             values = spec.mu + parent[idx]
         return build_data_array(values.reshape(spec.n), p=p)
 
@@ -251,14 +258,13 @@ def monte_carlo_true_se(spec: ModelSpec, estimator: EstimatorSpec, runs: int, se
     return estimates.std(axis=0, ddof=1)
 
 
-def row_mean_spread(spec: ModelSpec, runs: int, seed) -> dict:
-    """Per-row empirical means across repeated simulations, with their SEs.
+def row_mean_spread(spec: ModelSpec, runs: int, seed) -> float:
+    """Largest standardised spread between a row's mean, across repeated
+    simulations, and the average row mean.
 
     A quick self-check of the gapped layout: families with a constant
     mean must show row means agreeing within Monte Carlo error, while the
-    periodic families must not.  Returns a dict with keys ``means``
-    (p, d), ``ses`` (p, d) and ``max_z`` (largest standardised spread
-    between any row mean and the average row mean).
+    periodic families must not.
     """
     base = _key(seed)
     rows = np.empty((runs, spec.p, spec.d))
@@ -268,5 +274,4 @@ def row_mean_spread(spec: ModelSpec, runs: int, seed) -> dict:
     means = rows.mean(axis=0)
     ses = rows.std(axis=0, ddof=1) / np.sqrt(runs)
     centred = means - means.mean(axis=0, keepdims=True)
-    max_z = float(np.max(np.abs(centred) / np.maximum(ses, 1e-300)))
-    return {"means": means, "ses": ses, "max_z": max_z}
+    return float(np.max(np.abs(centred) / np.maximum(ses, 1e-300)))

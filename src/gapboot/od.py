@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ._rand import _thread_map, derived_stream
 from .core import _check_degenerate_policy, _check_window
@@ -262,16 +261,17 @@ def _read_records(path) -> ODDataset:
 
 
 def write_od_csv(dataset: ODDataset, path) -> None:
+    """Write ``read_od_csv``'s format, days and slots numbered from 1 and
+    every count as its shortest round-trip ``repr``."""
+    values = np.concatenate([dataset.origins, dataset.destinations], axis=-1).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(OD_CSV_COLUMNS)
-        for di in range(dataset.days):
-            for si in range(dataset.slots):
-                writer.writerow(
-                    [di + 1, si + 1]
-                    + [repr(float(v)) for v in dataset.origins[di, si]]
-                    + [repr(float(v)) for v in dataset.destinations[di, si]]
-                )
+        writer.writerows(
+            [di + 1, si + 1, *record]
+            for di, day in enumerate(values)
+            for si, record in enumerate(day)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +340,8 @@ def _check_condition(gamma: np.ndarray, what: str) -> None:
 
 
 def _solve(gamma: np.ndarray, rhs: np.ndarray, what: str, ridge: float = 0.0) -> np.ndarray:
+    from scipy.linalg import cho_factor, cho_solve
+
     g = gamma + ridge * np.eye(gamma.shape[0]) if ridge else gamma
     _check_condition(g, what)
     try:
@@ -527,6 +529,8 @@ class ODFit:
         matrix (the slots partition the records) and that the weights sum
         to the identity, both to within 1e-8 relative tolerance.
         """
+        from scipy.linalg import cho_factor, cho_solve
+
         gamma = self.gamma
         if self.ridge:
             gamma = gamma + self.ridge * np.eye(21)

@@ -1,0 +1,44 @@
+"""What importing gapboot loads: numpy, and nothing from scipy until a
+code path needs it (``scipy.linalg`` at the first OD solve,
+``scipy.signal`` at the first ``ar2`` series)."""
+import json
+import os
+import subprocess
+import sys
+
+import gapboot
+
+_SRC = os.path.dirname(os.path.dirname(gapboot.__file__))
+
+_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import gapboot, gapboot.cli
+report = {"import": scipy_modules()}
+gapboot.generate_series(gapboot.ModelSpec("mma", 400, 10), seed=1)
+report["mma"] = scipy_modules()
+code = gapboot.cli.main([
+    "od", "--surrogate", "--days", "30", "--slots", "3", "--replicates", "50",
+    "--out", sys.argv[1],
+])
+report["od"] = [code, scipy_modules()]
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loads_only_where_used(tmp_path):
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(tmp_path / "od.csv")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    report = json.loads(done.stdout)
+    assert report["import"] == []
+    assert report["mma"] == []
+    code, loaded = report["od"]
+    assert code == 0
+    assert not {"scipy.signal", "scipy.stats"} & set(loaded)

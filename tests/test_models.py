@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.signal import lfilter
 
 from gapboot import (
     ConfigError,
@@ -23,9 +24,12 @@ from gapboot.models import (
     MULTIVARIATE_MEAN,
     TOEPLITZ_RHO,
     UNIVARIATE_SD,
+    _gap_indices,
+    _innovations,
     _mma_coefficients,
     row_mean_spread,
 )
+from gapboot._rand import derived_stream
 from gapboot.od import DEFAULT_SPLIT_THETA, SplitProportions
 
 #: Per family: the resolved gap_q and mu of ``ModelSpec(family, 24, 4)``,
@@ -164,6 +168,33 @@ class TestGeneration:
         assert abs(corr) < 0.2
 
 
+def ma2_reference(spec, seed):
+    """``generate_series(spec, seed).values`` for ``ma2``, filtered by
+    ``scipy.signal.lfilter`` as the generator once did: the reference for
+    its ``np.convolve`` form."""
+    m, p, q, burn = spec.m, spec.p, spec.gap_q, DEFAULT_BURN_IN
+    size = burn + (m - 1) * (p + q) + p
+    eps = UNIVARIATE_SD * _innovations(derived_stream(seed, "series"), spec.innovation, size)
+    parent = lfilter([1.0, *MA_COEFFICIENTS], [1.0], eps)[burn:]
+    return (spec.mu + parent[_gap_indices(m, p, q)])[..., None]
+
+
+class TestMa2Filter:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 531, 30_490, 300_000])
+    def test_convolve_is_lfilter_bit_for_bit(self, length):
+        eps = np.random.default_rng(length).standard_normal(length)
+        taps = [1.0, *MA_COEFFICIENTS]
+        assert np.convolve(taps, eps)[:length].tobytes() == lfilter(taps, [1.0], eps).tobytes()
+
+    # (10000, 5) at the default gap filters burn + parent length = 30,490 steps.
+    @pytest.mark.parametrize("innovation", ["normal", "centered_exponential"])
+    @pytest.mark.parametrize("n, p, gap_q", [(8, 4, None), (24, 4, None), (200, 5, 0), (10_000, 5, None)])
+    def test_generate_series_matches_lfilter(self, n, p, gap_q, innovation):
+        spec = ModelSpec("ma2", n, p, innovation=innovation, gap_q=gap_q)
+        values = generate_series(spec, seed=4).values
+        assert values.tobytes() == ma2_reference(spec, 4).tobytes()
+
+
 class TestMmaCoefficients:
     def test_structure(self):
         phi1, phi2 = _mma_coefficients(212)
@@ -190,7 +221,5 @@ class TestMonteCarloTruth:
 
 
 def test_row_mean_spread_flags_periodic():
-    homogeneous = row_mean_spread(ModelSpec("ar2", 120, 4), runs=150, seed=0)
-    assert homogeneous["max_z"] < 4.5
-    periodic = row_mean_spread(ModelSpec("periodic", 120, 4), runs=150, seed=0)
-    assert periodic["max_z"] > 10.0
+    assert row_mean_spread(ModelSpec("ar2", 120, 4), runs=150, seed=0) < 4.5
+    assert row_mean_spread(ModelSpec("periodic", 120, 4), runs=150, seed=0) > 10.0

@@ -1,3 +1,4 @@
+import csv
 import re
 import sys
 import threading
@@ -252,7 +253,34 @@ class TestSplitMatrix:
             SplitProportions(np.ones(20))
 
 
+def write_od_csv_reference(dataset, path):
+    """``write_od_csv`` value by value, the reference for its one-list form."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(OD_CSV_COLUMNS)
+        for di in range(dataset.days):
+            for si in range(dataset.slots):
+                writer.writerow(
+                    [di + 1, si + 1]
+                    + [repr(float(v)) for v in dataset.origins[di, si]]
+                    + [repr(float(v)) for v in dataset.destinations[di, si]]
+                )
+
+
 class TestCsv:
+    @pytest.mark.parametrize("kind", ["surrogate", "edge_values"])
+    def test_writer_matches_reference_bytes(self, tmp_path, kind):
+        if kind == "surrogate":
+            dataset, _ = surrogate_od_dataset(40, slots=5, seed=3, day_ar=0.4)
+        else:
+            edges = [0.0, -0.0, 1.0, 0.1, 5e-324, 1e-7, 1e16, 2.0**53 + 2, 1.7976931348623157e308]
+            values = np.resize(edges, (3, 2, 14))
+            dataset = ODDataset(origins=values[..., :7], destinations=values[..., 7:])
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        write_od_csv(dataset, fast)
+        write_od_csv_reference(dataset, slow)
+        assert fast.read_bytes() == slow.read_bytes()
+
     def test_roundtrip_exact(self, tmp_path):
         dataset, _ = surrogate_od_dataset(3, slots=2, seed=7)
         path = tmp_path / "od.csv"
