@@ -27,6 +27,7 @@ byte-identical for any thread count.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -186,12 +187,13 @@ def read_od_csv(path) -> ODDataset:
     Every (day, slot) pair must occur exactly once and the slot values
     must cover 1..S for each day; days are taken in sorted order.
 
-    The records are parsed in one ``np.loadtxt`` pass.  Anything it
-    refuses or warns about (a header-only file, ``1_000``, extra fields,
-    a malformed record), and any table with a duplicate, a missing record
-    or slots that do not cover 1..S, goes to ``_read_records``, the
-    record-by-record reader, which accepts what ``int``/``float`` accept
-    and otherwise raises the error naming the record and its line.
+    The records are parsed into one table by one ``np.loadtxt`` pass, or
+    by ``_records`` when ``loadtxt`` refuses the file (a header-only file,
+    ``1_000``, extra fields, a malformed record).  The table is checked
+    once, in this order: empty, the first duplicate in file order, slots
+    not covering 1..S, the first missing record in day-major order, the
+    first non-finite count, the first negative count.  Only a failed
+    check reads the file again, through ``_records``, to name a line.
     """
     with open(path, newline="") as fh:
         fieldnames = next(csv.reader(fh), None)
@@ -207,57 +209,45 @@ def read_od_csv(path) -> ODDataset:
                 skiprows=1, ndmin=1,
             )
     except (ValueError, Warning):
-        return _read_records(path)
-    day, slot = table["day"], table["slot"]
-    order = np.lexsort((slot, day))
-    day_sorted, slot_sorted = day[order], slot[order]
-    repeat = (day_sorted[1:] == day_sorted[:-1]) & (slot_sorted[1:] == slot_sorted[:-1])
-    days, slots = np.unique(day_sorted), np.unique(slot_sorted)
-    if (
-        repeat.any()
-        or day.size != days.size * slots.size
-        or not np.array_equal(slots, np.arange(1, slots.size + 1))
-    ):
-        return _read_records(path)
-    values = table["v"][order].reshape(days.size, slots.size, 14)
+        table = np.array([record for _, record in _records(path)], dtype=_RECORD)
+    line_of = lambda i: next(itertools.islice(_records(path), i, None))[0]
+    day, slot, values = table["day"], table["slot"], table["v"]
+    if not day.size:
+        raise DataError("empty dataset")
+    days, day_index = np.unique(day, return_inverse=True)
+    slots, slot_index = np.unique(slot, return_inverse=True)
+    cell = day_index * slots.size + slot_index  # the record's place in the day-major grid
+    cells, first = np.unique(cell, return_index=True)
+    if cells.size < cell.size:
+        i = int(np.setdiff1d(np.arange(cell.size), first)[0])
+        raise DataError(f"duplicate record for day {day[i]}, slot {slot[i]} at line {line_of(i)}")
+    if not np.array_equal(slots, np.arange(1, slots.size + 1)):
+        raise DataError(f"slots must cover 1..S, got {slots.tolist()}")
+    if cells.size < days.size * slots.size:
+        d, s = divmod(int(np.setdiff1d(np.arange(days.size * slots.size), cells)[0]), slots.size)
+        raise DataError(f"missing record for day {days[d]}, slot {s + 1}")
+    for what, bad in (("non-finite", ~np.isfinite(values)), ("negative", values < 0.0)):
+        if bad.any():
+            raise DataError(f"{what} count at line {line_of(int(np.argmax(bad.any(axis=1))))}")
+    values = values[first].reshape(days.size, slots.size, 14)  # one record per cell, in order
     return ODDataset(origins=values[..., :7], destinations=values[..., 7:])
 
 
-def _read_records(path) -> ODDataset:
-    """``read_od_csv`` record by record, for a file with a valid header;
-    errors name the physical line a record ends on."""
-    records: dict[tuple[int, int], np.ndarray] = {}
+def _records(path):
+    """Yield ``(line, record)`` for each non-blank row after the header of
+    an OD CSV, ``line`` being the physical line the row ends on and
+    ``record`` a ``_RECORD`` scalar; fields after the sixteenth are ignored."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in filter(None, reader):  # a blank line is an empty row
+            row += [None] * (16 - len(row))
             try:
-                day = int(row["day"])
-                slot = int(row["slot"])
-                vals = np.array([float(row[c]) for c in OD_CSV_COLUMNS[2:]])
-            except (TypeError, ValueError) as exc:
+                day, slot = int(row[0]), int(row[1])
+                record = np.array((day, slot, [float(v) for v in row[2:16]]), dtype=_RECORD)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"unparseable record at line {reader.line_num}: {exc}") from exc
-            if (day, slot) in records:
-                raise DataError(
-                    f"duplicate record for day {day}, slot {slot} at line {reader.line_num}"
-                )
-            records[(day, slot)] = vals
-    if not records:
-        raise DataError("empty dataset")
-    days = sorted({k[0] for k in records})
-    slots = sorted({k[1] for k in records})
-    if slots != list(range(1, len(slots) + 1)):
-        raise DataError(f"slots must cover 1..S, got {slots}")
-    origins = np.empty((len(days), len(slots), 7))
-    destinations = np.empty((len(days), len(slots), 7))
-    for di, day in enumerate(days):
-        for si, slot in enumerate(slots):
-            try:
-                vals = records[(day, slot)]
-            except KeyError:
-                raise DataError(f"missing record for day {day}, slot {slot}") from None
-            origins[di, si] = vals[:7]
-            destinations[di, si] = vals[7:]
-    return ODDataset(origins=origins, destinations=destinations)
+            yield reader.line_num, record
 
 
 def write_od_csv(dataset: ODDataset, path) -> None:

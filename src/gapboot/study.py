@@ -157,7 +157,8 @@ def _run_cell(config: StudyConfig, ci: int, family: str, dist: str, n: int, p: i
     estimator = mean_estimator()
     try:
         spec = _model_for_cell(config, family, dist, n, p)
-        ell = config.block_length or default_block_length(spec.m)
+        windowed = not {"gb2", "ss", "bb"}.isdisjoint(config.methods)
+        ell = (config.block_length or default_block_length(spec.m)) if windowed else None
         true_se = float(
             monte_carlo_true_se(spec, estimator, config.truth_runs, (config.seed, "truth", ci))[0]
         )

@@ -4,12 +4,13 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from gapboot import ModelSpec, StudyConfig, surrogate_od_dataset
+from gapboot import METHODS, ModelSpec, StudyConfig, surrogate_od_dataset
 from gapboot import study as study_module
 from gapboot.cli import _build_parser, main
 from gapboot.od import ODFit, read_od_csv
@@ -119,6 +120,21 @@ class TestSimulate:
         assert len(lines) == 2
         assert lines[1].endswith(",2")  # the flag wins over the file
 
+    @pytest.mark.parametrize(
+        "methods, code", [(["gb1", "naive"], 0), (["gb2"], 2), (["ss"], 2), (["bb"], 2)]
+    )
+    def test_window_length_only_for_windowed_methods(self, tmp_path, capsys, methods, code):
+        # m = 6 columns are too few for an automatic window length, which
+        # only gb2, ss and bb use
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "models": ["ma2"], "sizes": [[30, 5]], "methods": methods,
+            "runs": 2, "truth_runs": 100, "replicates": 8,
+        }))
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == code
+        failure = "need at least 8 columns for an automatic window length, got 6"
+        assert (failure in capsys.readouterr().err) == (code == 2)
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = (
             "simulate", "--model", "ma2", "--dist", "exp", "--n", "60", "--p", "3",
@@ -129,6 +145,29 @@ class TestSimulate:
         assert run(*argv, "--out", str(a)) == 0
         assert run(*argv, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+#: What the config fuzz puts in place of one field.
+CONFIG_FUZZ_VALUES = (0, -1, 2, 3.5, True, "x", "", None, [], [1], [[1, 2]], ["ar2"], {})
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(StudyConfig)])
+def test_config_fuzz_never_raises(tmp_path, capsys, name):
+    # each field of a small valid config, replaced by each fuzz value,
+    # runs, is a configuration error, or fails its cell; none escapes
+    # as a traceback
+    base = {
+        "models": ["ma2"], "sizes": [[40, 4]], "methods": list(METHODS),
+        "runs": 1, "truth_runs": 100, "replicates": 2, "seed": 5,
+    }
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+    for value in CONFIG_FUZZ_VALUES:
+        cfg.write_text(json.dumps({**base, name: value}))
+        code = run("simulate", "--config", str(cfg), "--out", str(out))
+        err = capsys.readouterr().err
+        ok = {0: True, 1: "configuration error" in err,
+              2: re.search(r"^cell \(.*\) failed: ", err, re.M) is not None}
+        assert ok.get(code), f"{name}={value!r}: exit {code}: {err}"
 
 
 class TestOd:

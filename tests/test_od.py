@@ -2,6 +2,7 @@ import csv
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gapboot import (
     DataError,
     DegenerateCorrelationError,
     DimensionError,
+    GapBootstrapError,
     InsufficientDataError,
     ODDataset,
     ODFit,
@@ -267,6 +269,87 @@ def write_od_csv_reference(dataset, path):
                 )
 
 
+def read_od_csv_reference(path) -> ODDataset:
+    """The two-reader ``read_od_csv``, the reference for its one-table
+    form: load a dataset from ``day,slot,o1..o7,d1..d7`` records.
+
+    Every (day, slot) pair must occur exactly once and the slot values
+    must cover 1..S for each day; days are taken in sorted order.
+
+    The records are parsed in one ``np.loadtxt`` pass.  Anything it
+    refuses or warns about (a header-only file, ``1_000``, extra fields,
+    a malformed record), and any table with a duplicate, a missing record
+    or slots that do not cover 1..S, goes to ``read_records_reference``, the
+    record-by-record reader, which accepts what ``int``/``float`` accept
+    and otherwise raises the error naming the record and its line.
+    """
+    with open(path, newline="") as fh:
+        fieldnames = next(csv.reader(fh), None)
+    if fieldnames != OD_CSV_COLUMNS:
+        raise DataError(
+            f"bad header: expected {','.join(OD_CSV_COLUMNS)}, got {','.join(fieldnames or [])}"
+        )
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, dtype=od._RECORD, delimiter=",", quotechar='"', comments=None,
+                skiprows=1, ndmin=1,
+            )
+    except (ValueError, Warning):
+        return read_records_reference(path)
+    day, slot = table["day"], table["slot"]
+    order = np.lexsort((slot, day))
+    day_sorted, slot_sorted = day[order], slot[order]
+    repeat = (day_sorted[1:] == day_sorted[:-1]) & (slot_sorted[1:] == slot_sorted[:-1])
+    days, slots = np.unique(day_sorted), np.unique(slot_sorted)
+    if (
+        repeat.any()
+        or day.size != days.size * slots.size
+        or not np.array_equal(slots, np.arange(1, slots.size + 1))
+    ):
+        return read_records_reference(path)
+    values = table["v"][order].reshape(days.size, slots.size, 14)
+    return ODDataset(origins=values[..., :7], destinations=values[..., 7:])
+
+
+def read_records_reference(path) -> ODDataset:
+    """``read_od_csv`` record by record, for a file with a valid header;
+    errors name the physical line a record ends on."""
+    records: dict[tuple[int, int], np.ndarray] = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                day = int(row["day"])
+                slot = int(row["slot"])
+                vals = np.array([float(row[c]) for c in OD_CSV_COLUMNS[2:]])
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"unparseable record at line {reader.line_num}: {exc}") from exc
+            if (day, slot) in records:
+                raise DataError(
+                    f"duplicate record for day {day}, slot {slot} at line {reader.line_num}"
+                )
+            records[(day, slot)] = vals
+    if not records:
+        raise DataError("empty dataset")
+    days = sorted({k[0] for k in records})
+    slots = sorted({k[1] for k in records})
+    if slots != list(range(1, len(slots) + 1)):
+        raise DataError(f"slots must cover 1..S, got {slots}")
+    origins = np.empty((len(days), len(slots), 7))
+    destinations = np.empty((len(days), len(slots), 7))
+    for di, day in enumerate(days):
+        for si, slot in enumerate(slots):
+            try:
+                vals = records[(day, slot)]
+            except KeyError:
+                raise DataError(f"missing record for day {day}, slot {slot}") from None
+            origins[di, si] = vals[:7]
+            destinations[di, si] = vals[7:]
+    return ODDataset(origins=origins, destinations=destinations)
+
+
 class TestCsv:
     @pytest.mark.parametrize("kind", ["surrogate", "edge_values"])
     def test_writer_matches_reference_bytes(self, tmp_path, kind):
@@ -381,8 +464,48 @@ class TestCsv:
     def test_nan_count_is_non_finite(self, tmp_path):
         path = tmp_path / "nan.csv"
         self._write(path, [self._record(1, 1), self._record(2, 1, value="nan")])
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite count at line 3$"):
             read_od_csv(path)
+
+    @pytest.mark.parametrize("value", ["1.0", "1_000"], ids=["table", "records"])
+    def test_negative_count_names_its_line(self, tmp_path, value):
+        # the second file is parsed record by record, as loadtxt refuses 1_000
+        path = tmp_path / "neg.csv"
+        rows = [self._record(1, 1, value=value), "", self._record(2, 1), self._record(3, 1)]
+        rows[2] = rows[2].replace(",1.0", ",-2.5", 1)
+        self._write(path, rows)
+        with pytest.raises(DataError, match="negative count at line 4$"):
+            read_od_csv(path)
+
+    @pytest.mark.parametrize("day", ["9223372036854775808", "-9223372036854775809"])
+    @pytest.mark.parametrize("value", ["1.0", "1_000"], ids=["table", "records"])
+    def test_day_outside_int64_is_unparseable(self, tmp_path, day, value):
+        path = tmp_path / "big.csv"
+        self._write(path, [self._record(1, 1, value=value), self._record(day, 1)])
+        with pytest.raises(DataError, match="unparseable record at line 3:"):
+            read_od_csv(path)
+
+    def test_parse_errors_come_before_record_set_errors(self, tmp_path):
+        # every record is parsed before the set of records is checked, so
+        # the bad record on line 4 is named, not the duplicate on line 3
+        path = tmp_path / "order.csv"
+        self._write(path, [self._record(1, 1), self._record(1, 1), self._record(2, 1, value="x")])
+        with pytest.raises(DataError, match="unparseable record at line 4:"):
+            read_od_csv(path)
+
+    def test_valid_file_is_not_read_record_by_record(self, tmp_path, monkeypatch):
+        # a valid file costs one loadtxt pass: the per-record scan that
+        # names lines runs only when a check fails
+        def no_scan(path):
+            raise AssertionError("a valid file was read record by record")
+
+        dataset, _ = surrogate_od_dataset(6, slots=4, seed=5)
+        path = tmp_path / "od.csv"
+        write_od_csv(dataset, path)
+        monkeypatch.setattr(od, "_records", no_scan)
+        back = read_od_csv(path)
+        assert_array_equal(back.origins, dataset.origins)
+        assert_array_equal(back.destinations, dataset.destinations)
 
     def test_extra_fields_are_ignored(self, tmp_path):
         path = tmp_path / "extra.csv"
@@ -417,6 +540,86 @@ class TestCsv:
         back = read_od_csv(path)
         assert_array_equal(back.origins, dataset.origins)
         assert_array_equal(back.destinations, dataset.destinations)
+
+
+#: What the OD CSV fuzz writes in place of one field: numbers that load,
+#: non-finite and negative counts, day and slot values that break the
+#: record set, and fields neither reader accepts.
+FUZZ_FIELDS = (
+    "0", "7", "-1", "-2.5", "-0.0", "nan", "inf", "-inf", "1e400", "1_000", '"2.5"',
+    " 3.0 ", "\t4.0", "abc", "", "0x10", '"1,5"', ' "2.0" ',
+)
+
+
+def fuzz_od_csv(rng, lines):
+    """One single-fault copy of an OD CSV's ``lines`` (header first):
+    returns the name of the fault, the file's text and the physical line
+    of the record it picked, which is the faulted line of a field fault."""
+    lines = list(lines)
+    kind = rng.choice(["drop", "duplicate", "reorder", "key", "field", "short", "long",
+                       "blank", "whitespace", "crlf"])
+    r = int(rng.integers(1, len(lines)))
+    q = int(rng.integers(1, len(lines) + 1))
+    fields = lines[r].split(",")
+    if kind == "drop":
+        del lines[r]
+    elif kind == "duplicate":
+        lines.insert(q, lines[r])
+    elif kind == "reorder":
+        lines[1:] = [lines[i] for i in rng.permutation(range(1, len(lines)))]
+    elif kind in ("key", "field"):
+        # a mis-keyed record gets another day or slot number in 0..6
+        column, value = int(rng.integers(2)), str(rng.integers(7))
+        if kind == "field":
+            column, value = int(rng.integers(16)), str(rng.choice(FUZZ_FIELDS))
+        fields[column] = value
+        lines[r] = ",".join(fields)
+    elif kind == "short":
+        lines[r] = ",".join(fields[: int(rng.integers(1, 16))])
+    elif kind == "long":
+        lines[r] = ",".join(fields + ["9", "x", ""][: int(rng.integers(1, 4))])
+    elif kind in ("blank", "whitespace"):
+        lines.insert(q, "" if kind == "blank" else str(rng.choice([" ", "\t", "  "])))
+    end = "\r\n" if kind == "crlf" else "\n"
+    return f"{kind} at line {r + 1}", end.join(lines) + end, r + 1
+
+
+def read_outcome(read, path):
+    """What a reader makes of a file: the bytes it loads, or its error."""
+    try:
+        dataset = read(path)
+    except GapBootstrapError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", dataset.origins.tobytes() + dataset.destinations.tobytes()
+
+
+class TestCsvFuzz:
+    def test_single_fault_files_match_the_reference(self, tmp_path):
+        # the one-table reader loads the same bytes or raises the same
+        # error as the two-reader reference, except that a non-finite or
+        # negative count now names the line of its record
+        dataset, _ = surrogate_od_dataset(4, slots=3, seed=9)
+        path = tmp_path / "od.csv"
+        write_od_csv(dataset, path)
+        lines = path.read_text().splitlines()
+        rng = np.random.default_rng(20240)
+        seen = set()
+        for case in range(200):
+            fault, text, line = fuzz_od_csv(rng, lines)
+            path.write_bytes(text.encode())
+            ref = read_outcome(read_od_csv_reference, path)
+            new = read_outcome(read_od_csv, path)
+            msg = f"case {case}: {fault}: {text!r}"
+            kind = {"dataset contains non-finite counts": "non-finite",
+                    "dataset contains negative counts": "negative"}.get(ref[1])
+            if kind:
+                assert new == ("DataError", f"{kind} count at line {line}"), msg
+            else:
+                assert new == ref, msg
+            seen.add(new[0] if new[0] != "DataError" else new[1].split(" ")[0])
+        # the faults reach every record check
+        assert seen >= {"ok", "duplicate", "missing", "slots", "unparseable", "non-finite",
+                        "negative"}, seen
 
 
 class TestDataset:
