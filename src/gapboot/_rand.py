@@ -9,11 +9,25 @@ run on ``_thread_map``'s threads.
 """
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+#: Threads the keyed tasks run on: the CPUs this process may use.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+#: Random values one task must draw to be worth a thread (``_gated_workers``).
+_MIN_THREAD_DRAWS = 1 << 19
+
+#: Set in each ``_thread_map`` worker thread: ``chunk_share`` is how many
+#: tasks split the resampling chunk budget (see ``resample._chunk_ranges``).
+_pool = threading.local()
 
 
 def _entropy(part) -> int:
@@ -39,13 +53,33 @@ def derived_seed(*key) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _thread_map(task, count: int, workers: int) -> list:
+def _chunk_share() -> int:
+    """Tasks the current thread splits the chunk budget with; 1 when it
+    has a whole one."""
+    return getattr(_pool, "chunk_share", 1)
+
+
+def _gated_workers(draws: int) -> int:
+    """Workers for tasks that draw ``draws`` random values each: all of
+    ``_WORKERS`` from ``_MIN_THREAD_DRAWS`` on, one (inline) below it."""
+    return _WORKERS if draws >= _MIN_THREAD_DRAWS else 1
+
+
+def _thread_map(task, count: int, workers: int, split_chunks: bool = False) -> list:
     """``[task(i) for i in range(count)]`` on ``min(workers, count)`` threads
-    (none when that is 1); as in the loop, the lowest failing index's error is raised."""
+    (none when that is 1); as in the loop, the lowest failing index's error is raised.
+
+    With ``split_chunks`` the threads split one chunk budget between them.
+    Called from one of its own workers it runs the loop inline, so pools
+    never nest."""
     workers = min(workers, count)
-    if workers <= 1:
+    if workers <= 1 or hasattr(_pool, "chunk_share"):
         return [task(i) for i in range(count)]
-    with ThreadPoolExecutor(workers) as pool:
+
+    def join():
+        _pool.chunk_share = workers if split_chunks else 1
+
+    with ThreadPoolExecutor(workers, initializer=join) as pool:
         futures = [pool.submit(task, i) for i in range(count)]
         try:
             return [future.result() for future in futures]

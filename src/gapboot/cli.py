@@ -77,7 +77,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--gap-q", type=int, default=None, help="deleted gap between periods (default per family)")
     sim.add_argument("--cov", dest="cov_kind", default=None, choices=["identity", "toeplitz"], help="innovation covariance (multivariate families)")
     sim.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    sim.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
+    sim.add_argument("--threads", type=int, default=None, help="threads the runs of a cell share (default 1); long rows and truth series use the CPUs on their own")
     sim.add_argument("--out", required=True, help="CSV report path")
     sim.add_argument("--json", dest="json_out", default=None, help="optional detailed JSON report path")
     sim.add_argument("--timings", action="store_true", help="include per-cell runtimes in the JSON report")

@@ -146,7 +146,9 @@ class EstimatorSpec:
     to an r-vector and must be deterministic.  ``evaluate_batch``, when
     provided, maps a stacked (B, k, d) input to (B, r) and must agree
     with looping ``evaluate`` over the first axis; the Monte Carlo paths
-    use it to avoid Python-level loops.
+    use it to avoid Python-level loops.  Both may be called at the same
+    time from several threads on different rows, so they must not mutate
+    shared state.
     """
 
     name: str

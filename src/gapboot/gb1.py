@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rand import _gated_workers, _thread_map
 from .core import DataArray, EstimatorSpec, VarianceEstimate, apply_estimator, psd_project
 from .errors import DimensionError, FewRowsWarning, InsufficientDataError
 from .resample import BootstrapConfig, iid_bootstrap_variance
@@ -64,13 +65,21 @@ def collect_row_estimates(
 
     Row j draws from a stream keyed by ("row", j) on top of the config
     seed, so the p bootstraps are mutually independent yet reproducible.
+    Rows whose resamples hold at least ``_MIN_THREAD_DRAWS`` indices run
+    on ``_thread_map``'s threads, with the same result for any count.
     """
-    estimates = []
-    variances = []
-    for j in range(1, array.p + 1):
-        row = array.row(j)
-        estimates.append(apply_estimator(estimator, row, f"row {j}"))
-        variances.append(iid_bootstrap_variance(row, estimator, config, key=("row", j)).matrix)
+    def row(i: int) -> tuple[np.ndarray, np.ndarray]:
+        values = array.row(i + 1)
+        return (
+            apply_estimator(estimator, values, f"row {i + 1}"),
+            iid_bootstrap_variance(values, estimator, config, key=("row", i + 1)).matrix,
+        )
+
+    m = array.m
+    # m**m exhaustive resamples; past m = 7 every row refuses them anyway
+    resamples = m ** min(m, 8) if config.mode == "exhaustive" else config.replicates
+    rows = _thread_map(row, array.p, _gated_workers(m * resamples), split_chunks=True)
+    estimates, variances = zip(*rows)
     return RowEstimates(estimates=np.stack(estimates), variances=np.stack(variances))
 
 

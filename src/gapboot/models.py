@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rand import derived_stream
+from ._rand import _gated_workers, _thread_map, derived_stream
 from .core import DataArray, EstimatorSpec, _check_int, apply_estimator, build_data_array
 from .errors import ConfigError, DimensionError
 
@@ -177,6 +177,11 @@ def _slot_phase(p: int) -> np.ndarray:
     return np.cos(t) + np.sin(t)
 
 
+def _parent_length(spec: ModelSpec) -> int:
+    """Length of the stretch the gapped array is cut from, after burn-in."""
+    return (spec.m - 1) * (spec.p + spec.gap_q) + spec.p
+
+
 def generate_series(spec: ModelSpec, seed) -> DataArray:
     """Simulate one gapped array.
 
@@ -191,7 +196,7 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
 
     m, p, q = spec.m, spec.p, spec.gap_q
     burn = DEFAULT_BURN_IN
-    parent_len = (m - 1) * (p + q) + p
+    parent_len = _parent_length(spec)
     idx = _gap_indices(m, p, q)
 
     if spec.family in _UNIVARIATE:
@@ -248,13 +253,18 @@ def monte_carlo_true_se(spec: ModelSpec, estimator: EstimatorSpec, runs: int, se
 
     Simulates ``runs`` independent arrays (runs >= 100) and reports the
     componentwise standard deviation (divisor runs - 1) of the estimates.
+    Series that draw at least ``_MIN_THREAD_DRAWS`` innovations run on
+    ``_thread_map``'s threads, with the same result for any count.
     """
     _check_truth_runs(runs)
     base = _key(seed)
     estimates = np.empty((runs, estimator.dim))
-    for r in range(runs):
+
+    def one(r: int) -> None:
         arr = generate_series(spec, base + ("truth", r))
         estimates[r] = apply_estimator(estimator, arr.series(), f"truth run {r + 1}")
+
+    _thread_map(one, runs, _gated_workers((DEFAULT_BURN_IN + _parent_length(spec)) * spec.d))
     return estimates.std(axis=0, ddof=1)
 
 

@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import csv
 import itertools
-import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._rand import _thread_map, derived_stream
+from ._rand import _WORKERS, _thread_map, derived_stream
 from .core import _check_degenerate_policy, _check_window
 from .errors import (
     BoundsError,
@@ -343,12 +342,6 @@ def _solve(gamma: np.ndarray, rhs: np.ndarray, what: str, ridge: float = 0.0) ->
 # ---------------------------------------------------------------------------
 # Bootstrap within slots and sliding windows
 # ---------------------------------------------------------------------------
-
-#: Threads the per-slot work runs on: the CPUs this process may use.
-#: Each slot's task writes only that slot's results.
-_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
 
 #: Replicates per chunk of index draws, and replicates or windows per
 #: batch of 21x21 solves: a batch's O'O matrices take about 350 KiB.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rand import derived_stream
+from ._rand import _chunk_share, derived_stream
 from .core import EstimatorSpec, VarianceEstimate, _check_int, apply_estimator_batch
 from .errors import ConfigError, InsufficientDataError
 
@@ -28,6 +28,13 @@ MAX_EXHAUSTIVE = 1_000_000
 #: Resamples are drawn, gathered and evaluated in chunks whose gathered
 #: sample takes about this many bytes, so memory does not grow with B.
 _CHUNK_BYTES = 4 << 20
+
+#: The k threads of a row pool (``gb1.collect_row_estimates``) share this
+#: budget, a k-th each.  A worker thread frees its chunks into its own
+#: malloc arena, which keeps them resident after the pool ends, so they
+#: add to the peak the calling thread reaches on its own: about 3 MiB at
+#: this budget, 10 MiB at ``_CHUNK_BYTES`` (study-long on 2 CPUs).
+_POOL_CHUNK_BYTES = _CHUNK_BYTES // 4
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,11 @@ class BootstrapConfig:
 
 def _chunk_ranges(total: int, row_bytes: int):
     """Closed-open ``(lo, hi)`` ranges covering ``range(total)`` in chunks
-    of about ``_CHUNK_BYTES`` when each item takes ``row_bytes``."""
-    step = max(1, _CHUNK_BYTES // max(1, row_bytes))
+    of about ``_CHUNK_BYTES``, or this thread's share of
+    ``_POOL_CHUNK_BYTES`` in a row pool, when each item takes ``row_bytes``."""
+    share = _chunk_share()
+    budget = _CHUNK_BYTES if share == 1 else _POOL_CHUNK_BYTES // share
+    step = max(1, budget // max(1, row_bytes))
     for lo in range(0, total, step):
         yield lo, min(lo + step, total)
 

@@ -6,6 +6,12 @@ variance methods to the grand-mean estimator, and scores each method's
 standard-error estimates against a Monte Carlo truth simulated from the
 same model.  All randomness is keyed by (seed, cell, run), so results
 are identical for any thread count and any method subset.
+
+``threads`` is the number of runs of a cell that go at once.  Apart
+from it, bootstraps of long rows and long truth series run on all the
+CPUs the process may use (``gb1.collect_row_estimates``,
+``models.monte_carlo_true_se``); inside a threaded run the rows stay on
+the run's own thread.
 """
 from __future__ import annotations
 
@@ -42,10 +48,13 @@ _DIST_ALIASES = {"exp": "centered_exponential"}
 
 def _as_tuple(value, name: str, length: int | None = None) -> tuple:
     """A list field as a tuple.  Anything but a list or tuple, a string
-    included, raises ConfigError, as does a length other than ``length``."""
+    included, raises ConfigError, as do an empty list and a length other
+    than ``length``."""
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
         shape = "a list" if length is None else f"a list of {length} items"
         raise ConfigError(f"{name} must be {shape}, got {value!r}")
+    if not value:
+        raise ConfigError(f"{name} must not be empty")
     return tuple(value)
 
 

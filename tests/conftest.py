@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import pytest
@@ -34,3 +35,12 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switch as often as the interpreter allows while the test runs."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)

@@ -165,6 +165,10 @@ def test_config_fuzz_never_raises(tmp_path, capsys, name):
         cfg.write_text(json.dumps({**base, name: value}))
         code = run("simulate", "--config", str(cfg), "--out", str(out))
         err = capsys.readouterr().err
+        if value == [] and name in ("models", "dists", "sizes", "methods"):
+            # an empty grid or method list would run nothing and exit 0
+            assert code == 1 and f"{name} must not be empty" in err, f"{name}=[]: exit {code}"
+            continue
         ok = {0: True, 1: "configuration error" in err,
               2: re.search(r"^cell \(.*\) failed: ", err, re.M) is not None}
         assert ok.get(code), f"{name}={value!r}: exit {code}: {err}"

@@ -1,16 +1,24 @@
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gapboot._rand as rand_module
+import gapboot.resample as resample_module
 from gapboot import (
     BootstrapConfig,
+    EstimatorSpec,
+    EvaluationError,
     FewRowsWarning,
     InsufficientDataError,
     RowEstimates,
     build_data_array,
     collect_row_estimates,
+    componentwise_mean_estimator,
     gb1_variance,
     mean_estimator,
+    median_estimator,
     pairwise_difference_variance,
     psd_project,
 )
@@ -143,3 +151,96 @@ def test_collect_row_estimates_shapes():
     assert rows.variances.shape == (3, 1, 1)
     # Row estimates are the plain row means.
     assert_allclose(rows.estimates[:, 0], arr.values.mean(axis=(0, 2)), rtol=1e-14)
+
+
+def gate(monkeypatch, on: bool, workers: int = 3):
+    """Force the row pool on (``workers`` threads) or off."""
+    monkeypatch.setattr(rand_module, "_WORKERS", workers)
+    monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", 0 if on else 1 << 62)
+
+
+def recording(estimator: EstimatorSpec, threads: set) -> EstimatorSpec:
+    """``estimator`` with the threads its batch evaluator runs on put in ``threads``."""
+
+    def batch(stack):
+        threads.add(threading.current_thread())
+        return estimator.evaluate_batch(stack)
+
+    return EstimatorSpec(estimator.name, estimator.dim, estimator.evaluate, batch)
+
+
+class TestRowPool:
+    @pytest.mark.parametrize(
+        "estimator, mode, m",
+        [
+            (mean_estimator(), "monte_carlo", 60),
+            (componentwise_mean_estimator(2), "monte_carlo", 60),
+            (median_estimator(), "monte_carlo", 60),
+            (componentwise_mean_estimator(2), "exhaustive", 5),
+            (median_estimator(), "exhaustive", 5),
+        ],
+        ids=["mean", "componentwise", "median", "exhaustive-componentwise", "exhaustive-median"],
+    )
+    def test_threaded_rows_equal_serial_rows(self, monkeypatch, fast_switching, estimator, mode, m):
+        values = np.random.default_rng(m).standard_normal((m * 7, estimator.dim))
+        array = build_data_array(values.squeeze(), p=7)
+        config = BootstrapConfig(replicates=300, seed=4, mode=mode)
+        results = {}
+        for on in (False, True):
+            gate(monkeypatch, on)
+            threads = set()
+            results[on] = collect_row_estimates(array, recording(estimator, threads), config)
+            assert (threading.main_thread() in threads) != on
+        assert_array_equal(results[True].estimates, results[False].estimates)
+        assert_array_equal(results[True].variances, results[False].variances)
+
+    def test_lowest_failing_row_is_raised(self, monkeypatch):
+        # Row 4 fails first in time; row 2's error is still the one raised.
+        gate(monkeypatch, on=True, workers=2)
+        grid = np.tile(np.arange(30.0)[:, None], (1, 5))
+        grid[:, 1] += 200.0
+        grid[:, 3] += 2000.0
+        row_four_failed = threading.Event()
+
+        def batch(stack):
+            if stack.max() > 1000.0:
+                row_four_failed.set()
+                raise ValueError("row four")
+            if stack.max() > 100.0:
+                assert row_four_failed.wait(timeout=10)
+                raise ValueError("row two")
+            return stack.reshape(stack.shape[0], -1).mean(axis=1)
+
+        est = EstimatorSpec(name="capped", dim=1, evaluate=np.mean, evaluate_batch=batch)
+        with pytest.raises(EvaluationError, match=r"on row 2 resamples 1\.\.\d+: row two"):
+            collect_row_estimates(build_data_array(grid.ravel(), p=5), est, BootstrapConfig(replicates=50, seed=2))
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_nested_thread_map_starts_no_thread(self, split):
+        # the inner call asks for the other chunk split; running inline,
+        # it keeps the outer pool's
+        outer, inner, shares = {}, {}, set()
+
+        def inner_task(i, k):
+            inner.setdefault(i, set()).add(threading.current_thread())
+            shares.add(rand_module._chunk_share())
+
+        def outer_task(i):
+            outer[i] = threading.current_thread()
+            rand_module._thread_map(lambda k: inner_task(i, k), 3, 4, split_chunks=not split)
+
+        rand_module._thread_map(outer_task, 2, 2, split_chunks=split)
+        assert threading.main_thread() not in outer.values()
+        assert inner == {i: {thread} for i, thread in outer.items()}
+        assert shares == {2 if split else 1}
+
+    def test_memory_does_not_grow_with_workers(self, monkeypatch, traced_peak):
+        # Eight long rows (m * B = 4e6 indices each); eight threads with a
+        # whole 4 MiB chunk each would hold eight times the serial peak.
+        array = build_data_array(np.random.default_rng(5).standard_normal(160_000), p=8)
+        config = BootstrapConfig(replicates=200, seed=3)
+        peaks = []
+        for on in (False, True):
+            gate(monkeypatch, on, workers=8)
+            peaks.append(traced_peak(lambda: collect_row_estimates(array, mean_estimator(), config)))
+        assert peaks[1] <= peaks[0] + resample_module._CHUNK_BYTES

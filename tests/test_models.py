@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.signal import lfilter
 
+import gapboot._rand as rand_module
 from gapboot import (
     ConfigError,
     DimensionError,
@@ -218,6 +219,22 @@ class TestMonteCarloTruth:
     def test_ar2_desk_scale(self):
         se = monte_carlo_true_se(ModelSpec("ar2", 200, 5), mean_estimator(), runs=400, seed=123)
         assert se[0] == pytest.approx(0.013, rel=0.15)
+
+    @pytest.mark.parametrize("family", ["ar2", "mma"])
+    def test_threaded_series_equal_serial_series(self, monkeypatch, fast_switching, family):
+        # each series writes only its own row of the shared estimates
+        spec = ModelSpec(family, 200, 5)
+        monkeypatch.setattr(rand_module, "_WORKERS", 8)
+        ses = []
+        for gate in (1 << 62, 0):
+            monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", gate)
+            ses.append(monte_carlo_true_se(spec, mean_estimator(), runs=120, seed=(4, "truth")))
+        estimates = [
+            mean_estimator().evaluate(generate_series(spec, (4, "truth", "truth", r)).series())
+            for r in range(120)
+        ]
+        assert_array_equal(ses[0], np.std(estimates, axis=0, ddof=1))
+        assert_array_equal(ses[1], ses[0])
 
 
 def test_row_mean_spread_flags_periodic():

@@ -60,6 +60,11 @@ class TestStudyConfig:
             dict(dists="normal"),
             dict(methods="gb1"),
             dict(dists=[["normal"]]),
+            # an empty list would run nothing and exit 0
+            dict(models=[]),
+            dict(dists=[]),
+            dict(sizes=[]),
+            dict(methods=[]),
         ],
     )
     def test_rejects_bad_fields(self, overrides):
@@ -70,6 +75,11 @@ class TestStudyConfig:
     def test_string_for_a_list_names_the_field(self, name):
         with pytest.raises(ConfigError, match=f"^{name} must be a list"):
             tiny_config(**{name: "ar2"})
+
+    @pytest.mark.parametrize("name", ["models", "dists", "methods", "sizes"])
+    def test_empty_list_names_the_field(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must not be empty$"):
+            tiny_config(**{name: []})
 
 
 class TestRunStudy:
