@@ -65,19 +65,16 @@ def _gated_workers(draws: int) -> int:
     return _WORKERS if draws >= _MIN_THREAD_DRAWS else 1
 
 
-def _thread_map(task, count: int, workers: int, split_chunks: bool = False) -> list:
+def _thread_map(task, count: int, workers: int) -> list:
     """``[task(i) for i in range(count)]`` on ``min(workers, count)`` threads
-    (none when that is 1); as in the loop, the lowest failing index's error is raised.
-
-    With ``split_chunks`` the threads split one chunk budget between them.
-    Called from one of its own workers it runs the loop inline, so pools
-    never nest."""
+    (none when that is 1), which split one chunk budget between them; as
+    in the loop, the lowest failing index's error is raised."""
     workers = min(workers, count)
-    if workers <= 1 or hasattr(_pool, "chunk_share"):
+    if workers <= 1:
         return [task(i) for i in range(count)]
 
     def join():
-        _pool.chunk_share = workers if split_chunks else 1
+        _pool.chunk_share = workers
 
     with ThreadPoolExecutor(workers, initializer=join) as pool:
         futures = [pool.submit(task, i) for i in range(count)]

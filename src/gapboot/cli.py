@@ -21,6 +21,7 @@ import warnings
 import numpy as np
 
 from . import __version__
+from ._rand import derived_stream
 from .core import (
     build_data_array,
     componentwise_mean_estimator,
@@ -77,7 +78,6 @@ def _build_parser() -> _Parser:
     sim.add_argument("--gap-q", type=int, default=None, help="deleted gap between periods (default per family)")
     sim.add_argument("--cov", dest="cov_kind", default=None, choices=["identity", "toeplitz"], help="innovation covariance (multivariate families)")
     sim.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    sim.add_argument("--threads", type=int, default=None, help="threads the runs of a cell share (default 1); long rows and truth series use the CPUs on their own")
     sim.add_argument("--out", required=True, help="CSV report path")
     sim.add_argument("--json", dest="json_out", default=None, help="optional detailed JSON report path")
     sim.add_argument("--timings", action="store_true", help="include per-cell runtimes in the JSON report")
@@ -166,6 +166,7 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_od(args) -> int:
+    config = BootstrapConfig(replicates=args.replicates, seed=args.seed)
     if args.surrogate:
         dataset, truth = surrogate_od_dataset(
             args.days, args.slots, seed=args.seed, day_ar=args.day_ar,
@@ -181,7 +182,6 @@ def _cmd_od(args) -> int:
     if args.dump_data:
         write_od_csv(dataset, args.dump_data)
 
-    config = BootstrapConfig(replicates=args.replicates, seed=args.seed)
     theta, se1, se2 = od_standard_errors(
         dataset, args.block_len, config, degenerate=args.degenerate_corr, ridge=args.ridge,
     )
@@ -211,7 +211,7 @@ def _check(label: str, ok: bool, detail: str = "") -> bool:
 
 
 def _cmd_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = derived_stream(args.seed, "check")
     ok = True
 
     # Identical rows: GB-I must return the common (exhaustive) row variance.

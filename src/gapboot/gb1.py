@@ -78,7 +78,7 @@ def collect_row_estimates(
     m = array.m
     # m**m exhaustive resamples; past m = 7 every row refuses them anyway
     resamples = m ** min(m, 8) if config.mode == "exhaustive" else config.replicates
-    rows = _thread_map(row, array.p, _gated_workers(m * resamples), split_chunks=True)
+    rows = _thread_map(row, array.p, _gated_workers(m * resamples))
     estimates, variances = zip(*rows)
     return RowEstimates(estimates=np.stack(estimates), variances=np.stack(variances))
 

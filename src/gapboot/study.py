@@ -7,11 +7,9 @@ standard-error estimates against a Monte Carlo truth simulated from the
 same model.  All randomness is keyed by (seed, cell, run), so results
 are identical for any thread count and any method subset.
 
-``threads`` is the number of runs of a cell that go at once.  Apart
-from it, bootstraps of long rows and long truth series run on all the
-CPUs the process may use (``gb1.collect_row_estimates``,
-``models.monte_carlo_true_se``); inside a threaded run the rows stay on
-the run's own thread.
+A cell's runs go one at a time.  Bootstraps of long rows and long
+truth series run on all the CPUs the process may use
+(``gb1.collect_row_estimates``, ``models.monte_carlo_true_se``).
 """
 from __future__ import annotations
 
@@ -22,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._rand import _thread_map, derived_seed
+from ._rand import derived_seed
 from .baselines import block_bootstrap_variance, naive_column_variance, subsampling_variance
 from .core import _check_int, mean_estimator
 from .errors import ConfigError, GapBootstrapError
@@ -73,7 +71,6 @@ class StudyConfig:
     cov_kind: str = "toeplitz"
     gap_q: int | None = None
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         for name in ("models", "dists", "methods"):
@@ -99,8 +96,6 @@ class StudyConfig:
         if _check_int(self.runs, "runs") < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         _check_truth_runs(self.truth_runs)
-        if _check_int(self.threads, "threads") < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.block_length is not None and _check_int(self.block_length, "block_length") < 2:
             raise ConfigError(f"block_length must be >= 2, got {self.block_length}")
 
@@ -136,7 +131,7 @@ def _model_for_cell(config: StudyConfig, family: str, dist: str, n: int, p: int)
     return ModelSpec(family, n, p, innovation=dist, gap_q=config.gap_q, cov_kind=config.cov_kind)
 
 
-def _one_run(spec, estimator, methods, ell, config: StudyConfig, ci: int, ri: int) -> dict[str, float]:
+def _one_run(spec, estimator, ell, config: StudyConfig, ci: int, ri: int) -> dict[str, float]:
     array = generate_series(spec, (config.seed, "cell", ci, "run", ri))
     boot = BootstrapConfig(
         replicates=config.replicates,
@@ -144,18 +139,18 @@ def _one_run(spec, estimator, methods, ell, config: StudyConfig, ci: int, ri: in
     )
     out: dict[str, float] = {}
     rows = None
-    if "gb1" in methods or "gb2" in methods:
+    if "gb1" in config.methods or "gb2" in config.methods:
         rows = collect_row_estimates(array, estimator, boot)
-    if "gb1" in methods:
+    if "gb1" in config.methods:
         out["gb1"] = float(np.sqrt(gb1_variance(rows).scalar))
-    if "gb2" in methods:
+    if "gb2" in config.methods:
         sub = subseries_estimates(array, estimator, ell)
         out["gb2"] = float(np.sqrt(gb2_variance(rows.variances, sub).scalar))
-    if "ss" in methods:
+    if "ss" in config.methods:
         out["ss"] = float(np.sqrt(subsampling_variance(array, estimator, ell).scalar))
-    if "bb" in methods:
+    if "bb" in config.methods:
         out["bb"] = float(np.sqrt(block_bootstrap_variance(array, estimator, ell, boot).scalar))
-    if "naive" in methods:
+    if "naive" in config.methods:
         est, _ = naive_column_variance(array, estimator)
         out["naive"] = float(np.sqrt(est.scalar))
     return out
@@ -171,10 +166,7 @@ def _run_cell(config: StudyConfig, ci: int, family: str, dist: str, n: int, p: i
         true_se = float(
             monte_carlo_true_se(spec, estimator, config.truth_runs, (config.seed, "truth", ci))[0]
         )
-        per_run = _thread_map(
-            lambda ri: _one_run(spec, estimator, config.methods, ell, config, ci, ri),
-            config.runs, config.threads,
-        )
+        per_run = [_one_run(spec, estimator, ell, config, ci, ri) for ri in range(config.runs)]
         estimates = {
             method: np.array([r[method] for r in per_run]) for method in config.methods
         }
@@ -228,8 +220,7 @@ def write_study_json(result: StudyResult, path, include_timing: bool = False) ->
     """Full per-run detail; with ``include_timing`` false (the default)
     the payload is a pure function of config+seed."""
     cfg = result.config
-    # threads changes no result, so it stays out of the payload
-    config = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "threads"}
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     payload = {"config": config, "cells": []}
     for cell in result.cells:
         entry = {

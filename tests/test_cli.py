@@ -27,18 +27,22 @@ class TestUsage:
         assert "usage" in capsys.readouterr().err
 
     def test_unknown_flag(self, tmp_path, capsys):
-        assert run("simulate", "--bogus", "--out", str(tmp_path / "r.csv")) == 1
-        assert "bogus" in capsys.readouterr().err
+        # a removed flag (--threads) must fail, not be taken and ignored
+        for flag in (["--bogus"], ["--threads", "2"]):
+            assert run("simulate", *flag, "--out", str(tmp_path / "r.csv")) == 1
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_n_without_p(self, tmp_path, capsys):
         assert run("simulate", "--n", "60", "--out", str(tmp_path / "r.csv")) == 1
         assert "--n and --p" in capsys.readouterr().err
 
     def test_unknown_config_field(self, tmp_path, capsys):
+        # a config naming a removed field (threads) fails loudly
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 1
-        assert "unknown config fields" in capsys.readouterr().err
+        for name in ("bogus", "threads"):
+            cfg.write_text(json.dumps({name: 2}))
+            assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 1
+            assert f"unknown config fields: [{name!r}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra, config",
@@ -70,8 +74,13 @@ class TestUsage:
 
 def test_every_generator_knob_has_a_caller():
     # a model setting no study field sets, or a surrogate keyword no
-    # `gapboot od` flag sets, is a settable value without a caller
+    # `gapboot od` flag sets, is a settable value without a caller; a
+    # `simulate` flag that is no study field, and not one of the flags
+    # _study_config reads itself, would be accepted and do nothing
     study_fields = {f.name for f in dataclasses.fields(StudyConfig)}
+    sim_dests = vars(_build_parser().parse_args(["simulate", "--out", "x.csv"]))
+    own = {"command", "config", "out", "json_out", "timings", "n", "p"}
+    assert set(sim_dests) - own <= study_fields, set(sim_dests) - own - study_fields
     set_by = {"family": "models", "innovation": "dists", "n": "sizes", "p": "sizes"}
     for f in dataclasses.fields(ModelSpec):
         assert set_by.get(f.name, f.name) in study_fields, f.name
@@ -82,10 +91,13 @@ def test_every_generator_knob_has_a_caller():
 
 class TestCheck:
     def test_all_checks_pass(self, capsys):
-        assert run("check") == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("ok ") >= 6
+        # every check is an exact identity or a tolerance any draw meets,
+        # at any integer seed
+        for seed in ("0", "-1", str(2**64 + 5)):
+            assert run("check", f"--seed={seed}") == 0, seed
+            out = capsys.readouterr().out
+            assert "FAIL" not in out
+            assert out.count("ok ") >= 6
 
 
 class TestSimulate:
@@ -244,6 +256,16 @@ class TestOd:
         assert code == 1
         assert "ridge" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_replicates_write_nothing(self, tmp_path, capsys):
+        out, dump = tmp_path / "o.csv", tmp_path / "d.csv"
+        code = run(
+            "od", "--surrogate", "--days", "30", "--slots", "4", "--replicates", "1",
+            "--out", str(out), "--dump-data", str(dump),
+        )
+        assert code == 1
+        assert "need at least 2 replicates" in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
 
     def test_draws_each_slot_stream_once(self, tmp_path, slot_draws):
         assert run(

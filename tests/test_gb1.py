@@ -215,25 +215,6 @@ class TestRowPool:
         with pytest.raises(EvaluationError, match=r"on row 2 resamples 1\.\.\d+: row two"):
             collect_row_estimates(build_data_array(grid.ravel(), p=5), est, BootstrapConfig(replicates=50, seed=2))
 
-    @pytest.mark.parametrize("split", [False, True])
-    def test_nested_thread_map_starts_no_thread(self, split):
-        # the inner call asks for the other chunk split; running inline,
-        # it keeps the outer pool's
-        outer, inner, shares = {}, {}, set()
-
-        def inner_task(i, k):
-            inner.setdefault(i, set()).add(threading.current_thread())
-            shares.add(rand_module._chunk_share())
-
-        def outer_task(i):
-            outer[i] = threading.current_thread()
-            rand_module._thread_map(lambda k: inner_task(i, k), 3, 4, split_chunks=not split)
-
-        rand_module._thread_map(outer_task, 2, 2, split_chunks=split)
-        assert threading.main_thread() not in outer.values()
-        assert inner == {i: {thread} for i, thread in outer.items()}
-        assert shares == {2 if split else 1}
-
     def test_memory_does_not_grow_with_workers(self, monkeypatch, traced_peak):
         # Eight long rows (m * B = 4e6 indices each); eight threads with a
         # whole 4 MiB chunk each would hold eight times the serial peak.

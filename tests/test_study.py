@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import gapboot._rand as rand_module
 from gapboot import (
     METHODS,
     ConfigError,
@@ -42,7 +43,7 @@ class TestStudyConfig:
             dict(methods=("gb3",)),
             dict(runs=0),
             dict(truth_runs=50),
-            dict(threads=0),
+            dict(replicates=1),
             dict(block_length=1),
             # integer fields reject non-integers instead of failing later
             dict(runs=2.5),
@@ -97,11 +98,26 @@ class TestRunStudy:
             assert np.isfinite(cell.bias(method))
             assert cell.mse(method) >= 0
 
-    def test_deterministic_and_thread_invariant(self, tmp_path):
+    def test_deterministic_and_thread_invariant(self, tmp_path, monkeypatch):
+        # the row and truth pools forced on (3 workers) and off, as in
+        # test_gb1's gate
+        pools = []
+
+        class CountingPool(rand_module.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(rand_module, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(rand_module, "_WORKERS", 3)
         config = tiny_config(runs=10)
-        first = run_study(config)
-        second = run_study(config)
-        threaded = run_study(tiny_config(runs=10, threads=3))
+        results = {}
+        for on in (False, True):
+            monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", 0 if on else 1 << 62)
+            results[on] = run_study(config)
+            assert bool(pools) == on
+        first, threaded = results[False], results[True]
+        second = run_study(config)  # pools still on
         for method in METHODS:
             assert_array_equal(first.cells[0].estimates[method], second.cells[0].estimates[method])
             assert_array_equal(first.cells[0].estimates[method], threaded.cells[0].estimates[method])
