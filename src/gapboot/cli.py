@@ -37,6 +37,8 @@ from .od import (
     PARAM_NAMES,
     ODFit,
     SplitProportions,
+    _check_gb2_options,
+    _check_ridge,
     od_standard_errors,
     read_od_csv,
     surrogate_od_dataset,
@@ -167,6 +169,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_od(args) -> int:
     config = BootstrapConfig(replicates=args.replicates, seed=args.seed)
+    _check_ridge(args.ridge)
     if args.surrogate:
         dataset, truth = surrogate_od_dataset(
             args.days, args.slots, seed=args.seed, day_ar=args.day_ar,
@@ -179,6 +182,7 @@ def _cmd_od(args) -> int:
         )
     else:
         dataset = read_od_csv(args.data)
+    _check_gb2_options(args.block_len, dataset.days, args.degenerate_corr)
     if args.dump_data:
         write_od_csv(dataset, args.dump_data)
 

@@ -84,11 +84,6 @@ class SubseriesEstimates:
         object.__setattr__(self, "full_estimates", f)
 
     @property
-    def count(self) -> int:
-        """Number of windows I."""
-        return self.grid.shape[0]
-
-    @property
     def p(self) -> int:
         return self.grid.shape[1]
 

@@ -19,6 +19,12 @@ use.  GB-I and GB-II are two combinations of one fit, so
 bootstrap stream once for both; least squares alone never runs the
 bootstrap.  GB-II runs ``gb2``'s kernel batched over the parameters.
 
+O'O has the form S[k, k'] (1 + [e == e']) in the 6x6 origin Gram S, so
+the many small bootstrap and window systems are solved in closed form
+through S's Cholesky factor, batched over replicates or windows, rather
+than by 21x21 LU; only the opt-in ridge, which breaks that form, expands
+O'O.
+
 The slots are independent subproblems: each slot's bootstrap and window
 solves run on one of up to nproc threads, each slot draws from its own
 keyed stream, and each writes only its own results, so the output is
@@ -90,10 +96,6 @@ def _zero_sum_rows(theta: np.ndarray) -> np.ndarray:
     full[..., _ORIGIN, _DEST] = theta
     full[..., :6, 6] = -full[..., :6, :6].sum(axis=-1)
     return full
-
-
-#: _BASIS[k] is d(O)/d(o_{k+1}), shape (7, 21), for origins 1..6.
-_BASIS = _zero_sum_rows(np.eye(21))[:, :6].transpose(1, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -267,36 +269,24 @@ def write_od_csv(dataset: ODDataset, path) -> None:
 # Normal equations from origin products
 # ---------------------------------------------------------------------------
 
-def _gram_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """How each entry of a record's O'O follows from its origin counts.
-
-    O = sum_a o_a B_a, so (O'O)[j, k] = sum_{a,b} o_a o_b (B_a' B_b)[j, k].
-    Only the pair of blocks holding columns j and k contributes, with
-    coefficient 1 (the last row) or 2 (the last row plus a shared row).
-    Returns the 21 origin pairs (a, b), a <= b, as two index arrays, then
-    the pair and the coefficient of each entry, both shape (21, 21).
-    """
-    rows, cols = np.triu_indices(21)
-    terms = np.einsum("aij,bik->jkab", _BASIS, _BASIS)[rows, cols]  # (231, 6, 6)
-    entry, a, b = np.nonzero(terms)
-    assert np.array_equal(entry, np.arange(rows.size)), "one origin pair per entry"
-    pairs, pair_of = np.unique(a * 6 + b, return_inverse=True)
-    unpack = np.empty((21, 21), dtype=np.intp)
-    unpack[rows, cols] = unpack[cols, rows] = entry
-    return pairs // 6, pairs % 6, pair_of[unpack], terms[entry, a, b][unpack]
-
-
-_PAIR_A, _PAIR_B, _GRAM_PAIR, _GRAM_COEF = _gram_terms()
+#: _PAIR_OF[a, b] is the index of o_a o_b (either order) among a record's
+#: 21 origin products, which are ordered as theta: o_a o_b for a <= b is
+#: product c with (a, b) = (_ORIGIN[c], _DEST[c]).  products[..., _PAIR_OF]
+#: is the 6x6 origin Gram S = sum o o' over origins 1..6.
+_PAIR_OF = np.empty((6, 6), dtype=np.intp)
+_PAIR_OF[_ORIGIN, _DEST] = _PAIR_OF[_DEST, _ORIGIN] = np.arange(21)
 
 
 def _gram(products: np.ndarray) -> np.ndarray:
     """O'O matrices, shape (..., 21, 21), from origin products (..., 21).
 
+    Column c of O is o_k on row e and -o_k on the last row, for
+    (k, e) = (_ORIGIN[c], _DEST[c]), so (O'O)[c, c'] = S[k, k'] (1 + [e == e']).
     Each entry is one product times 1 or 2, both exact, so a sum of
     records' products expands to the sum of their O'O matrices bit for
     bit when the records are added in the same order.
     """
-    return np.take(products, _GRAM_PAIR, axis=-1) * _GRAM_COEF
+    return products[..., _PAIR_OF[_ORIGIN[:, None], _ORIGIN]] * (1.0 + (_DEST[:, None] == _DEST))
 
 
 def _statistics(dataset: ODDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +304,7 @@ def _statistics(dataset: ODDataset) -> tuple[np.ndarray, np.ndarray]:
     d = dataset.destinations
     ok = np.take(o, _ORIGIN, axis=-1)
     h = ok * np.take(d, _DEST, axis=-1) - ok * (d[..., 6] - o.sum(axis=-1))[..., None]
-    return np.take(o, _PAIR_A, axis=-1) * np.take(o, _PAIR_B, axis=-1), h
+    return ok * np.take(o, _DEST, axis=-1), h
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +334,63 @@ def _solve(gamma: np.ndarray, rhs: np.ndarray, what: str, ridge: float = 0.0) ->
 # ---------------------------------------------------------------------------
 
 #: Replicates per chunk of index draws, and replicates or windows per
-#: batch of 21x21 solves: a batch's O'O matrices take about 350 KiB.
+#: batch of ridge-path 21x21 solves: a batch's O'O matrices take about
+#: 350 KiB.
 _BATCH = 100
+
+#: Replicates or windows per batch of ridge-free solves through the 6x6
+#: origin Gram; a batch's working arrays take about 0.5 MiB.
+_GRAM_BATCH = 500
+
+
+def _gram_solve(products: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve O'O theta = h for n summed records at once, through each
+    one's 6x6 origin Gram S = L L' (products (n, 21), rhs (n, 21)).
+
+    With theta and h placed in upper-triangular 6x6 matrices X and R
+    (entry (k, e) = (_ORIGIN[c], _DEST[c]) for parameter c), the normal
+    equations read triu(S (X + u 1')) = R for the row sums u of X, so
+    with W = L^{-1} R and s_t the sum of row t of W,
+
+        X = L'^{-1} triu(W - q 1'),  q_t = s_t / (7 - t)  (t = 0..5).
+
+    S is singular exactly when O'O is.  A replicate or window whose
+    Cholesky pivot j of S is at most S[j, j] / MAX_CONDITION, which makes
+    cond(S) at least MAX_CONDITION, raises RankError.  Every step is an
+    elementwise multiply-add in a fixed order, so each solution's bits
+    do not depend on n.
+    """
+    s = products.T[_PAIR_OF]  # (6, 6, n)
+    low = np.zeros_like(s)
+    x = np.zeros_like(s)
+    x[_ORIGIN, _DEST] = rhs.T
+    for j in range(6):  # Cholesky factor, column by column
+        pivot = s[j, j].copy()
+        col = s[j + 1 :, j].copy()
+        for i in range(j):
+            pivot -= low[j, i] * low[j, i]
+            col -= low[j + 1 :, i] * low[j, i]
+        if (pivot <= s[j, j] / MAX_CONDITION).any():
+            raise RankError(
+                f"singular {what}: origin Gram pivot {j + 1} is at most "
+                f"1/{MAX_CONDITION:.0e} of its diagonal"
+            )
+        low[j, j] = np.sqrt(pivot)
+        low[j + 1 :, j] = col / low[j, j]
+    for t in range(6):  # W = L^{-1} R, upper triangle only
+        for j in range(t):
+            x[t, t:] -= low[t, j] * x[j, t:]
+        x[t, t:] /= low[t, t]
+    for t in range(6):
+        total = x[t, t].copy()
+        for e in range(t + 1, 6):
+            total += x[t, e]
+        x[t, t:] -= total / (7 - t)
+    for t in range(5, -1, -1):  # X = L'^{-1} Z
+        for j in range(t + 1, 6):
+            x[t, j:] -= low[j, t] * x[j, j:]
+        x[t, t:] /= low[t, t]
+    return x[_ORIGIN, _DEST].T
 
 
 def _solve_normal_equations(
@@ -354,14 +399,21 @@ def _solve_normal_equations(
     """Solutions of the normal equations given by summed origin products
     (n, 21) and right-hand sides (n, 21), shape (n, 21).
 
-    The O'O matrices are expanded and solved ``_BATCH`` at a time; each
-    21x21 solve is the same LAPACK call whatever batch it is in.
+    Without a ridge, ``_gram_solve`` runs ``_GRAM_BATCH`` at a time.  A
+    ridge breaks the origin Gram structure: the O'O matrices are then
+    expanded and solved ``_BATCH`` at a time by LU, each 21x21 solve the
+    same LAPACK call whatever batch it is in.  Either way the bits do not
+    depend on the batch size.
     """
     out = np.empty(rhs.shape)
+    if not ridge:
+        for lo in range(0, len(rhs), _GRAM_BATCH):
+            batch = slice(lo, lo + _GRAM_BATCH)
+            out[batch] = _gram_solve(products[batch], rhs[batch], what)
+        return out
     for lo in range(0, len(rhs), _BATCH):
         gram = _gram(products[lo : lo + _BATCH])
-        if ridge:
-            gram += ridge * np.eye(21)
+        gram += ridge * np.eye(21)
         try:
             out[lo : lo + _BATCH] = np.linalg.solve(gram, rhs[lo : lo + _BATCH, :, None])[..., 0]
         except np.linalg.LinAlgError as exc:
@@ -378,8 +430,11 @@ def _slot_bootstrap_covs(
     replicate b re-solves the normal equations built from its day
     multiplicities.  Streams are keyed by slot, so slot draws are
     independent of each other and of the slot count.  The replicates'
-    sums are formed on the 21 origin products and expanded to O'O only
-    for the solves.
+    sums are formed on the 21 origin products, and each replicate is
+    solved through its 6x6 origin Gram (see ``_solve_normal_equations``;
+    O'O is expanded only under a ridge).  A replicate that draws fewer
+    than 6 distinct days has a singular origin Gram and raises RankError
+    naming the slot.
 
     Every stream is derived here, in slot order, before the slots run on
     ``_WORKERS`` threads.  Each slot draws its indices ``_BATCH``
@@ -445,6 +500,14 @@ def _check_gb2_options(ell: int | None, days: int, degenerate: str) -> int:
     return _check_window(default_block_length(days) if ell is None else ell, days)
 
 
+def _check_ridge(ridge: float) -> float:
+    """The ridge as a float, if finite and >= 0."""
+    ridge = float(ridge)
+    if not (np.isfinite(ridge) and ridge >= 0.0):
+        raise ConfigError(f"ridge must be finite and >= 0, got {ridge}")
+    return ridge
+
+
 # ---------------------------------------------------------------------------
 # The fit and its two gap bootstrap combinations
 # ---------------------------------------------------------------------------
@@ -472,12 +535,9 @@ class ODFit:
         *,
         ridge: float = 0.0,
     ):
-        ridge = float(ridge)
-        if not (np.isfinite(ridge) and ridge >= 0.0):
-            raise ConfigError(f"ridge must be finite and >= 0, got {ridge}")
         self.dataset = dataset
         self.config = config
-        self.ridge = ridge
+        self.ridge = _check_ridge(ridge)
         self._products, self._h = _statistics(dataset)
         #: Pooled O'O, shape (21, 21), and per-slot O'O, shape (S, 21, 21),
         #: both without the ridge.

@@ -267,6 +267,21 @@ class TestOd:
         assert "need at least 2 replicates" in capsys.readouterr().err
         assert not out.exists() and not dump.exists()
 
+    @pytest.mark.parametrize(
+        "bad, code, message",
+        [(["--ridge=-0.5"], 1, "ridge"), (["--block-len", "1"], 2, "window length"),
+         (["--block-len", "30"], 2, "window length")],
+        ids=["ridge", "block-len-1", "block-len-30"],
+    )
+    def test_bad_ridge_or_window_write_nothing(self, tmp_path, capsys, bad, code, message):
+        out, dump = tmp_path / "o.csv", tmp_path / "d.csv"
+        assert run(
+            "od", "--surrogate", "--days", "30", "--slots", "4", *bad,
+            "--out", str(out), "--dump-data", str(dump),
+        ) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
+
     def test_draws_each_slot_stream_once(self, tmp_path, slot_draws):
         assert run(
             "od", "--surrogate", "--days", "30", "--slots", "4",

@@ -40,7 +40,7 @@ class TestSubseriesEstimates:
     def test_window_count(self):
         arr = build_data_array(np.arange(10.0), p=2)
         sub = subseries_estimates(arr, mean_estimator(), ell=2)
-        assert sub.count == 4
+        assert sub.grid.shape[0] == 4
 
     def test_window_means(self):
         arr = build_data_array([1.0, 2.0, 3.0, 4.0], p=1)
@@ -253,7 +253,7 @@ def _root(a, power):
 def reference_correlation(sub, j, k):
     """A_j^{-1/2} C_jk A_k^{-1/2} from row j's and row k's deviations alone."""
     dj, dk = deviations(sub, j), deviations(sub, k)
-    count = sub.count
+    count = sub.grid.shape[0]
     return _root(dj.T @ dj / count, -0.5) @ (dj.T @ dk / count) @ _root(dk.T @ dk / count, -0.5)
 
 

@@ -19,6 +19,7 @@ from gapboot import (
     DataError,
     DegenerateCorrelationError,
     DimensionError,
+    FewRowsWarning,
     GapBootstrapError,
     InsufficientDataError,
     ODDataset,
@@ -45,6 +46,12 @@ THETA = np.asarray(DEFAULT_SPLIT_THETA)
 #: records each and amplify the rounding of the scaled counts.
 SCALE3_RTOL = (5e-9, 1e-11, 2e-7)
 
+#: Relative bound on how far the ridge-free bootstrap covariances and
+#: window estimates, solved through the 6x6 origin Gram, lie from 21x21
+#: LU solves on the corridor of ``test_chunked_match_whole_stack``;
+#: measured at most 7.1e-11.
+GRAM_RTOL = 1e-7
+
 
 def exact_dataset(days=5, slots=3, seed=0):
     """Noise-free dataset satisfying the split model exactly."""
@@ -52,6 +59,10 @@ def exact_dataset(days=5, slots=3, seed=0):
     origins = rng.uniform(20.0, 80.0, size=(days, slots, 7))
     destinations = origins @ SplitProportions(THETA).matrix
     return ODDataset(origins=origins, destinations=destinations)
+
+
+#: BASIS[k] is d(O)/d(o_{k+1}), shape (7, 21), for origins 1..6.
+BASIS = od._zero_sum_rows(np.eye(21))[:, :6].transpose(1, 2, 0)
 
 
 def build_design(origins, destinations):
@@ -68,7 +79,7 @@ def build_design(origins, destinations):
         raise DimensionError(f"expected 7 origins and 7 destinations, got {o.shape} and {d.shape}")
     if not (np.isfinite(o).all() and np.isfinite(d).all()):
         raise DataError("record contains non-finite counts")
-    design = np.einsum("k,kij->ij", o[:6], od._BASIS)
+    design = np.einsum("k,kij->ij", o[:6], BASIS)
     response = np.concatenate([d[:6], [d[6] - o.sum()]])
     return design, response
 
@@ -137,6 +148,23 @@ def whole_stack_window_estimates(products, h, ell, ridge):
             gwin += ridge * np.eye(21)
         out.append(np.linalg.solve(gwin, od._window_sums(h[:, k], ell)[..., None])[..., 0])
     return np.stack(out)
+
+
+def lu_solve(products, rhs, what=None):
+    """The reference for ``od._gram_solve``: each O'O expanded from its
+    origin products and solved by 21x21 LU."""
+    return np.linalg.solve(od._gram(products), rhs[..., None])[..., 0]
+
+
+def bootstrap_sums(products, h, seed, slot, reps):
+    """One slot's bootstrap replicate sums of origin products and of h,
+    drawn from the slot's stream as ``od._slot_bootstrap_covs`` draws them,
+    and each replicate's number of distinct days."""
+    days = products.shape[0]
+    idx = derived_stream(seed, "slot", slot).integers(0, days, size=(reps, days), dtype=np.int64)
+    counts = np.stack([np.bincount(row, minlength=days) for row in idx]).astype(np.float64)
+    distinct = np.array([np.unique(row).size for row in idx])
+    return counts @ products[:, slot - 1], counts @ h[:, slot - 1], distinct
 
 
 def reference_od_gb2(fit, ell, degenerate="error"):
@@ -828,17 +856,27 @@ class TestSlotThreads:
     @pytest.mark.parametrize("batch", [7, 100])
     @pytest.mark.parametrize("ridge", [0.0, 10.0])
     def test_chunked_match_whole_stack(self, monkeypatch, batch, ridge):
-        # batches of 7 split both the 250 replicates and the 52 windows unevenly
+        # batches of 7 split both the 250 replicates and the 52 windows
+        # unevenly; with a ridge every solve is the whole stack's LU call,
+        # without one a 6x6 origin Gram solve, within GRAM_RTOL of it
         monkeypatch.setattr(od, "_BATCH", batch)
+        monkeypatch.setattr(od, "_GRAM_BATCH", batch)
         dataset, _ = surrogate_od_dataset(60, slots=4, seed=2, day_ar=0.5, split_drift=0.1)
         config = BootstrapConfig(replicates=250, seed=4)
         products, h = od._statistics(dataset)
-        covs = ODFit(dataset, config, ridge=ridge).slot_covariances
-        assert_array_equal(covs, whole_stack_slot_covs(products, h, config, ridge))
-        assert_array_equal(
+        got = (
+            ODFit(dataset, config, ridge=ridge).slot_covariances,
             od._window_estimates(products, h, 9, ridge),
+        )
+        want = (
+            whole_stack_slot_covs(products, h, config, ridge),
             whole_stack_window_estimates(products, h, 9, ridge),
         )
+        for a, b in zip(got, want):
+            if ridge:
+                assert_array_equal(a, b)
+            else:
+                assert_allclose(a, b, rtol=GRAM_RTOL)
 
     def test_any_worker_count_gives_the_same_bits(self, monkeypatch, slot_draws):
         dataset, _ = surrogate_od_dataset(80, slots=5, seed=9, day_ar=0.5, split_drift=0.1)
@@ -898,15 +936,117 @@ class TestSlotThreads:
     def test_zero_volume_slots_name_the_first(self, monkeypatch, workers):
         monkeypatch.setattr(od, "_WORKERS", workers)
         rng = np.random.default_rng(2)
-        origins = rng.uniform(20.0, 80.0, size=(12, 4, 7))
+        origins = rng.uniform(20.0, 80.0, size=(30, 4, 7))
         origins[:, 1:3, :] = 0.0
         destinations = origins @ SplitProportions(THETA).matrix
         dataset = ODDataset(origins=origins, destinations=destinations)
-        fit = ODFit(dataset, BootstrapConfig(replicates=50, seed=1))
+        config = BootstrapConfig(replicates=50, seed=1)
+        # slot 1 is well posed: every replicate and window spans >= 6 days
+        products, h = od._statistics(dataset)
+        assert bootstrap_sums(products, h, config.seed, 1, config.replicates)[2].min() >= 6
+        fit = ODFit(dataset, config)
         with pytest.raises(RankError, match="^singular bootstrap normal equations in slot 2: "):
             fit.slot_covariances
         with pytest.raises(RankError, match="^singular window normal equations in slot 2: "):
-            fit.gb2_standard_errors(4)
+            fit.gb2_standard_errors(6)
+
+
+class TestGramSolve:
+    """The ridge-free solves through the 6x6 origin Gram against the 21x21
+    LU solves they replace."""
+
+    def test_matches_lu_within_condition_bound(self):
+        # Both solvers are backward stable, so the gap between them scales
+        # with cond(O'O): norm-wise it stays below eps * cond (measured at
+        # most 0.19 eps cond).  6-day windows, the shortest with a
+        # nonsingular Gram, carry the worst-conditioned systems.
+        rng = np.random.default_rng(20)
+        eps = np.finfo(np.float64).eps
+        for case in range(30):
+            days, slots = int(rng.integers(24, 49)), int(rng.integers(2, 7))
+            dataset, _ = surrogate_od_dataset(
+                days, slots=slots, seed=case, day_ar=rng.uniform(0.0, 0.8),
+                slot_spread=rng.uniform(0.0, 0.5), noise=rng.uniform(0.01, 0.1),
+                split_drift=rng.uniform(0.0, 0.15),
+            )
+            products, h = od._statistics(dataset)
+            ell = 6 if case % 3 == 0 else int(rng.integers(6, days // 2))
+            for k in range(slots):
+                boot = bootstrap_sums(products, h, case, k + 1, 40)[:2]
+                window = od._window_sums(products[:, k], ell), od._window_sums(h[:, k], ell)
+                for sums, rhs in (boot, window):
+                    got = od._solve_normal_equations(sums, rhs, 0.0, "x")
+                    want = lu_solve(sums, rhs)
+                    gap = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+                    bound = eps * np.linalg.cond(od._gram(sums))
+                    assert (gap <= bound).all(), f"case {case}, slot {k + 1}"
+
+    def test_standard_errors_match_lu(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        for case in range(8):
+            days, slots = int(rng.integers(40, 90)), int(rng.integers(2, 7))
+            dataset, _ = surrogate_od_dataset(
+                days, slots=slots, seed=case, day_ar=rng.uniform(0.0, 0.8),
+                split_drift=rng.uniform(0.0, 0.15), noise=rng.uniform(0.01, 0.1),
+            )
+            config = BootstrapConfig(replicates=100, seed=case)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FewRowsWarning)
+                got = od_standard_errors(dataset, config=config)
+                with monkeypatch.context() as patch:
+                    patch.setattr(od, "_gram_solve", lu_solve)
+                    want = od_standard_errors(dataset, config=config)
+            assert_array_equal(got[0], want[0])  # the pooled solve is not a Gram solve
+            assert_allclose(got[1:], want[1:], rtol=1e-10, err_msg=f"case {case}")
+
+    @pytest.mark.parametrize("batch", [1, 7, 250])
+    def test_batch_size_does_not_change_bits(self, monkeypatch, batch):
+        dataset, _ = surrogate_od_dataset(60, slots=2, seed=2, day_ar=0.5, split_drift=0.1)
+        products, h = od._statistics(dataset)
+        boot = bootstrap_sums(products, h, 4, 2, 250)[:2]
+        window = od._window_sums(products[:, 0], 9), od._window_sums(h[:, 0], 9)
+        whole = [od._gram_solve(sums, rhs, "x") for sums, rhs in (boot, window)]
+        monkeypatch.setattr(od, "_GRAM_BATCH", batch)
+        for (sums, rhs), want in zip((boot, window), whole):
+            assert_array_equal(od._solve_normal_equations(sums, rhs, 0.0, "x"), want)
+
+    @pytest.mark.parametrize("jitter, singular", [(1e-7, True), (1e-5, False)])
+    def test_nearly_collinear_origins(self, jitter, singular):
+        # origin 2 of slot 2 is twice origin 1 up to a relative jitter:
+        # pivot 2 of the slot's origin Gram is about jitter**2 of its
+        # diagonal, so 1e-7 falls under 1 / MAX_CONDITION and 1e-5 does not
+        rng = np.random.default_rng(5)
+        origins = rng.uniform(20.0, 80.0, size=(30, 3, 7))
+        origins[:, 1, 1] = 2.0 * origins[:, 1, 0] * (1.0 + jitter * rng.standard_normal(30))
+        dataset = ODDataset(origins=origins, destinations=origins @ SplitProportions(THETA).matrix)
+        fit = ODFit(dataset, BootstrapConfig(replicates=40, seed=1))
+        if singular:
+            with pytest.raises(RankError, match="^singular bootstrap normal equations in slot 2: "):
+                fit.slot_covariances
+        else:
+            assert np.isfinite(fit.slot_covariances).all()
+
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch):
+        dataset, _ = surrogate_od_dataset(80, slots=5, seed=9, day_ar=0.5, split_drift=0.1)
+        config = BootstrapConfig(replicates=120, seed=3)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(od, "_WORKERS", workers)
+            results.append(od_standard_errors(dataset, 12, config))
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert_array_equal(a, b)
+
+    def test_resample_with_fewer_than_six_days_names_its_slot(self):
+        # at 12 days and seed 4, one of slot 2's replicates draws only 5
+        # distinct days, so its origin Gram has rank 5
+        dataset, _ = surrogate_od_dataset(12, slots=3, seed=0)
+        config = BootstrapConfig(replicates=40, seed=4)
+        products, h = od._statistics(dataset)
+        distinct = [bootstrap_sums(products, h, 4, k, 40)[2].min() for k in (1, 2, 3)]
+        assert distinct[0] >= 6 and distinct[1] < 6 and distinct[2] >= 6
+        with pytest.raises(RankError, match="^singular bootstrap normal equations in slot 2: "):
+            ODFit(dataset, config).slot_covariances
 
 
 class TestInvariants:
