@@ -182,7 +182,7 @@ def _cmd_od(args) -> int:
         )
     else:
         dataset = read_od_csv(args.data)
-    _check_gb2_options(args.block_len, dataset.days, args.degenerate_corr)
+    _check_gb2_options(args.block_len, dataset.days, args.degenerate_corr, args.ridge)
     if args.dump_data:
         write_od_csv(dataset, args.dump_data)
 

@@ -19,11 +19,11 @@ use.  GB-I and GB-II are two combinations of one fit, so
 bootstrap stream once for both; least squares alone never runs the
 bootstrap.  GB-II runs ``gb2``'s kernel batched over the parameters.
 
-O'O has the form S[k, k'] (1 + [e == e']) in the 6x6 origin Gram S, so
-the many small bootstrap and window systems are solved in closed form
-through S's Cholesky factor, batched over replicates or windows, rather
-than by 21x21 LU; only the opt-in ridge, which breaks that form, expands
-O'O.
+Every normal-equation solve (pooled, slot, weight, bootstrap, window)
+is one batched ``_solve_normal_equations`` call.  O'O is S[k, k'] (1 +
+[e == e']) in the 6x6 origin Gram S, so without a ridge it is solved in
+closed form through S's Cholesky factor; only the opt-in ridge, which
+breaks that form, expands O'O and solves it by LU.
 
 The slots are independent subproblems: each slot's bootstrap and window
 solves run on one of up to nproc threads, each slot draws from its own
@@ -67,7 +67,7 @@ __all__ = [
     "write_od_csv",
 ]
 
-#: Condition-number ceiling for the normal-equation solves.
+#: Condition-number ceiling for the ridge-free normal-equation solves.
 MAX_CONDITION = 1e12
 
 #: Origin and destination (0-based) of each free parameter, in theta
@@ -308,42 +308,19 @@ def _statistics(dataset: ODDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Least squares
+# Solves, the bootstrap within slots and sliding windows
 # ---------------------------------------------------------------------------
 
-def _check_condition(gamma: np.ndarray, what: str) -> None:
-    eig = np.linalg.eigvalsh(0.5 * (gamma + gamma.T))
-    if eig[0] <= 0.0 or eig[-1] / eig[0] > MAX_CONDITION:
-        cond = np.inf if eig[0] <= 0.0 else eig[-1] / eig[0]
-        raise RankError(f"normal equations for {what} are rank deficient (condition {cond:.2e})")
-
-
-def _solve(gamma: np.ndarray, rhs: np.ndarray, what: str, ridge: float = 0.0) -> np.ndarray:
-    from scipy.linalg import cho_factor, cho_solve
-
-    g = gamma + ridge * np.eye(gamma.shape[0]) if ridge else gamma
-    _check_condition(g, what)
-    try:
-        return cho_solve(cho_factor(g), rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by cond check
-        raise RankError(f"normal equations for {what} could not be factorised: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Bootstrap within slots and sliding windows
-# ---------------------------------------------------------------------------
-
-#: Replicates per chunk of index draws, and replicates or windows per
-#: batch of ridge-path 21x21 solves: a batch's O'O matrices take about
-#: 350 KiB.
+#: Replicates per chunk of index draws, and systems per batch of
+#: ridge-path 21x21 solves: a batch's O'O matrices take about 350 KiB.
 _BATCH = 100
 
-#: Replicates or windows per batch of ridge-free solves through the 6x6
-#: origin Gram; a batch's working arrays take about 0.5 MiB.
+#: Systems per batch of ridge-free solves through the 6x6 origin Gram; a
+#: batch's working arrays take about 0.5 MiB.
 _GRAM_BATCH = 500
 
 
-def _gram_solve(products: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+def _gram_solve(products: np.ndarray, rhs: np.ndarray, label) -> np.ndarray:
     """Solve O'O theta = h for n summed records at once, through each
     one's 6x6 origin Gram S = L L' (products (n, 21), rhs (n, 21)).
 
@@ -354,29 +331,33 @@ def _gram_solve(products: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 
         X = L'^{-1} triu(W - q 1'),  q_t = s_t / (7 - t)  (t = 0..5).
 
-    S is singular exactly when O'O is.  A replicate or window whose
-    Cholesky pivot j of S is at most S[j, j] / MAX_CONDITION, which makes
-    cond(S) at least MAX_CONDITION, raises RankError.  Every step is an
-    elementwise multiply-add in a fixed order, so each solution's bits
-    do not depend on n.
+    S is singular exactly when O'O is.  A system whose Cholesky pivot j
+    of S is at most S[j, j] / MAX_CONDITION, which makes cond(S) at least
+    MAX_CONDITION, is singular: RankError names the lowest such system,
+    as ``label(i)`` of its index i, and its first such pivot.  Every step
+    is an elementwise multiply-add in a fixed order, so each solution's
+    bits do not depend on n.
     """
     s = products.T[_PAIR_OF]  # (6, 6, n)
     low = np.zeros_like(s)
     x = np.zeros_like(s)
     x[_ORIGIN, _DEST] = rhs.T
+    weak = np.zeros((6, len(rhs)), dtype=bool)
     for j in range(6):  # Cholesky factor, column by column
         pivot = s[j, j].copy()
         col = s[j + 1 :, j].copy()
         for i in range(j):
             pivot -= low[j, i] * low[j, i]
             col -= low[j + 1 :, i] * low[j, i]
-        if (pivot <= s[j, j] / MAX_CONDITION).any():
-            raise RankError(
-                f"singular {what}: origin Gram pivot {j + 1} is at most "
-                f"1/{MAX_CONDITION:.0e} of its diagonal"
-            )
-        low[j, j] = np.sqrt(pivot)
+        weak[j] = pivot <= s[j, j] / MAX_CONDITION
+        low[j, j] = np.sqrt(np.where(weak[j], 1.0, pivot))  # weak systems are raised below
         low[j + 1 :, j] = col / low[j, j]
+    if weak.any():
+        i = int(np.argmax(weak.any(axis=0)))
+        raise RankError(
+            f"singular {label(i)}: origin Gram pivot {int(np.argmax(weak[:, i])) + 1} "
+            f"is at most 1/{MAX_CONDITION:.0e} of its diagonal"
+        )
     for t in range(6):  # W = L^{-1} R, upper triangle only
         for j in range(t):
             x[t, t:] -= low[t, j] * x[j, t:]
@@ -394,7 +375,7 @@ def _gram_solve(products: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 
 
 def _solve_normal_equations(
-    products: np.ndarray, rhs: np.ndarray, ridge: float, what: str
+    products: np.ndarray, rhs: np.ndarray, ridge: float, label
 ) -> np.ndarray:
     """Solutions of the normal equations given by summed origin products
     (n, 21) and right-hand sides (n, 21), shape (n, 21).
@@ -402,22 +383,24 @@ def _solve_normal_equations(
     Without a ridge, ``_gram_solve`` runs ``_GRAM_BATCH`` at a time.  A
     ridge breaks the origin Gram structure: the O'O matrices are then
     expanded and solved ``_BATCH`` at a time by LU, each 21x21 solve the
-    same LAPACK call whatever batch it is in.  Either way the bits do not
-    depend on the batch size.
+    same LAPACK call whatever batch it is in, and a system is singular
+    only when LAPACK reports it so.  Either way the bits do not depend on
+    the batch size, and RankError names the lowest singular system i as
+    ``label(i)``.
     """
     out = np.empty(rhs.shape)
-    if not ridge:
-        for lo in range(0, len(rhs), _GRAM_BATCH):
-            batch = slice(lo, lo + _GRAM_BATCH)
-            out[batch] = _gram_solve(products[batch], rhs[batch], what)
-        return out
-    for lo in range(0, len(rhs), _BATCH):
-        gram = _gram(products[lo : lo + _BATCH])
-        gram += ridge * np.eye(21)
+    step = _BATCH if ridge else _GRAM_BATCH
+    for lo in range(0, len(rhs), step):
+        batch = slice(lo, lo + step)
+        if not ridge:
+            out[batch] = _gram_solve(products[batch], rhs[batch], lambda i: label(lo + i))
+            continue
+        gram = _gram(products[batch]) + ridge * np.eye(21)
         try:
-            out[lo : lo + _BATCH] = np.linalg.solve(gram, rhs[lo : lo + _BATCH, :, None])[..., 0]
+            out[batch] = np.linalg.solve(gram, rhs[batch, :, None])[..., 0]
         except np.linalg.LinAlgError as exc:
-            raise RankError(f"singular {what}: {exc}") from exc
+            i = int(np.argmax(np.linalg.slogdet(gram)[0] == 0.0))  # LAPACK's zero pivot
+            raise RankError(f"singular {label(lo + i)}: {exc}") from exc
     return out
 
 
@@ -458,7 +441,7 @@ def _slot_bootstrap_covs(
             counts[lo : lo + n] = np.bincount(idx.ravel(), minlength=n * days).reshape(n, days)
         thetas = _solve_normal_equations(
             counts @ products[:, k], counts @ h[:, k], ridge,
-            f"bootstrap normal equations in slot {k + 1}",
+            lambda _: f"bootstrap normal equations in slot {k + 1}",
         )
         dev = thetas - thetas.mean(axis=0)
         covs[k] = dev.T @ dev / reps
@@ -486,18 +469,23 @@ def _window_estimates(
     def windows(k: int) -> None:
         out[k] = _solve_normal_equations(
             _window_sums(products[:, k], ell), _window_sums(h[:, k], ell), ridge,
-            f"window normal equations in slot {k + 1}",
+            lambda _: f"window normal equations in slot {k + 1}",
         )
 
     _thread_map(windows, slots, _WORKERS)
     return out
 
 
-def _check_gb2_options(ell: int | None, days: int, degenerate: str) -> int:
-    """Check the GB-II degeneracy policy and window length; returns the
-    length (default ``default_block_length(days)``)."""
+def _check_gb2_options(ell: int | None, days: int, degenerate: str, ridge: float) -> int:
+    """Check the ridge, the GB-II degeneracy policy and the window length,
+    in that order; returns the length (default ``default_block_length(days)``),
+    which without a ridge must be at least 6: a shorter window's origin Gram is singular."""
+    ridge = _check_ridge(ridge)
     _check_degenerate_policy(degenerate)
-    return _check_window(default_block_length(days) if ell is None else ell, days)
+    ell = _check_window(default_block_length(days) if ell is None else ell, days)
+    if ell < 6 and not ridge:
+        raise BoundsError(f"window length {ell} is below 6, the minimum without a ridge")
+    return ell
 
 
 def _check_ridge(ridge: float) -> float:
@@ -517,10 +505,11 @@ class ODFit:
 
     Construction computes the per-record normal equations once, with each
     record's O'O stored as its 21 origin products, and their pooled and
-    per-slot sums.  The pooled and per-slot estimates, the
-    slot weights W_k and the slot bootstrap covariances are computed on
-    first use and kept, so least squares alone never pays for the
-    bootstrap, and GB-I and GB-II on one fit share one slot bootstrap.
+    per-slot sums.  The pooled and per-slot estimates, the slot weights
+    W_k and the slot bootstrap covariances, each from batched
+    ``_solve_normal_equations`` calls, are computed on first use and kept,
+    so least squares alone never pays for the bootstrap, and GB-I and
+    GB-II on one fit share one slot bootstrap.
 
     ``config`` sets the slot bootstrap's replicates and seed.  ``ridge``,
     for nearly collinear volumes, is added to every normal-equation solve;
@@ -539,53 +528,50 @@ class ODFit:
         self.config = config
         self.ridge = _check_ridge(ridge)
         self._products, self._h = _statistics(dataset)
+        self._pooled = self._products.sum(axis=(0, 1))
+        self._slot_products = self._products.sum(axis=0)
         #: Pooled O'O, shape (21, 21), and per-slot O'O, shape (S, 21, 21),
         #: both without the ridge.
-        self.gamma = _gram(self._products.sum(axis=(0, 1)))
-        self.slot_gammas = _gram(self._products.sum(axis=0))
-        self._slot_rhs = self._h.sum(axis=0)
+        self.gamma = _gram(self._pooled)
+        self.slot_gammas = _gram(self._slot_products)
 
     @cached_property
     def theta(self) -> np.ndarray:
         """Pooled estimate from every record, shape (21,)."""
-        return _solve(self.gamma, self._h.sum(axis=(0, 1)), "all slots", self.ridge)
-
-    def slot_estimate(self, slot: int) -> np.ndarray:
-        """Estimate from the records of one slot (1-based), shape (21,)."""
-        if not 1 <= slot <= self.dataset.slots:
-            raise BoundsError(f"slot {slot} outside 1..{self.dataset.slots}")
-        return _solve(
-            self.slot_gammas[slot - 1], self._slot_rhs[slot - 1], f"slot {slot}", self.ridge
-        )
+        return _solve_normal_equations(
+            self._pooled[None], self._h.sum(axis=(0, 1))[None], self.ridge,
+            lambda _: "normal equations for all slots",
+        )[0]
 
     @cached_property
     def slot_estimates(self) -> np.ndarray:
         """Every slot's estimate, shape (S, 21)."""
-        return np.stack([self.slot_estimate(k) for k in range(1, self.dataset.slots + 1)])
+        return _solve_normal_equations(
+            self._slot_products, self._h.sum(axis=0), self.ridge,
+            lambda k: f"normal equations for slot {k + 1}",
+        )
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Slot weights W_k = Gamma_full^{-1} Gamma_k, shape (S, 21, 21), from
-        one Cholesky factor of Gamma_full (plus the ridge).
+        """Slot weights W_k = Gamma_full^{-1} Gamma_k, shape (S, 21, 21):
+        the 21 S columns of the Gamma_k solved as one batch against
+        Gamma_full (plus the ridge).
 
         Without a ridge, checks that the slot matrices sum to the full
         matrix (the slots partition the records) and that the weights sum
         to the identity, both to within 1e-8 relative tolerance.
         """
-        from scipy.linalg import cho_factor, cho_solve
-
-        gamma = self.gamma
-        if self.ridge:
-            gamma = gamma + self.ridge * np.eye(21)
-        else:
-            scale = max(float(np.abs(gamma).max()), 1.0)
-            if float(np.abs(self.slot_gammas.sum(axis=0) - gamma).max()) > 1e-8 * scale:
+        columns = self.slot_gammas.swapaxes(1, 2).reshape(-1, 21)
+        weights = _solve_normal_equations(
+            np.broadcast_to(self._pooled, columns.shape), columns, self.ridge,
+            lambda _: "normal equations for all slots",
+        ).reshape(-1, 21, 21).swapaxes(1, 2)
+        if not self.ridge:
+            scale = max(float(np.abs(self.gamma).max()), 1.0)
+            if float(np.abs(self.slot_gammas.sum(axis=0) - self.gamma).max()) > 1e-8 * scale:
                 raise ConsistencyError("slot matrices do not sum to the full matrix")
-            _check_condition(gamma, "all slots")
-        factor = cho_factor(gamma)
-        weights = np.stack([cho_solve(factor, gk) for gk in self.slot_gammas])
-        if not self.ridge and float(np.abs(weights.sum(axis=0) - np.eye(21)).max()) > 1e-8:
-            raise ConsistencyError("slot weights do not sum to the identity")
+            if float(np.abs(weights.sum(axis=0) - np.eye(21)).max()) > 1e-8:
+                raise ConsistencyError("slot weights do not sum to the identity")
         return weights
 
     @cached_property
@@ -631,11 +617,10 @@ class ODFit:
         errors ordered as PARAM_NAMES, shape (21,).
         """
         days, slots = self.dataset.days, self.dataset.slots
-        ell = _check_gb2_options(ell, days, degenerate)
+        ell = _check_gb2_options(ell, days, degenerate, self.ridge)
         theta = self.theta
         weights = self.weights
         window = _window_estimates(self._products, self._h, ell, self.ridge)  # (S, I, 21)
-        self.slot_estimates  # names a rank-deficient slot the window solves let through
         # kernel rows of size r = 1, batched over parameters a: projections
         # w_ak' (window_k - theta), (21, I, S, 1); variances w_ak' Cov_k w_ak
         proj = np.einsum("kab,kib->aik", weights, window - theta)[..., None]
@@ -666,7 +651,7 @@ def od_standard_errors(
     ``degenerate`` and the per-parameter scalar form of GB-II are described
     at ``ODFit.gb2_standard_errors``.
     """
-    _check_gb2_options(ell, dataset.days, degenerate)
+    _check_gb2_options(ell, dataset.days, degenerate, ridge)
     fit = ODFit(dataset, config, ridge=ridge)
     return fit.theta, fit.gb1_standard_errors(), fit.gb2_standard_errors(ell, degenerate)
 

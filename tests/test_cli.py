@@ -270,8 +270,9 @@ class TestOd:
     @pytest.mark.parametrize(
         "bad, code, message",
         [(["--ridge=-0.5"], 1, "ridge"), (["--block-len", "1"], 2, "window length"),
-         (["--block-len", "30"], 2, "window length")],
-        ids=["ridge", "block-len-1", "block-len-30"],
+         (["--block-len", "30"], 2, "window length"),
+         (["--days", "15"], 2, "window length 5 is below 6, the minimum without a ridge")],
+        ids=["ridge", "block-len-1", "block-len-30", "days-15"],
     )
     def test_bad_ridge_or_window_write_nothing(self, tmp_path, capsys, bad, code, message):
         out, dump = tmp_path / "o.csv", tmp_path / "d.csv"
@@ -281,6 +282,15 @@ class TestOd:
         ) == code
         assert message in capsys.readouterr().err
         assert not out.exists() and not dump.exists()
+
+    def test_short_default_window_runs_with_ridge(self, tmp_path):
+        # 15 days give a 5-day default window, which needs the ridge
+        out, dump = tmp_path / "o.csv", tmp_path / "d.csv"
+        assert run(
+            "od", "--surrogate", "--days", "15", "--slots", "4", "--ridge", "0.5",
+            "--out", str(out), "--dump-data", str(dump),
+        ) == 0
+        assert len(out.read_text().splitlines()) == 22 and dump.exists()
 
     def test_draws_each_slot_stream_once(self, tmp_path, slot_draws):
         assert run(

@@ -1,6 +1,7 @@
 """What importing gapboot loads: numpy, and nothing from scipy until a
-code path needs it (``scipy.linalg`` at the first OD solve,
-``scipy.signal`` at the first ``ar2`` series)."""
+code path needs it.  ``gapboot od``, with or without ``--ridge``, solves
+with numpy alone and loads no scipy; ``scipy.signal`` loads at the first
+``ar2`` series."""
 import json
 import os
 import subprocess
@@ -20,11 +21,12 @@ import gapboot, gapboot.cli
 report = {"import": scipy_modules()}
 gapboot.generate_series(gapboot.ModelSpec("mma", 400, 10), seed=1)
 report["mma"] = scipy_modules()
-code = gapboot.cli.main([
-    "od", "--surrogate", "--days", "30", "--slots", "3", "--replicates", "50",
-    "--out", sys.argv[1],
-])
-report["od"] = [code, scipy_modules()]
+for ridge in ("0", "0.5"):
+    code = gapboot.cli.main([
+        "od", "--surrogate", "--days", "30", "--slots", "3", "--replicates", "50",
+        "--ridge", ridge, "--out", sys.argv[1],
+    ])
+    report[f"od --ridge {ridge}"] = [code, scipy_modules()]
 print(json.dumps(report))
 """
 
@@ -39,6 +41,7 @@ def test_scipy_loads_only_where_used(tmp_path):
     report = json.loads(done.stdout)
     assert report["import"] == []
     assert report["mma"] == []
-    code, loaded = report["od"]
-    assert code == 0
-    assert not {"scipy.signal", "scipy.stats"} & set(loaded)
+    for ridge in ("0", "0.5"):
+        code, loaded = report[f"od --ridge {ridge}"]
+        assert code == 0
+        assert loaded == []
