@@ -11,13 +11,14 @@ bootstrap machinery applies with slot-specific weight matrices
 W_k = Gamma_full^{-1} Gamma_slot.
 
 ``ODFit`` is the fit of one dataset.  It computes each record's normal
-equations once, storing O'O as the 21 origin products its entries are
-made of, and keeps the pooled and per-slot estimates, the weights W_k
-and the per-slot pairs-bootstrap covariances, each computed on first
-use.  GB-I and GB-II are two combinations of one fit, so
-``od_standard_errors`` -- what ``gapboot od`` runs -- draws each slot's
-bootstrap stream once for both; least squares alone never runs the
-bootstrap.  GB-II runs ``gb2``'s kernel batched over the parameters.
+equations once, as one (days, slots, 42) array holding the 21 origin
+products that O'O's entries are made of and the 21 entries of O'D', and
+keeps the pooled and per-slot estimates, the weights W_k and the
+per-slot pairs-bootstrap covariances, each computed on first use.  GB-I
+and GB-II are two combinations of one fit, so ``od_standard_errors`` --
+what ``gapboot od`` runs -- draws each slot's bootstrap stream once for
+both; least squares alone never runs the bootstrap.  GB-II runs
+``gb2``'s kernel batched over the parameters.
 
 Every normal-equation solve (pooled, slot, weight, bootstrap, window)
 is one batched ``_solve_normal_equations`` call.  O'O is S[k, k'] (1 +
@@ -28,7 +29,10 @@ breaks that form, expands O'O and solves it by LU.
 The slots are independent subproblems: each slot's bootstrap and window
 solves run on one of up to nproc threads, each slot draws from its own
 keyed stream, and each writes only its own results, so the output is
-byte-identical for any thread count.
+byte-identical for any thread count.  A slot's bootstrap streams its
+replicates in ``_BATCH`` chunks and its window estimates are projected
+in its own thread, so memory grows with the data, and with B only by the
+(B, 21) replicate estimates of the slots in flight.
 """
 from __future__ import annotations
 
@@ -289,34 +293,43 @@ def _gram(products: np.ndarray) -> np.ndarray:
     return products[..., _PAIR_OF[_ORIGIN[:, None], _ORIGIN]] * (1.0 + (_DEST[:, None] == _DEST))
 
 
-def _statistics(dataset: ODDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record normal-equation pieces: the 21 origin products o_a o_b
-    (a <= b) that make up O'O (see ``_gram``), shape (D, S, 21), and
-    h = O'D', shape (D, S, 21).
+def _statistics(dataset: ODDataset) -> np.ndarray:
+    """Per-record normal-equation pieces, shape (D, S, 42): the 21 origin
+    products o_a o_b (a <= b) that make up O'O (see ``_gram``), then the
+    21 entries of h = O'D'.
 
     Column c of O is o_k on row e and -o_k on the last row, for origin
     k = _ORIGIN[c] and destination e = _DEST[c], so
     h[c] = o_k d_e - o_k (d_7 - sum(o)) is formed directly, the two
-    products in the order O'D' adds them, and C-contiguous, so that the
-    pooled and per-slot sums of h add its entries in the same order.
+    products in the order O'D' adds them.  Both halves are written in
+    place into one C-contiguous array, whose sums over days (and slots)
+    add each column in the same order as sums of separate C-contiguous
+    halves would.
     """
     o = dataset.origins
     d = dataset.destinations
-    ok = np.take(o, _ORIGIN, axis=-1)
-    h = ok * np.take(d, _DEST, axis=-1) - ok * (d[..., 6] - o.sum(axis=-1))[..., None]
-    return ok * np.take(o, _DEST, axis=-1), h
+    stats = np.empty(o.shape[:2] + (42,))
+    products, h = stats[..., :21], stats[..., 21:]
+    ok = o[..., _ORIGIN]
+    np.multiply(ok, o[..., _DEST], out=products)
+    np.multiply(ok, d[..., _DEST], out=h)
+    ok *= (d[..., 6] - o.sum(axis=-1))[..., None]
+    h -= ok
+    return stats
 
 
 # ---------------------------------------------------------------------------
 # Solves, the bootstrap within slots and sliding windows
 # ---------------------------------------------------------------------------
 
-#: Replicates per chunk of index draws, and systems per batch of
+#: Replicates per chunk of the slot bootstrap (index draws, day counts
+#: and one (_BATCH, D) x (D, 42) GEMM), and systems per batch of
 #: ridge-path 21x21 solves: a batch's O'O matrices take about 350 KiB.
 _BATCH = 100
 
-#: Systems per batch of ridge-free solves through the 6x6 origin Gram; a
-#: batch's working arrays take about 0.5 MiB.
+#: Systems per batch of ridge-free solves through the 6x6 origin Gram (a
+#: batch's working arrays take about 0.5 MiB), and the slot bootstrap's
+#: replicates per solve call, rounded down to whole ``_BATCH`` chunks.
 _GRAM_BATCH = 500
 
 
@@ -404,9 +417,7 @@ def _solve_normal_equations(
     return out
 
 
-def _slot_bootstrap_covs(
-    products: np.ndarray, h: np.ndarray, config: BootstrapConfig, ridge: float
-) -> np.ndarray:
+def _slot_bootstrap_covs(stats: np.ndarray, config: BootstrapConfig, ridge: float) -> np.ndarray:
     """Pairs-bootstrap covariance of each slot estimate, shape (S, 21, 21).
 
     Within slot k whole day-records are resampled with replacement;
@@ -421,30 +432,41 @@ def _slot_bootstrap_covs(
 
     Every stream is derived here, in slot order, before the slots run on
     ``_WORKERS`` threads.  Each slot draws its indices ``_BATCH``
-    replicates at a time into one (B, D) table of day multiplicities;
-    consecutive draws from a stream concatenate, so the table is the
-    one-draw table.  The GEMM ``counts @ products`` stays whole: BLAS
-    picks its kernel, and with it the order of each day sum, by the
-    matrix shape, so splitting the GEMM by replicates changes the bits.
+    replicates at a time; consecutive draws from a stream concatenate,
+    so the replicates are those of one (B, D) draw.  A chunk's day
+    multiplicities go through one GEMM against the slot's (D, 42) view of
+    ``stats``, straight into a buffer of replicate sums, which is solved
+    whenever it holds the whole chunks that fit in ``_GRAM_BATCH``
+    replicates (one chunk if none fits); a solution's bits do not depend
+    on its batch.  A slot thread thus holds one (_BATCH, D) chunk and one
+    buffer, not a (B, D) table: its memory grows with B only by the
+    (B, 21) estimates, whose covariance is taken in two passes.
     """
-    days, slots = products.shape[0], products.shape[1]
+    days, slots = stats.shape[:2]
     reps = config.replicates
+    rows = max(_GRAM_BATCH // _BATCH, 1) * _BATCH  # replicates per solve call
     streams = [derived_stream(config.seed, "slot", k + 1) for k in range(slots)]
     covs = np.empty((slots, 21, 21))
 
     def bootstrap(k: int) -> None:
-        counts = np.empty((reps, days))
-        for lo in range(0, reps, _BATCH):
-            n = min(_BATCH, reps - lo)
-            idx = streams[k].integers(0, days, size=(n, days), dtype=np.int64)
-            idx += np.arange(n)[:, None] * days
-            counts[lo : lo + n] = np.bincount(idx.ravel(), minlength=n * days).reshape(n, days)
-        thetas = _solve_normal_equations(
-            counts @ products[:, k], counts @ h[:, k], ridge,
-            lambda _: f"bootstrap normal equations in slot {k + 1}",
-        )
-        dev = thetas - thetas.mean(axis=0)
-        covs[k] = dev.T @ dev / reps
+        thetas = np.empty((reps, 21))
+        sums = np.empty((min(rows, reps), 42))
+        counts = np.empty((_BATCH, days))
+        offsets = np.arange(_BATCH)[:, None] * days
+        for start in range(0, reps, rows):
+            stop = min(start + rows, reps)
+            for lo in range(start, stop, _BATCH):
+                n = min(_BATCH, stop - lo)
+                idx = streams[k].integers(0, days, size=(n, days), dtype=np.int64)
+                idx += offsets[:n]
+                counts[:n] = np.bincount(idx.ravel(), minlength=n * days).reshape(n, days)
+                np.matmul(counts[:n], stats[:, k], out=sums[lo - start : lo - start + n])
+            thetas[start:stop] = _solve_normal_equations(
+                sums[: stop - start, :21], sums[: stop - start, 21:], ridge,
+                lambda _: f"bootstrap normal equations in slot {k + 1}",
+            )
+        thetas -= thetas.mean(axis=0)
+        covs[k] = thetas.T @ thetas / reps
 
     _thread_map(bootstrap, slots, _WORKERS)
     return covs
@@ -458,22 +480,34 @@ def _window_sums(x: np.ndarray, ell: int) -> np.ndarray:
     return out
 
 
-def _window_estimates(
-    products: np.ndarray, h: np.ndarray, ell: int, ridge: float
+def _window_projections(
+    stats: np.ndarray, theta: np.ndarray, weights: np.ndarray, ell: int, ridge: float
 ) -> np.ndarray:
-    """Slot estimates on sliding windows of ell whole days, shape (S, I, 21),
-    each slot on one of ``_WORKERS`` threads."""
-    days, slots = products.shape[0], products.shape[1]
+    """GB-II window projections w_ak' (window_k - theta), shape (21, I, S),
+    for the slot estimates window_k on sliding windows of ell whole days
+    and the rows w_ak of the slot weights W_k.
+
+    Each slot runs on one of ``_WORKERS`` threads: one cumsum over its
+    42 columns of ``stats`` gives its window sums, and it solves, centres
+    and projects its own (I, 21) window estimates, so no (S, I, 21) array
+    of estimates is formed.  The result is a transposed view of the
+    (S, I, 21) array the slots fill: the values and memory layout that
+    one einsum over every slot's estimates gives.
+    """
+    days, slots = stats.shape[:2]
     out = np.empty((slots, days - ell + 1, 21))
 
     def windows(k: int) -> None:
-        out[k] = _solve_normal_equations(
-            _window_sums(products[:, k], ell), _window_sums(h[:, k], ell), ridge,
+        sums = _window_sums(stats[:, k], ell)
+        estimates = _solve_normal_equations(
+            sums[:, :21], sums[:, 21:], ridge,
             lambda _: f"window normal equations in slot {k + 1}",
         )
+        estimates -= theta
+        np.einsum("ab,ib->ia", weights[k], estimates, out=out[k])
 
     _thread_map(windows, slots, _WORKERS)
-    return out
+    return out.transpose(2, 1, 0)
 
 
 def _check_gb2_options(ell: int | None, days: int, degenerate: str, ridge: float) -> int:
@@ -503,13 +537,14 @@ def _check_ridge(ridge: float) -> float:
 class ODFit:
     """Least-squares fit of one dataset, shared by every estimate made from it.
 
-    Construction computes the per-record normal equations once, with each
-    record's O'O stored as its 21 origin products, and their pooled and
-    per-slot sums.  The pooled and per-slot estimates, the slot weights
-    W_k and the slot bootstrap covariances, each from batched
-    ``_solve_normal_equations`` calls, are computed on first use and kept,
-    so least squares alone never pays for the bootstrap, and GB-I and
-    GB-II on one fit share one slot bootstrap.
+    Construction computes the per-record normal equations once, as one
+    (D, S, 42) array of each record's 21 origin products (its O'O, see
+    ``_gram``) and 21 entries of O'D', and takes their pooled sums and
+    their per-slot sums in one pass each.  The pooled and per-slot
+    estimates, the slot weights W_k and the slot bootstrap covariances,
+    each from batched ``_solve_normal_equations`` calls, are computed on
+    first use and kept, so least squares alone never pays for the
+    bootstrap, and GB-I and GB-II on one fit share one slot bootstrap.
 
     ``config`` sets the slot bootstrap's replicates and seed.  ``ridge``,
     for nearly collinear volumes, is added to every normal-equation solve;
@@ -527,19 +562,19 @@ class ODFit:
         self.dataset = dataset
         self.config = config
         self.ridge = _check_ridge(ridge)
-        self._products, self._h = _statistics(dataset)
-        self._pooled = self._products.sum(axis=(0, 1))
-        self._slot_products = self._products.sum(axis=0)
+        self._stats = _statistics(dataset)
+        self._pooled = self._stats.sum(axis=(0, 1))
+        self._slot_sums = self._stats.sum(axis=0)
         #: Pooled O'O, shape (21, 21), and per-slot O'O, shape (S, 21, 21),
         #: both without the ridge.
-        self.gamma = _gram(self._pooled)
-        self.slot_gammas = _gram(self._slot_products)
+        self.gamma = _gram(self._pooled[:21])
+        self.slot_gammas = _gram(self._slot_sums[:, :21])
 
     @cached_property
     def theta(self) -> np.ndarray:
         """Pooled estimate from every record, shape (21,)."""
         return _solve_normal_equations(
-            self._pooled[None], self._h.sum(axis=(0, 1))[None], self.ridge,
+            self._pooled[None, :21], self._pooled[None, 21:], self.ridge,
             lambda _: "normal equations for all slots",
         )[0]
 
@@ -547,7 +582,7 @@ class ODFit:
     def slot_estimates(self) -> np.ndarray:
         """Every slot's estimate, shape (S, 21)."""
         return _solve_normal_equations(
-            self._slot_products, self._h.sum(axis=0), self.ridge,
+            self._slot_sums[:, :21], self._slot_sums[:, 21:], self.ridge,
             lambda k: f"normal equations for slot {k + 1}",
         )
 
@@ -563,7 +598,7 @@ class ODFit:
         """
         columns = self.slot_gammas.swapaxes(1, 2).reshape(-1, 21)
         weights = _solve_normal_equations(
-            np.broadcast_to(self._pooled, columns.shape), columns, self.ridge,
+            np.broadcast_to(self._pooled[:21], columns.shape), columns, self.ridge,
             lambda _: "normal equations for all slots",
         ).reshape(-1, 21, 21).swapaxes(1, 2)
         if not self.ridge:
@@ -577,7 +612,7 @@ class ODFit:
     @cached_property
     def slot_covariances(self) -> np.ndarray:
         """Pairs-bootstrap covariance of each slot estimate, shape (S, 21, 21)."""
-        return _slot_bootstrap_covs(self._products, self._h, self.config, self.ridge)
+        return _slot_bootstrap_covs(self._stats, self.config, self.ridge)
 
     def gb1_standard_errors(self) -> np.ndarray:
         """Gap bootstrap I standard errors from the per-slot split estimates.
@@ -620,10 +655,9 @@ class ODFit:
         ell = _check_gb2_options(ell, days, degenerate, self.ridge)
         theta = self.theta
         weights = self.weights
-        window = _window_estimates(self._products, self._h, ell, self.ridge)  # (S, I, 21)
         # kernel rows of size r = 1, batched over parameters a: projections
         # w_ak' (window_k - theta), (21, I, S, 1); variances w_ak' Cov_k w_ak
-        proj = np.einsum("kab,kib->aik", weights, window - theta)[..., None]
+        proj = _window_projections(self._stats, theta, weights, ell, self.ridge)[..., None]
         quad = np.einsum("kab,kbc,kac->ak", weights, self.slot_covariances, weights)
         floor = (1e-9 * (1.0 + np.abs(theta))) ** 2
         var = _gb2_combine(

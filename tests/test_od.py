@@ -52,6 +52,13 @@ SCALE3_RTOL = (5e-9, 1e-11, 2e-7)
 #: measured at most 7.1e-11.
 GRAM_RTOL = 1e-7
 
+#: Relative bound on how far the ridge bootstrap covariances of
+#: ``test_chunked_match_whole_stack`` lie from a bootstrap that forms all
+#: replicate sums in one GEMM of the whole (B, D) count table: the
+#: chunked GEMM may sum the days in another order; measured at most
+#: 4.5e-12 (and 0 when the chunks are 100 replicates).
+CHUNK_GEMM_RTOL = 1e-10
+
 
 def exact_dataset(days=5, slots=3, seed=0):
     """Noise-free dataset satisfying the split model exactly."""
@@ -117,11 +124,11 @@ def reference_slot_bootstrap_covs(dataset, config, ridge):
     return covs
 
 
-def whole_stack_slot_covs(products, h, config, ridge):
+def whole_stack_slot_covs(stats, config, ridge):
     """The slot bootstrap with each slot in one piece: the whole (B, D)
-    index table drawn at once and all B normal equations solved in one
-    call."""
-    days, slots = products.shape[:2]
+    index table drawn at once, one GEMM of the whole (B, D) count table,
+    and all B normal equations solved in one call."""
+    days, slots = stats.shape[:2]
     reps = config.replicates
     covs = np.empty((slots, 21, 21))
     for k in range(slots):
@@ -129,25 +136,38 @@ def whole_stack_slot_covs(products, h, config, ridge):
         idx = rng.integers(0, days, size=(reps, days), dtype=np.int64)
         flat = idx + np.arange(reps)[:, None] * days
         counts = np.bincount(flat.ravel(), minlength=reps * days).reshape(reps, days)
-        counts = counts.astype(np.float64)
-        gb = od._gram(counts @ products[:, k])
+        sums = counts.astype(np.float64) @ stats[:, k]
+        gb = od._gram(sums[:, :21])
         if ridge:
             gb += ridge * np.eye(21)
-        thetas = np.linalg.solve(gb, (counts @ h[:, k])[..., None])[..., 0]
+        thetas = np.linalg.solve(gb, sums[:, 21:, None])[..., 0]
         dev = thetas - thetas.mean(axis=0)
         covs[k] = dev.T @ dev / reps
     return covs
 
 
-def whole_stack_window_estimates(products, h, ell, ridge):
-    """Every slot's window estimates from one solve call per slot."""
+def window_estimates(stats, ell, ridge):
+    """Every slot's window estimates, shape (S, I, 21), from the slot's
+    window sums and ``od._solve_normal_equations``."""
     out = []
-    for k in range(products.shape[1]):
-        gwin = od._gram(od._window_sums(products[:, k], ell))
+    for k in range(stats.shape[1]):
+        sums = od._window_sums(stats[:, k], ell)
+        out.append(od._solve_normal_equations(sums[:, :21], sums[:, 21:], ridge, str))
+    return np.stack(out)
+
+
+def whole_stack_window_projections(stats, theta, weights, ell, ridge):
+    """The window projections w_ak' (window_k - theta), shape (21, I, S),
+    formed at once from every slot's window estimates, each slot's solved
+    by LU in one call."""
+    out = []
+    for k in range(stats.shape[1]):
+        sums = od._window_sums(stats[:, k], ell)
+        gwin = od._gram(sums[:, :21])
         if ridge:
             gwin += ridge * np.eye(21)
-        out.append(np.linalg.solve(gwin, od._window_sums(h[:, k], ell)[..., None])[..., 0])
-    return np.stack(out)
+        out.append(np.linalg.solve(gwin, sums[:, 21:, None])[..., 0])
+    return np.einsum("kab,kib->aik", weights, np.stack(out) - theta)
 
 
 def lu_solve(products, rhs, label=None):
@@ -156,15 +176,16 @@ def lu_solve(products, rhs, label=None):
     return np.linalg.solve(od._gram(products), rhs[..., None])[..., 0]
 
 
-def bootstrap_sums(products, h, seed, slot, reps):
+def bootstrap_sums(stats, seed, slot, reps):
     """One slot's bootstrap replicate sums of origin products and of h,
     drawn from the slot's stream as ``od._slot_bootstrap_covs`` draws them,
     and each replicate's number of distinct days."""
-    days = products.shape[0]
+    days = stats.shape[0]
     idx = derived_stream(seed, "slot", slot).integers(0, days, size=(reps, days), dtype=np.int64)
     counts = np.stack([np.bincount(row, minlength=days) for row in idx]).astype(np.float64)
     distinct = np.array([np.unique(row).size for row in idx])
-    return counts @ products[:, slot - 1], counts @ h[:, slot - 1], distinct
+    sums = counts @ stats[:, slot - 1]
+    return sums[:, :21], sums[:, 21:], distinct
 
 
 def reference_od_gb2(fit, ell, degenerate="error"):
@@ -173,7 +194,7 @@ def reference_od_gb2(fit, ell, degenerate="error"):
     scales sqrt(w_ak' Cov_k w_ak), and its own degeneracy branch."""
     theta = fit.theta
     weights = fit.weights
-    window = od._window_estimates(fit._products, fit._h, ell, fit.ridge)  # (S, I, 21)
+    window = window_estimates(fit._stats, ell, fit.ridge)  # (S, I, 21)
     count = window.shape[1]
     proj = np.einsum("kab,kib->aki", weights, window - theta)  # (21, S, I)
     moment = np.einsum("aki,aki->ak", proj, proj) / count  # (21, S)
@@ -199,8 +220,7 @@ def od_kernel_inputs(fit, ell):
     """The GB-II kernel inputs of a fit at r = 1: slot variances
     w_ak' Cov_k w_ak, shape (21, S, 1, 1), window projections
     w_ak' (window_k - theta), shape (21, I, S, 1), and the floor (21, 1)."""
-    window = od._window_estimates(fit._products, fit._h, ell, fit.ridge)
-    proj = np.einsum("kab,kib->aik", fit.weights, window - fit.theta)[..., None]
+    proj = od._window_projections(fit._stats, fit.theta, fit.weights, ell, fit.ridge)[..., None]
     quad = np.einsum("kab,kbc,kac->ak", fit.weights, fit.slot_covariances, fit.weights)
     return quad[..., None, None], proj, ((1e-9 * (1.0 + np.abs(fit.theta))) ** 2)[:, None]
 
@@ -801,10 +821,42 @@ class TestFit:
         dataset, _ = surrogate_od_dataset(30, slots=4, seed=6, split_drift=0.1)
         g, h = full_statistics(dataset)
         fit = ODFit(dataset)
-        assert_array_equal(od._statistics(dataset)[1], h)
+        assert_array_equal(od._statistics(dataset)[..., 21:], h)
         # origin products are summed in the same order as the full O'O matrices
         assert_array_equal(fit.gamma, g.sum(axis=(0, 1)))
         assert_array_equal(fit.slot_gammas, g.sum(axis=0))
+
+    def test_stacked_sums_match_separate_arrays(self):
+        # one (D, S, 42) array gives the bits of separate C-contiguous
+        # products and h arrays, each formed in one expression, in every
+        # sum taken over days: pooled, per slot and windowed
+        for seed, (days, slots) in enumerate(((30, 4), (57, 7), (575, 36))):
+            dataset, _ = surrogate_od_dataset(days, slots, seed=seed, day_ar=0.5, split_drift=0.1)
+            o, d = dataset.origins, dataset.destinations
+            ok = np.take(o, od._ORIGIN, axis=-1)
+            products = ok * np.take(o, od._DEST, axis=-1)
+            h = ok * np.take(d, od._DEST, axis=-1) - ok * (d[..., 6] - o.sum(axis=-1))[..., None]
+            stats = od._statistics(dataset)
+            assert stats.flags.c_contiguous
+            assert_array_equal(stats, np.concatenate([products, h], axis=-1))
+            fit = ODFit(dataset)
+            for got, axis in ((fit._pooled, (0, 1)), (fit._slot_sums, 0)):
+                assert_array_equal(got, np.concatenate([products.sum(axis), h.sum(axis)], axis=-1))
+            for k in range(slots):
+                want = [od._window_sums(x[:, k], 9) for x in (products, h)]
+                assert_array_equal(od._window_sums(stats[:, k], 9), np.concatenate(want, axis=-1))
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_window_projections_match_one_einsum(self, ridge):
+        # each slot thread projects its own window estimates, with the bits
+        # of one einsum over every slot's stacked (S, I, 21) estimates
+        dataset, _ = surrogate_od_dataset(80, slots=5, seed=3, day_ar=0.5, split_drift=0.1)
+        fit = ODFit(dataset, ridge=ridge)
+        window = window_estimates(fit._stats, 10, ridge)
+        assert_array_equal(
+            od._window_projections(fit._stats, fit.theta, fit.weights, 10, ridge),
+            np.einsum("kab,kib->aik", fit.weights, window - fit.theta),
+        )
 
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
     def test_pooled_slot_and_weight_solves_match_cholesky(self, ridge):
@@ -815,7 +867,7 @@ class TestFit:
         for seed in range(6):
             dataset, _ = surrogate_od_dataset(30 + 5 * seed, slots=4, seed=seed, split_drift=0.1)
             fit = ODFit(dataset, ridge=ridge)
-            h = od._statistics(dataset)[1]
+            h = od._statistics(dataset)[..., 21:]
             gamma = fit.gamma + ridge * np.eye(21)
             slot_gammas = fit.slot_gammas + ridge * np.eye(21)
             cases = (
@@ -898,25 +950,45 @@ class TestSlotThreads:
     def test_chunked_match_whole_stack(self, monkeypatch, batch, ridge):
         # batches of 7 split both the 250 replicates and the 52 windows
         # unevenly; with a ridge every solve is the whole stack's LU call,
-        # without one a 6x6 origin Gram solve, within GRAM_RTOL of it
+        # without one a 6x6 origin Gram solve, within GRAM_RTOL of it.
+        # The bootstrap's GEMM runs chunk by chunk, not on the whole (B, D)
+        # count table, so BLAS may sum the days in another order: with a
+        # ridge its covariances are held to CHUNK_GEMM_RTOL, and the window
+        # projections, which no GEMM forms, stay bit for bit.
         monkeypatch.setattr(od, "_BATCH", batch)
         monkeypatch.setattr(od, "_GRAM_BATCH", batch)
         dataset, _ = surrogate_od_dataset(60, slots=4, seed=2, day_ar=0.5, split_drift=0.1)
         config = BootstrapConfig(replicates=250, seed=4)
-        products, h = od._statistics(dataset)
-        got = (
-            ODFit(dataset, config, ridge=ridge).slot_covariances,
-            od._window_estimates(products, h, 9, ridge),
-        )
-        want = (
-            whole_stack_slot_covs(products, h, config, ridge),
-            whole_stack_window_estimates(products, h, 9, ridge),
-        )
-        for a, b in zip(got, want):
-            if ridge:
-                assert_array_equal(a, b)
-            else:
-                assert_allclose(a, b, rtol=GRAM_RTOL)
+        fit = ODFit(dataset, config, ridge=ridge)
+        stats = od._statistics(dataset)
+        covs = fit.slot_covariances
+        proj = od._window_projections(stats, fit.theta, fit.weights, 9, ridge)
+        want_covs = whole_stack_slot_covs(stats, config, ridge)
+        want_proj = whole_stack_window_projections(stats, fit.theta, fit.weights, 9, ridge)
+        if ridge:
+            assert_allclose(covs, want_covs, rtol=CHUNK_GEMM_RTOL)
+            assert_array_equal(proj, want_proj)
+        else:
+            assert_allclose(covs, want_covs, rtol=GRAM_RTOL)
+            assert_allclose(proj, want_proj, rtol=GRAM_RTOL)
+
+    def test_memory_does_not_grow_with_replicates(self, monkeypatch, traced_peak):
+        # Each slot thread streams its replicates in _BATCH chunks, so past
+        # a fixed working set only its (B, 21) estimates grow with B.  The
+        # bound allows each worker that growth plus one chunk's indices,
+        # counts and float counts, which covers the threads' timing; a
+        # (B, D) count table per slot would add 2 x 3,500 x 200 x 8 bytes.
+        workers = 2
+        monkeypatch.setattr(od, "_WORKERS", workers)
+        dataset, _ = surrogate_od_dataset(200, slots=4, seed=1, day_ar=0.5, split_drift=0.1)
+        stats = od._statistics(dataset)
+        peaks = [
+            min(traced_peak(lambda: od._slot_bootstrap_covs(stats, BootstrapConfig(replicates=B, seed=1), 0.0))
+                for _ in range(3))
+            for B in (500, 4000)
+        ]
+        chunk = 3 * od._BATCH * dataset.days * 8
+        assert peaks[1] - peaks[0] <= workers * ((4000 - 500) * 21 * 8 + chunk)
 
     def test_any_worker_count_gives_the_same_bits(self, monkeypatch, slot_draws):
         dataset, _ = surrogate_od_dataset(80, slots=5, seed=9, day_ar=0.5, split_drift=0.1)
@@ -984,8 +1056,8 @@ class TestSlotThreads:
         dataset = ODDataset(origins=origins, destinations=destinations)
         config = BootstrapConfig(replicates=50, seed=1)
         # slot 1 is well posed: every replicate and window spans >= 6 days
-        products, h = od._statistics(dataset)
-        assert bootstrap_sums(products, h, config.seed, 1, config.replicates)[2].min() >= 6
+        stats = od._statistics(dataset)
+        assert bootstrap_sums(stats, config.seed, 1, config.replicates)[2].min() >= 6
         fit = ODFit(dataset, config)
         with pytest.raises(RankError, match="^singular bootstrap normal equations in slot 2: "):
             fit.slot_covariances
@@ -1011,12 +1083,12 @@ class TestGramSolve:
                 slot_spread=rng.uniform(0.0, 0.5), noise=rng.uniform(0.01, 0.1),
                 split_drift=rng.uniform(0.0, 0.15),
             )
-            products, h = od._statistics(dataset)
+            stats = od._statistics(dataset)
             ell = 6 if case % 3 == 0 else int(rng.integers(6, days // 2))
             for k in range(slots):
-                boot = bootstrap_sums(products, h, case, k + 1, 40)[:2]
-                window = od._window_sums(products[:, k], ell), od._window_sums(h[:, k], ell)
-                for sums, rhs in (boot, window):
+                boot = bootstrap_sums(stats, case, k + 1, 40)[:2]
+                window = od._window_sums(stats[:, k], ell)
+                for sums, rhs in (boot, (window[:, :21], window[:, 21:])):
                     got = od._solve_normal_equations(sums, rhs, 0.0, str)
                     want = lu_solve(sums, rhs)
                     gap = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
@@ -1043,9 +1115,10 @@ class TestGramSolve:
     @pytest.mark.parametrize("batch", [1, 7, 250])
     def test_batch_size_does_not_change_bits(self, monkeypatch, batch):
         dataset, _ = surrogate_od_dataset(60, slots=2, seed=2, day_ar=0.5, split_drift=0.1)
-        products, h = od._statistics(dataset)
-        boot = bootstrap_sums(products, h, 4, 2, 250)[:2]
-        window = od._window_sums(products[:, 0], 9), od._window_sums(h[:, 0], 9)
+        stats = od._statistics(dataset)
+        boot = bootstrap_sums(stats, 4, 2, 250)[:2]
+        window = od._window_sums(stats[:, 0], 9)
+        window = window[:, :21], window[:, 21:]
         whole = [od._gram_solve(sums, rhs, str) for sums, rhs in (boot, window)]
         monkeypatch.setattr(od, "_GRAM_BATCH", batch)
         for (sums, rhs), want in zip((boot, window), whole):
@@ -1094,8 +1167,8 @@ class TestGramSolve:
         # distinct days, so its origin Gram has rank 5
         dataset, _ = surrogate_od_dataset(12, slots=3, seed=0)
         config = BootstrapConfig(replicates=40, seed=4)
-        products, h = od._statistics(dataset)
-        distinct = [bootstrap_sums(products, h, 4, k, 40)[2].min() for k in (1, 2, 3)]
+        stats = od._statistics(dataset)
+        distinct = [bootstrap_sums(stats, 4, k, 40)[2].min() for k in (1, 2, 3)]
         assert distinct[0] >= 6 and distinct[1] < 6 and distinct[2] >= 6
         with pytest.raises(RankError, match="^singular bootstrap normal equations in slot 2: "):
             ODFit(dataset, config).slot_covariances
