@@ -38,7 +38,7 @@ from .od import (
     ODFit,
     SplitProportions,
     _check_gb2_options,
-    _check_ridge,
+    _check_nonnegative,
     od_standard_errors,
     read_od_csv,
     surrogate_od_dataset,
@@ -105,7 +105,8 @@ def _build_parser() -> _Parser:
     od.add_argument("--seed", type=int, default=0, help="seed for surrogate and bootstraps")
     od.add_argument("--degenerate-corr", default="error", choices=["error", "zero"],
                     help="policy for degenerate window correlations")
-    od.add_argument("--ridge", type=float, default=0.0, help="ridge added to normal equations (default 0)")
+    od.add_argument("--ridge", type=float, default=0.0,
+                    help="ridge added to the diagonal of each system's 6x6 origin Gram (default 0)")
     od.add_argument("--out", required=True, help="output CSV: param,estimate,std_gb1,std_gb2")
     od.add_argument("--dump-data", default=None, help="also write the (surrogate) dataset to this CSV")
 
@@ -169,7 +170,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_od(args) -> int:
     config = BootstrapConfig(replicates=args.replicates, seed=args.seed)
-    _check_ridge(args.ridge)
+    _check_nonnegative("ridge", args.ridge)
     if args.surrogate:
         dataset, truth = surrogate_od_dataset(
             args.days, args.slots, seed=args.seed, day_ar=args.day_ar,

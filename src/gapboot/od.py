@@ -22,9 +22,10 @@ both; least squares alone never runs the bootstrap.  GB-II runs
 
 Every normal-equation solve (pooled, slot, weight, bootstrap, window)
 is one batched ``_solve_normal_equations`` call.  O'O is S[k, k'] (1 +
-[e == e']) in the 6x6 origin Gram S, so without a ridge it is solved in
-closed form through S's Cholesky factor; only the opt-in ridge, which
-breaks that form, expands O'O and solves it by LU.
+[e == e']) in the 6x6 origin Gram S, so every system is solved in closed
+form through S's Cholesky factor, under one rank rule.  The opt-in ridge
+is added to S's diagonal, as six pseudo-records would add it, so it
+keeps that form.
 
 The slots are independent subproblems: each slot's bootstrap and window
 solves run on one of up to nproc threads, each slot draws from its own
@@ -71,7 +72,7 @@ __all__ = [
     "write_od_csv",
 ]
 
-#: Condition-number ceiling for the ridge-free normal-equation solves.
+#: Condition-number ceiling of every normal-equation solve, ridged or not.
 MAX_CONDITION = 1e12
 
 #: Origin and destination (0-based) of each free parameter, in theta
@@ -322,98 +323,79 @@ def _statistics(dataset: ODDataset) -> np.ndarray:
 # Solves, the bootstrap within slots and sliding windows
 # ---------------------------------------------------------------------------
 
-#: Replicates per chunk of the slot bootstrap (index draws, day counts
-#: and one (_BATCH, D) x (D, 42) GEMM), and systems per batch of
-#: ridge-path 21x21 solves: a batch's O'O matrices take about 350 KiB.
+#: Replicates per chunk of the slot bootstrap: its index draws, day
+#: counts and one (_BATCH, D) x (D, 42) GEMM.
 _BATCH = 100
 
-#: Systems per batch of ridge-free solves through the 6x6 origin Gram (a
-#: batch's working arrays take about 0.5 MiB), and the slot bootstrap's
-#: replicates per solve call, rounded down to whole ``_BATCH`` chunks.
+#: Systems per batch of normal-equation solves (a batch's working arrays
+#: take about 0.5 MiB), and the slot bootstrap's replicates per solve
+#: call, rounded down to whole ``_BATCH`` chunks.
 _GRAM_BATCH = 500
-
-
-def _gram_solve(products: np.ndarray, rhs: np.ndarray, label) -> np.ndarray:
-    """Solve O'O theta = h for n summed records at once, through each
-    one's 6x6 origin Gram S = L L' (products (n, 21), rhs (n, 21)).
-
-    With theta and h placed in upper-triangular 6x6 matrices X and R
-    (entry (k, e) = (_ORIGIN[c], _DEST[c]) for parameter c), the normal
-    equations read triu(S (X + u 1')) = R for the row sums u of X, so
-    with W = L^{-1} R and s_t the sum of row t of W,
-
-        X = L'^{-1} triu(W - q 1'),  q_t = s_t / (7 - t)  (t = 0..5).
-
-    S is singular exactly when O'O is.  A system whose Cholesky pivot j
-    of S is at most S[j, j] / MAX_CONDITION, which makes cond(S) at least
-    MAX_CONDITION, is singular: RankError names the lowest such system,
-    as ``label(i)`` of its index i, and its first such pivot.  Every step
-    is an elementwise multiply-add in a fixed order, so each solution's
-    bits do not depend on n.
-    """
-    s = products.T[_PAIR_OF]  # (6, 6, n)
-    low = np.zeros_like(s)
-    x = np.zeros_like(s)
-    x[_ORIGIN, _DEST] = rhs.T
-    weak = np.zeros((6, len(rhs)), dtype=bool)
-    for j in range(6):  # Cholesky factor, column by column
-        pivot = s[j, j].copy()
-        col = s[j + 1 :, j].copy()
-        for i in range(j):
-            pivot -= low[j, i] * low[j, i]
-            col -= low[j + 1 :, i] * low[j, i]
-        weak[j] = pivot <= s[j, j] / MAX_CONDITION
-        low[j, j] = np.sqrt(np.where(weak[j], 1.0, pivot))  # weak systems are raised below
-        low[j + 1 :, j] = col / low[j, j]
-    if weak.any():
-        i = int(np.argmax(weak.any(axis=0)))
-        raise RankError(
-            f"singular {label(i)}: origin Gram pivot {int(np.argmax(weak[:, i])) + 1} "
-            f"is at most 1/{MAX_CONDITION:.0e} of its diagonal"
-        )
-    for t in range(6):  # W = L^{-1} R, upper triangle only
-        for j in range(t):
-            x[t, t:] -= low[t, j] * x[j, t:]
-        x[t, t:] /= low[t, t]
-    for t in range(6):
-        total = x[t, t].copy()
-        for e in range(t + 1, 6):
-            total += x[t, e]
-        x[t, t:] -= total / (7 - t)
-    for t in range(5, -1, -1):  # X = L'^{-1} Z
-        for j in range(t + 1, 6):
-            x[t, j:] -= low[j, t] * x[j, j:]
-        x[t, t:] /= low[t, t]
-    return x[_ORIGIN, _DEST].T
 
 
 def _solve_normal_equations(
     products: np.ndarray, rhs: np.ndarray, ridge: float, label
 ) -> np.ndarray:
-    """Solutions of the normal equations given by summed origin products
-    (n, 21) and right-hand sides (n, 21), shape (n, 21).
+    """Solve the ridged normal equations of n summed records at once:
+    origin products (n, 21) and right-hand sides h (n, 21) give solutions
+    (n, 21), ``_GRAM_BATCH`` systems at a time.
 
-    Without a ridge, ``_gram_solve`` runs ``_GRAM_BATCH`` at a time.  A
-    ridge breaks the origin Gram structure: the O'O matrices are then
-    expanded and solved ``_BATCH`` at a time by LU, each 21x21 solve the
-    same LAPACK call whatever batch it is in, and a system is singular
-    only when LAPACK reports it so.  Either way the bits do not depend on
-    the batch size, and RankError names the lowest singular system i as
-    ``label(i)``.
+    The ridge is added to the diagonal of each system's 6x6 origin Gram
+    (see ``_gram``), as six pseudo-records, origin k sending sqrt(ridge)
+    to destination 7, would add it: ridge on S[k, k], nothing on O'D'.
+    With that S = L L' and theta and h placed in upper-triangular 6x6
+    matrices X and R (entry (k, e) = (_ORIGIN[c], _DEST[c]) for parameter
+    c), the normal equations read triu(S (X + u 1')) = R for the row sums
+    u of X, so with W = L^{-1} R and s_t the sum of row t of W,
+
+        X = L'^{-1} triu(W - q 1'),  q_t = s_t / (7 - t)  (t = 0..5).
+
+    S is singular exactly when O'O is.  One rank rule holds with or
+    without a ridge: a system whose Cholesky pivot j is at most
+    S[j, j] / MAX_CONDITION, which makes cond(S) at least MAX_CONDITION,
+    is singular.  RankError names the lowest such system, as ``label(i)``
+    of its index i, and its first such pivot.  Every step is an
+    elementwise multiply-add in a fixed order, so each solution's bits do
+    not depend on n or the batch.
     """
     out = np.empty(rhs.shape)
-    step = _BATCH if ridge else _GRAM_BATCH
-    for lo in range(0, len(rhs), step):
-        batch = slice(lo, lo + step)
-        if not ridge:
-            out[batch] = _gram_solve(products[batch], rhs[batch], lambda i: label(lo + i))
-            continue
-        gram = _gram(products[batch]) + ridge * np.eye(21)
-        try:
-            out[batch] = np.linalg.solve(gram, rhs[batch, :, None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            i = int(np.argmax(np.linalg.slogdet(gram)[0] == 0.0))  # LAPACK's zero pivot
-            raise RankError(f"singular {label(lo + i)}: {exc}") from exc
+    for lo in range(0, len(rhs), _GRAM_BATCH):
+        batch = slice(lo, lo + _GRAM_BATCH)
+        s = products[batch].T[_PAIR_OF]  # (6, 6, n)
+        low = np.zeros_like(s)
+        x = np.zeros_like(s)
+        x[_ORIGIN, _DEST] = rhs[batch].T
+        weak = np.zeros((6, s.shape[2]), dtype=bool)
+        for j in range(6):  # Cholesky factor of S + ridge I, column by column
+            s[j, j] += ridge
+            pivot = s[j, j].copy()
+            col = s[j + 1 :, j].copy()
+            for i in range(j):
+                pivot -= low[j, i] * low[j, i]
+                col -= low[j + 1 :, i] * low[j, i]
+            weak[j] = pivot <= s[j, j] / MAX_CONDITION
+            low[j, j] = np.sqrt(np.where(weak[j], 1.0, pivot))  # weak systems are raised below
+            low[j + 1 :, j] = col / low[j, j]
+        if weak.any():
+            i = int(np.argmax(weak.any(axis=0)))
+            raise RankError(
+                f"singular {label(lo + i)}: origin Gram pivot {int(np.argmax(weak[:, i])) + 1} "
+                f"is at most 1/{MAX_CONDITION:.0e} of its diagonal"
+            )
+        for t in range(6):  # W = L^{-1} R, upper triangle only
+            for j in range(t):
+                x[t, t:] -= low[t, j] * x[j, t:]
+            x[t, t:] /= low[t, t]
+        for t in range(6):
+            total = x[t, t].copy()
+            for e in range(t + 1, 6):
+                total += x[t, e]
+            x[t, t:] -= total / (7 - t)
+        for t in range(5, -1, -1):  # X = L'^{-1} Z
+            for j in range(t + 1, 6):
+                x[t, j:] -= low[j, t] * x[j, j:]
+            x[t, t:] /= low[t, t]
+        out[batch] = x[_ORIGIN, _DEST].T
     return out
 
 
@@ -425,10 +407,9 @@ def _slot_bootstrap_covs(stats: np.ndarray, config: BootstrapConfig, ridge: floa
     multiplicities.  Streams are keyed by slot, so slot draws are
     independent of each other and of the slot count.  The replicates'
     sums are formed on the 21 origin products, and each replicate is
-    solved through its 6x6 origin Gram (see ``_solve_normal_equations``;
-    O'O is expanded only under a ridge).  A replicate that draws fewer
-    than 6 distinct days has a singular origin Gram and raises RankError
-    naming the slot.
+    solved through its 6x6 origin Gram (see ``_solve_normal_equations``).
+    Without a ridge, a replicate that draws fewer than 6 distinct days
+    has a singular origin Gram and raises RankError naming the slot.
 
     Every stream is derived here, in slot order, before the slots run on
     ``_WORKERS`` threads.  Each slot draws its indices ``_BATCH``
@@ -514,7 +495,7 @@ def _check_gb2_options(ell: int | None, days: int, degenerate: str, ridge: float
     """Check the ridge, the GB-II degeneracy policy and the window length,
     in that order; returns the length (default ``default_block_length(days)``),
     which without a ridge must be at least 6: a shorter window's origin Gram is singular."""
-    ridge = _check_ridge(ridge)
+    ridge = _check_nonnegative("ridge", ridge)
     _check_degenerate_policy(degenerate)
     ell = _check_window(default_block_length(days) if ell is None else ell, days)
     if ell < 6 and not ridge:
@@ -522,12 +503,12 @@ def _check_gb2_options(ell: int | None, days: int, degenerate: str, ridge: float
     return ell
 
 
-def _check_ridge(ridge: float) -> float:
-    """The ridge as a float, if finite and >= 0."""
-    ridge = float(ridge)
-    if not (np.isfinite(ridge) and ridge >= 0.0):
-        raise ConfigError(f"ridge must be finite and >= 0, got {ridge}")
-    return ridge
+def _check_nonnegative(name: str, value: float) -> float:
+    """``value`` as a float, if finite and >= 0; ConfigError names ``name``."""
+    value = float(value)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +528,12 @@ class ODFit:
     bootstrap, and GB-I and GB-II on one fit share one slot bootstrap.
 
     ``config`` sets the slot bootstrap's replicates and seed.  ``ridge``,
-    for nearly collinear volumes, is added to every normal-equation solve;
-    it must be finite and >= 0.  When positive, the weight/partition
-    identity checks are skipped (the ridge perturbs them by design).
+    for nearly collinear volumes, zero-volume slots and windows under 6
+    days, is added to the diagonal of every system's 6x6 origin Gram S
+    (see ``_solve_normal_equations``); it must be finite and >= 0.  A
+    ridge below about S[j, j] / MAX_CONDITION leaves a singular system
+    singular.  When positive, the weight/partition identity checks are
+    skipped (the ridge perturbs them by design).
     """
 
     def __init__(
@@ -561,7 +545,7 @@ class ODFit:
     ):
         self.dataset = dataset
         self.config = config
-        self.ridge = _check_ridge(ridge)
+        self.ridge = _check_nonnegative("ridge", ridge)
         self._stats = _statistics(dataset)
         self._pooled = self._stats.sum(axis=(0, 1))
         self._slot_sums = self._stats.sum(axis=0)
@@ -590,7 +574,7 @@ class ODFit:
     def weights(self) -> np.ndarray:
         """Slot weights W_k = Gamma_full^{-1} Gamma_k, shape (S, 21, 21):
         the 21 S columns of the Gamma_k solved as one batch against
-        Gamma_full (plus the ridge).
+        Gamma_full (its origin Gram ridged).
 
         Without a ridge, checks that the slot matrices sum to the full
         matrix (the slots partition the records) and that the weights sum
@@ -748,12 +732,8 @@ def surrogate_od_dataset(
         raise ConfigError(f"need at least 1 slot, got {slots}")
     if not 0.0 <= day_ar < 1.0:
         raise ConfigError(f"day_ar must lie in [0, 1), got {day_ar}")
-    if noise < 0.0:
-        raise ConfigError(f"noise must be >= 0, got {noise}")
-    if split_drift < 0.0:
-        raise ConfigError(f"split_drift must be >= 0, got {split_drift}")
-    if slot_spread < 0.0:
-        raise ConfigError(f"slot_spread must be >= 0, got {slot_spread}")
+    for name, value in (("noise", noise), ("split_drift", split_drift), ("slot_spread", slot_spread)):
+        _check_nonnegative(name, value)
     truth = SplitProportions(DEFAULT_SPLIT_THETA)
 
     design_rng = derived_stream(0, "od-profile")

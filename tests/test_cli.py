@@ -257,6 +257,14 @@ class TestOd:
         assert "ridge" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_surrogate_scales_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        for flag in ("--noise", "--split-drift", "--slot-spread"):
+            code = run("od", "--surrogate", "--days", "30", "--slots", "4", flag, "nan", "--out", str(out))
+            assert code == 1
+            assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_bad_replicates_write_nothing(self, tmp_path, capsys):
         out, dump = tmp_path / "o.csv", tmp_path / "d.csv"
         code = run(
@@ -291,6 +299,18 @@ class TestOd:
             "--out", str(out), "--dump-data", str(dump),
         ) == 0
         assert len(out.read_text().splitlines()) == 22 and dump.exists()
+
+    def test_ridge_runs_without_lu(self, tmp_path, monkeypatch):
+        # every ridged system, 5-day windows included, goes through the
+        # origin Gram solver
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        assert run(
+            "od", "--surrogate", "--days", "15", "--slots", "4", "--replicates", "50",
+            "--ridge", "0.5", "--out", str(tmp_path / "o.csv"),
+        ) == 0
 
     def test_draws_each_slot_stream_once(self, tmp_path, slot_draws):
         assert run(

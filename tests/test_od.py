@@ -46,18 +46,16 @@ THETA = np.asarray(DEFAULT_SPLIT_THETA)
 #: records each and amplify the rounding of the scaled counts.
 SCALE3_RTOL = (5e-9, 1e-11, 2e-7)
 
-#: Relative bound on how far the ridge-free bootstrap covariances and
-#: window estimates, solved through the 6x6 origin Gram, lie from 21x21
-#: LU solves on the corridor of ``test_chunked_match_whole_stack``;
-#: measured at most 7.1e-11.
+#: Relative bound on how far the bootstrap covariances and window
+#: projections, solved through the 6x6 origin Gram, lie from 21x21 LU
+#: solves on the corridor of ``test_chunked_match_whole_stack``, with or
+#: without a ridge; measured at most 7.0e-11 without one and 1.1e-10
+#: with ridge 10.
 GRAM_RTOL = 1e-7
 
-#: Relative bound on how far the ridge bootstrap covariances of
-#: ``test_chunked_match_whole_stack`` lie from a bootstrap that forms all
-#: replicate sums in one GEMM of the whole (B, D) count table: the
-#: chunked GEMM may sum the days in another order; measured at most
-#: 4.5e-12 (and 0 when the chunks are 100 replicates).
-CHUNK_GEMM_RTOL = 1e-10
+#: O'O of the identity origin Gram, 1 + [e == e'] where both parameters
+#: leave the same origin and 0 elsewhere: a ridge adds ridge * RIDGE_GRAM.
+RIDGE_GRAM = od._gram(np.eye(6)[od._ORIGIN, od._DEST])
 
 
 def exact_dataset(days=5, slots=3, seed=0):
@@ -117,7 +115,7 @@ def reference_slot_bootstrap_covs(dataset, config, ridge):
         rng = derived_stream(config.seed, "slot", k + 1)
         idx = rng.integers(0, days, size=(reps, days), dtype=np.int64)
         counts = np.stack([np.bincount(row, minlength=days) for row in idx]).astype(np.float64)
-        gb = (counts @ g[:, k].reshape(days, 441)).reshape(reps, 21, 21) + ridge * np.eye(21)
+        gb = (counts @ g[:, k].reshape(days, 441)).reshape(reps, 21, 21) + ridge * RIDGE_GRAM
         thetas = np.linalg.solve(gb, (counts @ h[:, k])[..., None])[..., 0]
         dev = thetas - thetas.mean(axis=0)
         covs[k] = dev.T @ dev / reps
@@ -137,9 +135,7 @@ def whole_stack_slot_covs(stats, config, ridge):
         flat = idx + np.arange(reps)[:, None] * days
         counts = np.bincount(flat.ravel(), minlength=reps * days).reshape(reps, days)
         sums = counts.astype(np.float64) @ stats[:, k]
-        gb = od._gram(sums[:, :21])
-        if ridge:
-            gb += ridge * np.eye(21)
+        gb = od._gram(sums[:, :21]) + ridge * RIDGE_GRAM
         thetas = np.linalg.solve(gb, sums[:, 21:, None])[..., 0]
         dev = thetas - thetas.mean(axis=0)
         covs[k] = dev.T @ dev / reps
@@ -163,17 +159,15 @@ def whole_stack_window_projections(stats, theta, weights, ell, ridge):
     out = []
     for k in range(stats.shape[1]):
         sums = od._window_sums(stats[:, k], ell)
-        gwin = od._gram(sums[:, :21])
-        if ridge:
-            gwin += ridge * np.eye(21)
+        gwin = od._gram(sums[:, :21]) + ridge * RIDGE_GRAM
         out.append(np.linalg.solve(gwin, sums[:, 21:, None])[..., 0])
     return np.einsum("kab,kib->aik", weights, np.stack(out) - theta)
 
 
-def lu_solve(products, rhs, label=None):
-    """The reference for ``od._gram_solve``: each O'O expanded from its
-    origin products and solved by 21x21 LU."""
-    return np.linalg.solve(od._gram(products), rhs[..., None])[..., 0]
+def lu_solve(products, rhs, ridge=0.0, label=None):
+    """The reference for ``od._solve_normal_equations``: each O'O expanded
+    from its origin products, ridged, and solved by 21x21 LU."""
+    return np.linalg.solve(od._gram(products) + ridge * RIDGE_GRAM, rhs[..., None])[..., 0]
 
 
 def bootstrap_sums(stats, seed, slot, reps):
@@ -717,15 +711,16 @@ class TestLeastSquares:
         with pytest.raises(RankError, match="^singular normal equations for slot 2: origin Gram pivot 2 "):
             ODFit(dataset).slot_estimates
 
-    def test_ridge_system_is_singular_when_lapack_says_so(self):
+    def test_ridge_under_the_pivot_bound_leaves_a_slot_singular(self):
         # slot 3 repeats one record of unit counts: a ridge of 1e-20 is lost
-        # in its O'O entries, LU meets an exact zero pivot, and the slot is
-        # named though it is not the first system of the batch
+        # in its origin Gram's diagonal of 8, pivot 2 fails the one rank
+        # rule, and the slot is named though it is not the first system of
+        # the batch
         rng = np.random.default_rng(2)
         origins = rng.uniform(20.0, 80.0, size=(8, 4, 7))
         origins[:, 2, :] = 1.0
         dataset = ODDataset(origins=origins, destinations=origins @ SplitProportions(THETA).matrix)
-        with pytest.raises(RankError, match="^singular normal equations for slot 3: Singular matrix"):
+        with pytest.raises(RankError, match="^singular normal equations for slot 3: origin Gram pivot 2 "):
             ODFit(dataset, ridge=1e-20).slot_estimates
 
 
@@ -868,8 +863,8 @@ class TestFit:
             dataset, _ = surrogate_od_dataset(30 + 5 * seed, slots=4, seed=seed, split_drift=0.1)
             fit = ODFit(dataset, ridge=ridge)
             h = od._statistics(dataset)[..., 21:]
-            gamma = fit.gamma + ridge * np.eye(21)
-            slot_gammas = fit.slot_gammas + ridge * np.eye(21)
+            gamma = fit.gamma + ridge * RIDGE_GRAM
+            slot_gammas = fit.slot_gammas + ridge * RIDGE_GRAM
             cases = (
                 (fit.theta[None], [gamma], h.sum(axis=(0, 1))[None]),
                 (fit.slot_estimates, slot_gammas, h.sum(axis=0)),
@@ -887,7 +882,7 @@ class TestFit:
         config = BootstrapConfig(replicates=200, seed=4)
         covs = ODFit(dataset, config, ridge=ridge).slot_covariances
         ref = reference_slot_bootstrap_covs(dataset, config, ridge)
-        # the two differ only in the GEMM's summation order
+        # the two differ in the GEMM's summation order and the solver
         assert_allclose(covs, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_bootstrap_is_lazy_and_drawn_once(self, slot_draws):
@@ -949,12 +944,8 @@ class TestSlotThreads:
     @pytest.mark.parametrize("ridge", [0.0, 10.0])
     def test_chunked_match_whole_stack(self, monkeypatch, batch, ridge):
         # batches of 7 split both the 250 replicates and the 52 windows
-        # unevenly; with a ridge every solve is the whole stack's LU call,
-        # without one a 6x6 origin Gram solve, within GRAM_RTOL of it.
-        # The bootstrap's GEMM runs chunk by chunk, not on the whole (B, D)
-        # count table, so BLAS may sum the days in another order: with a
-        # ridge its covariances are held to CHUNK_GEMM_RTOL, and the window
-        # projections, which no GEMM forms, stay bit for bit.
+        # unevenly; every solve is a 6x6 origin Gram solve, within
+        # GRAM_RTOL of the whole stack's LU call, with or without a ridge
         monkeypatch.setattr(od, "_BATCH", batch)
         monkeypatch.setattr(od, "_GRAM_BATCH", batch)
         dataset, _ = surrogate_od_dataset(60, slots=4, seed=2, day_ar=0.5, split_drift=0.1)
@@ -965,12 +956,8 @@ class TestSlotThreads:
         proj = od._window_projections(stats, fit.theta, fit.weights, 9, ridge)
         want_covs = whole_stack_slot_covs(stats, config, ridge)
         want_proj = whole_stack_window_projections(stats, fit.theta, fit.weights, 9, ridge)
-        if ridge:
-            assert_allclose(covs, want_covs, rtol=CHUNK_GEMM_RTOL)
-            assert_array_equal(proj, want_proj)
-        else:
-            assert_allclose(covs, want_covs, rtol=GRAM_RTOL)
-            assert_allclose(proj, want_proj, rtol=GRAM_RTOL)
+        assert_allclose(covs, want_covs, rtol=GRAM_RTOL)
+        assert_allclose(proj, want_proj, rtol=GRAM_RTOL)
 
     def test_memory_does_not_grow_with_replicates(self, monkeypatch, traced_peak):
         # Each slot thread streams its replicates in _BATCH chunks, so past
@@ -1066,8 +1053,8 @@ class TestSlotThreads:
 
 
 class TestGramSolve:
-    """The ridge-free solves through the 6x6 origin Gram against the 21x21
-    LU solves they replace."""
+    """The solves through the 6x6 origin Gram against 21x21 LU solves of
+    the same systems."""
 
     def test_matches_lu_within_condition_bound(self):
         # Both solvers are backward stable, so the gap between them scales
@@ -1108,7 +1095,7 @@ class TestGramSolve:
                 warnings.simplefilter("ignore", FewRowsWarning)
                 got = od_standard_errors(dataset, config=config)
                 with monkeypatch.context() as patch:
-                    patch.setattr(od, "_gram_solve", lu_solve)
+                    patch.setattr(od, "_solve_normal_equations", lu_solve)
                     want = od_standard_errors(dataset, config=config)
             assert_allclose(got, want, rtol=1e-10, err_msg=f"case {case}")
 
@@ -1119,10 +1106,12 @@ class TestGramSolve:
         boot = bootstrap_sums(stats, 4, 2, 250)[:2]
         window = od._window_sums(stats[:, 0], 9)
         window = window[:, :21], window[:, 21:]
-        whole = [od._gram_solve(sums, rhs, str) for sums, rhs in (boot, window)]
-        monkeypatch.setattr(od, "_GRAM_BATCH", batch)
-        for (sums, rhs), want in zip((boot, window), whole):
-            assert_array_equal(od._solve_normal_equations(sums, rhs, 0.0, str), want)
+        for ridge in (0.0, 0.5):
+            monkeypatch.setattr(od, "_GRAM_BATCH", 250)
+            whole = [od._solve_normal_equations(sums, rhs, ridge, str) for sums, rhs in (boot, window)]
+            monkeypatch.setattr(od, "_GRAM_BATCH", batch)
+            for (sums, rhs), want in zip((boot, window), whole):
+                assert_array_equal(od._solve_normal_equations(sums, rhs, ridge, str), want)
 
     @pytest.mark.parametrize("jitter, singular", [(1e-7, True), (1e-5, False)])
     def test_nearly_collinear_origins(self, jitter, singular):
@@ -1141,8 +1130,9 @@ class TestGramSolve:
             assert np.isfinite(fit.slot_covariances).all()
 
     def test_ridge_solves_nearly_collinear_slot(self):
-        # under a ridge a system is singular only when LAPACK reports it so:
-        # the slot that fails the pivot test at jitter 1e-7 solves
+        # a ridge of 1e-6 keeps every pivot of S + ridge I at least 1e-6,
+        # above 1 / MAX_CONDITION of its diagonal: the slot that fails the
+        # pivot test at jitter 1e-7 solves
         rng = np.random.default_rng(5)
         origins = rng.uniform(20.0, 80.0, size=(30, 3, 7))
         origins[:, 1, 1] = 2.0 * origins[:, 1, 0] * (1.0 + 1e-7 * rng.standard_normal(30))
@@ -1150,6 +1140,22 @@ class TestGramSolve:
         with pytest.raises(RankError, match="slot 2"):
             ODFit(dataset).slot_estimates
         assert np.isfinite(ODFit(dataset, ridge=1e-6).slot_estimates).all()
+
+    def test_ridge_is_six_pseudo_records(self):
+        # origin k sending sqrt(ridge) to destination 7, for k = 1..6, adds
+        # ridge to the diagonal origin products and nothing else; the
+        # ridged fits equal, bit for bit, ridge-free solves of the sums
+        # with those six records added
+        ridge = 0.25
+        origins, destinations = np.zeros((6, 1, 7)), np.zeros((6, 1, 7))
+        origins[range(6), 0, range(6)] = destinations[:, 0, 6] = np.sqrt(ridge)
+        pseudo = od._statistics(ODDataset(origins, destinations)).sum(axis=(0, 1))
+        assert_array_equal(pseudo, np.concatenate([ridge * np.eye(6)[od._ORIGIN, od._DEST], np.zeros(21)]))
+        dataset, _ = surrogate_od_dataset(40, slots=5, seed=2, day_ar=0.5, split_drift=0.1)
+        fit, ridged = ODFit(dataset), ODFit(dataset, ridge=ridge)
+        for got, sums in ((ridged.theta[None], fit._pooled[None]), (ridged.slot_estimates, fit._slot_sums)):
+            sums = sums + pseudo
+            assert_array_equal(got, od._solve_normal_equations(sums[:, :21], sums[:, 21:], 0.0, str))
 
     def test_any_worker_count_gives_the_same_bits(self, monkeypatch):
         dataset, _ = surrogate_od_dataset(80, slots=5, seed=9, day_ar=0.5, split_drift=0.1)
@@ -1330,3 +1336,9 @@ class TestSurrogate:
             surrogate_od_dataset(10, split_drift=-0.01)
         with pytest.raises(ConfigError):
             surrogate_od_dataset(10, slot_spread=-0.2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["noise", "split_drift", "slot_spread"])
+    def test_non_finite_scale_is_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite and >= 0, got {value}"):
+            surrogate_od_dataset(10, **{name: value})
