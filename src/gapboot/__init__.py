@@ -5,7 +5,7 @@ stretch of missing time between blocks form a p x m array whose rows are
 nearly i.i.d. samples and whose columns are nearly independent.  This
 package estimates the sampling variance of estimators computed on such
 arrays: two gap bootstrap methods (per-row resampling with either a
-pairwise-difference or a window-correlation cross-term), subsampling and
+between-row-covariance or a window-correlation cross-term), subsampling and
 moving-block baselines, a simulation harness, and an origin-destination
 split-proportion application.
 """
@@ -37,12 +37,7 @@ from .errors import (
     InsufficientDataError,
     RankError,
 )
-from .gb1 import (
-    RowEstimates,
-    collect_row_estimates,
-    gb1_variance,
-    pairwise_difference_variance,
-)
+from .gb1 import RowEstimates, collect_row_estimates, gb1_variance
 from .gb2 import (
     SubseriesEstimates,
     correlation_matrix,

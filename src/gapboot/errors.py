@@ -42,5 +42,5 @@ class ConsistencyError(GapBootstrapError, ValueError):
 
 
 class FewRowsWarning(UserWarning):
-    """Gap bootstrap I applied with very few rows; p*(p-1) pairwise
-    differences may be too noisy to stabilise the cross-covariance."""
+    """Gap bootstrap I applied with very few rows; the covariance of so few
+    row estimates may be too noisy to stabilise the cross-covariance."""

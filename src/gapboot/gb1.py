@@ -2,10 +2,10 @@
 
 Each row of the gapped array is bootstrapped on its own, which captures
 the within-row variability but says nothing about dependence between
-row estimators.  Under approximate exchangeability of rows, the average
-squared pairwise difference of the row estimates identifies the common
-cross-row covariance, and the two ingredients combine into a variance
-estimate for the equally weighted row combination.
+row estimators.  Under approximate exchangeability of rows, the spread
+of the p row estimates identifies the common cross-row covariance, and
+the variance of the equally weighted row combination is the average row
+variance minus the between-row covariance of the p estimates.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ __all__ = [
     "RowEstimates",
     "collect_row_estimates",
     "gb1_variance",
-    "pairwise_difference_variance",
 ]
 
 
@@ -83,33 +82,28 @@ def collect_row_estimates(
     return RowEstimates(estimates=np.stack(estimates), variances=np.stack(variances))
 
 
-def pairwise_difference_variance(estimates: np.ndarray) -> np.ndarray:
-    """Average outer product of row-estimate differences over ordered pairs.
-
-    (1 / (p (p-1))) * sum_{j != k} (theta_j - theta_k)(theta_j - theta_k)'.
-    Under row exchangeability this estimates Sigma_j + Sigma_k - 2*Cov,
-    the variance of the difference of two row estimators.
-    """
-    e = np.asarray(estimates, dtype=np.float64)
-    if e.ndim != 2:
-        raise DimensionError(f"estimates must be (p, r), got shape {e.shape}")
-    p = e.shape[0]
-    if p < 2:
-        raise InsufficientDataError(f"need at least 2 rows for pairwise differences, got {p}")
-    diff = e[:, None, :] - e[None, :, :]
-    return np.einsum("jka,jkb->ab", diff, diff) / (p * (p - 1))
-
-
 def gb1_variance(rows: RowEstimates) -> VarianceEstimate:
     """Combine row variances and cross covariances for the equal-weight mean.
 
-    p^{-2} [ sum_j Sigma_j + sum_{j != k} cov(j, k) ] with the closed form
-    sum_{j != k} cov(j, k) = (p - 1) sum_j Sigma_j - p (p - 1) vtilde / 2,
-    followed by projection onto the PSD cone (the combination can go
-    negative when rows disagree more than their own variances allow).
+    The paper's combination p^{-2} [ sum_j Sigma_j + sum_{j != k} cov(j, k) ],
+    with each cov(j, k) moment-matched to the pooled pairwise differences
+    of the row estimates, is in closed form
+
+        mean_j Sigma_j - C0,
+
+    where C0 = p^{-1} sum_j (theta_j - theta_bar)(theta_j - theta_bar)' is
+    the between-row covariance of the p row estimates.  The result is
+    projected onto the PSD cone (the combination goes negative when rows
+    disagree more than their own variances allow).
+
+    >>> rows = RowEstimates(estimates=[[1.0], [3.0]], variances=[[[4.0]], [[4.0]]])
+    >>> with warnings.catch_warnings():  # two rows: FewRowsWarning
+    ...     warnings.simplefilter("ignore", FewRowsWarning)
+    ...     gb1_variance(rows).scalar
+    3.0
 
     Raises InsufficientDataError for p < 2 and emits FewRowsWarning for
-    p < 5, where the p (p - 1) pairwise differences are very noisy.
+    p < 5, where the covariance of so few estimates is very noisy.
     """
     p = rows.p
     if p < 2:
@@ -121,8 +115,6 @@ def gb1_variance(rows: RowEstimates) -> VarianceEstimate:
             FewRowsWarning,
             stacklevel=2,
         )
-    vtilde = pairwise_difference_variance(rows.estimates)
-    total = rows.variances.sum(axis=0)
-    cross_total = (p - 1) * total - 0.5 * p * (p - 1) * vtilde
-    combined = (total + cross_total) / p**2
+    dev = rows.estimates - rows.estimates.mean(axis=0)
+    combined = rows.variances.mean(axis=0) - dev.T @ dev / p
     return VarianceEstimate(matrix=psd_project(combined))

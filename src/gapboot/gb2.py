@@ -7,7 +7,7 @@ the correlation of those window series -- centred at the full-data
 estimate -- estimates exactly the missing piece.  Combining per-row
 bootstrap variances with window correlations yields a variance estimate
 for any weighted row combination, without the exchangeability assumption
-the pairwise-difference route needs.
+gap bootstrap I needs.
 """
 from __future__ import annotations
 

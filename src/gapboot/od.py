@@ -30,10 +30,13 @@ keeps that form.
 The slots are independent subproblems: each slot's bootstrap and window
 solves run on one of up to nproc threads, each slot draws from its own
 keyed stream, and each writes only its own results, so the output is
-byte-identical for any thread count.  A slot's bootstrap streams its
-replicates in ``_BATCH`` chunks and its window estimates are projected
-in its own thread, so memory grows with the data, and with B only by the
-(B, 21) replicate estimates of the slots in flight.
+byte-identical for any number of these threads, though not of BLAS
+threads: the slot bootstrap's GEMM sums in a BLAS-thread-dependent
+order, which moves the last digits of the standard errors.  A slot's
+bootstrap streams its replicates in ``_BATCH`` chunks and its window
+estimates are projected in its own thread, so memory grows with the
+data, and with B only by the (B, 21) replicate estimates of the slots
+in flight.
 """
 from __future__ import annotations
 
@@ -601,11 +604,11 @@ class ODFit:
     def gb1_standard_errors(self) -> np.ndarray:
         """Gap bootstrap I standard errors from the per-slot split estimates.
 
-        Treats the S slot estimates as exchangeable rows: per-slot pairs
-        bootstraps give the slot variances, pairwise differences the common
-        cross-slot covariance, and the equally weighted combination formula
-        the variance of the pooled estimate.  Shares the slot bootstrap
-        with the GB-II path, so both report consistent slot scales.
+        Treats the S slot estimates as exchangeable rows: the variance of
+        the pooled estimate is the mean of the per-slot pairs-bootstrap
+        covariances minus the between-slot covariance of the S slot
+        estimates (``gb1_variance``).  Shares the slot bootstrap with the
+        GB-II path, so both report consistent slot scales.
         """
         rows = RowEstimates(estimates=self.slot_estimates, variances=self.slot_covariances)
         return gb1_variance(rows).standard_errors
@@ -665,13 +668,16 @@ def od_standard_errors(
     PARAM_NAMES, from one ``ODFit``: the statistics are computed and the
     slot bootstrap is run once for both standard errors.  The window
     length, the degeneracy policy and the ridge are checked before any of
-    that work.  ``config`` and ``ridge`` are as for ``ODFit``; ``ell``,
-    ``degenerate`` and the per-parameter scalar form of GB-II are described
-    at ``ODFit.gb2_standard_errors``.
+    that work.  GB-II runs first: it solves the windows before it reads
+    the slot covariances, so a window the ridge leaves singular raises
+    before any slot bootstrap is drawn.  ``config`` and ``ridge`` are as
+    for ``ODFit``; ``ell``, ``degenerate`` and the per-parameter scalar
+    form of GB-II are described at ``ODFit.gb2_standard_errors``.
     """
     _check_gb2_options(ell, dataset.days, degenerate, ridge)
     fit = ODFit(dataset, config, ridge=ridge)
-    return fit.theta, fit.gb1_standard_errors(), fit.gb2_standard_errors(ell, degenerate)
+    se2 = fit.gb2_standard_errors(ell, degenerate)
+    return fit.theta, fit.gb1_standard_errors(), se2
 
 
 # ---------------------------------------------------------------------------

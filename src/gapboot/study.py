@@ -5,7 +5,8 @@ it simulates ``runs`` independent gapped arrays, applies the requested
 variance methods to the grand-mean estimator, and scores each method's
 standard-error estimates against a Monte Carlo truth simulated from the
 same model.  All randomness is keyed by (seed, cell, run), so results
-are identical for any thread count and any method subset.
+are identical for any number of the package's own worker threads and
+any method subset; the BLAS thread count is outside that promise.
 
 A cell's runs go one at a time.  Bootstraps of long rows and long
 truth series run on all the CPUs the process may use

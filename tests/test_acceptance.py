@@ -118,25 +118,20 @@ def test_criterion_4_multivariate_mse_orderings():
 
 def test_criterion_5_relative_error_shrinks_with_n():
     est = mean_estimator()
-    medians = {}
-    for method in ("gb1", "gb2"):
-        meds = []
-        for si, n in enumerate((200, 1800, 10000)):
-            spec = ModelSpec("ar2", n, 5)
-            truth = float(monte_carlo_true_se(spec, est, 4000, (0, "truth", si))[0]) ** 2
-            errs = []
-            for r in range(100):
-                arr = generate_series(spec, (0, "run", si, r))
-                boot = BootstrapConfig(replicates=400, seed=si * 100 + r)
-                rows = collect_row_estimates(arr, est, boot)
-                if method == "gb1":
-                    v = gb1_variance(rows).scalar
-                else:
-                    sub = subseries_estimates(arr, est, ell=default_block_length(arr.m))
-                    v = gb2_variance(rows.variances, sub).scalar
-                errs.append(abs(v - truth) / truth)
-            meds.append(float(np.median(errs)))
-        medians[method] = meds
+    medians = {"gb1": [], "gb2": []}
+    for si, n in enumerate((200, 1800, 10000)):
+        spec = ModelSpec("ar2", n, 5)
+        truth = float(monte_carlo_true_se(spec, est, 4000, (0, "truth", si))[0]) ** 2
+        errs = {"gb1": [], "gb2": []}
+        for r in range(100):
+            arr = generate_series(spec, (0, "run", si, r))
+            boot = BootstrapConfig(replicates=400, seed=si * 100 + r)
+            rows = collect_row_estimates(arr, est, boot)
+            sub = subseries_estimates(arr, est, ell=default_block_length(arr.m))
+            errs["gb1"].append(abs(gb1_variance(rows).scalar - truth) / truth)
+            errs["gb2"].append(abs(gb2_variance(rows.variances, sub).scalar - truth) / truth)
+        for method, e in errs.items():
+            medians[method].append(float(np.median(e)))
     g2 = medians["gb2"]
     assert g2[0] > g2[1] > g2[2], f"gb2 medians {g2}"
     g1 = medians["gb1"]
@@ -188,9 +183,9 @@ def test_criterion_7_od_pipeline(tmp_path):
 
     # (c) day-to-day drift coupled to slot volume: gb1 must undershoot gb2
     ds, _ = surrogate_od_dataset(days, slots=slots, seed=3000, **serial)
-    cfg = BootstrapConfig(replicates=200, seed=0)
-    se1 = ODFit(ds, cfg).gb1_standard_errors()
-    se2s = ODFit(ds, cfg).gb2_standard_errors(ell)
+    fit = ODFit(ds, BootstrapConfig(replicates=200, seed=0))
+    se1 = fit.gb1_standard_errors()
+    se2s = fit.gb2_standard_errors(ell)
     flips = int(np.sum(se1 < se2s))
     assert flips >= 17, f"gb1 < gb2 on only {flips}/21 components"
 

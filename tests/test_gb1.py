@@ -19,7 +19,6 @@ from gapboot import (
     gb1_variance,
     mean_estimator,
     median_estimator,
-    pairwise_difference_variance,
     psd_project,
 )
 
@@ -29,6 +28,19 @@ def scalar_rows(estimates, variances):
         estimates=np.asarray(estimates, float)[:, None],
         variances=np.asarray(variances, float)[:, None, None],
     )
+
+
+def pairwise_difference_variance(estimates):
+    """Average outer product of row-estimate differences over ordered pairs,
+    (1 / (p (p-1))) * sum_{j != k} (theta_j - theta_k)(theta_j - theta_k)':
+    the paper's pooled estimate of Sigma_j + Sigma_k - 2 Cov, which
+    ``gb1_variance``'s closed form replaces."""
+    e = np.asarray(estimates, dtype=np.float64)
+    p = e.shape[0]
+    if p < 2:
+        raise InsufficientDataError(f"need at least 2 rows for pairwise differences, got {p}")
+    diff = e[:, None, :] - e[None, :, :]
+    return np.einsum("jka,jkb->ab", diff, diff) / (p * (p - 1))
 
 
 class TestPairwiseDifferenceVariance:
@@ -81,8 +93,9 @@ class TestCrossCovariance:
             assert gb1_variance(rows).scalar == pairwise_gb1(rows)[0, 0] == 1.0
 
     def test_closed_form_matches_pairwise_sum(self):
+        # p = 36, r = 21 is the OD path's slot shape
         rng = np.random.default_rng(22)
-        for p, r in ((5, 1), (6, 2), (9, 3)):
+        for p, r in ((5, 1), (6, 2), (9, 3), (36, 21)):
             est = 0.1 * rng.standard_normal((p, r))
             x = rng.standard_normal((p, r, r))
             rows = RowEstimates(est, x @ x.swapaxes(1, 2) + np.eye(r))
@@ -92,7 +105,7 @@ class TestCrossCovariance:
 
 class TestGb1Variance:
     def test_hand_value(self):
-        # vtilde = 4, cross cov = 2, total = (4+4+2+2)/4 = 3.
+        # mean variance 4 minus between-row covariance ((-1)**2 + 1**2) / 2 = 1.
         rows = scalar_rows([1.0, 3.0], [4.0, 4.0])
         with pytest.warns(FewRowsWarning):
             v = gb1_variance(rows)

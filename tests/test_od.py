@@ -35,6 +35,7 @@ from gapboot import (
 )
 from gapboot import gb2, od
 from gapboot._rand import derived_stream
+from gapboot.cli import main
 from gapboot.od import OD_CSV_COLUMNS
 
 THETA = np.asarray(DEFAULT_SPLIT_THETA)
@@ -937,6 +938,22 @@ class TestFit:
         assert slot_draws == []
         config = BootstrapConfig(replicates=50, seed=1)
         assert np.isfinite(od_standard_errors(dataset, 5, config, ridge=0.5)[2]).all()
+
+    def test_too_small_ridge_fails_before_any_draw(self, slot_draws, tmp_path, capsys):
+        # a ridge far below S[j, j] / 1e12 leaves a 5-day window singular;
+        # GB-II solves the windows before the slot bootstrap is drawn
+        dataset, _ = surrogate_od_dataset(30, slots=4, seed=0)
+        config = BootstrapConfig(replicates=50, seed=0)
+        with pytest.raises(RankError, match=r"^singular window normal equations in slot 1\b"):
+            od_standard_errors(dataset, 5, config, ridge=1e-20)
+        out = tmp_path / "split.csv"
+        code = main([
+            "od", "--surrogate", "--days", "30", "--slots", "4", "--replicates", "50",
+            "--block-len", "5", "--ridge", "1e-20", "--out", str(out),
+        ])
+        assert code == 2 and not out.exists()
+        assert "window normal equations in slot 1:" in capsys.readouterr().err
+        assert slot_draws == []
 
 
 class TestSlotThreads:
