@@ -124,8 +124,11 @@ def _study_config(args) -> StudyConfig:
     names = [f.name for f in dataclasses.fields(StudyConfig)]
     fields: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ConfigError(f"cannot parse config file {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
         unknown = set(raw) - set(names)

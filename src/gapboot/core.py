@@ -142,19 +142,27 @@ def build_data_array(series, p: int) -> DataArray:
 class EstimatorSpec:
     """The estimator contract every variance method consumes.
 
-    ``evaluate`` maps an ordered collection of d-vectors, shape (k, d),
-    to an r-vector and must be deterministic.  ``evaluate_batch``, when
-    provided, maps a stacked (B, k, d) input to (B, r) and must agree
-    with looping ``evaluate`` over the first axis; the Monte Carlo paths
-    use it to avoid Python-level loops.  Both may be called at the same
-    time from several threads on different rows, so they must not mutate
-    shared state.
+    ``evaluate`` maps a stack of B ordered collections of d-vectors,
+    shape (B, k, d), to their B estimates, shape (B, r); for r = 1 the
+    shape (B,) is accepted too.  It must be deterministic and treat the B
+    collections independently: one sample is a stack of B = 1.  It may
+    be called at the same time from several threads on different rows,
+    so it must not mutate shared state.
+
+    A custom estimator is one such callable, here a mean that drops the
+    smallest and the largest pooled coordinate:
+
+    >>> def trimmed_mean(stack):
+    ...     flat = np.sort(stack.reshape(stack.shape[0], -1), axis=1)
+    ...     return flat[:, 1:-1].mean(axis=1)
+    >>> est = EstimatorSpec("trimmed_mean", 1, trimmed_mean)
+    >>> apply_estimator(est, np.array([[1.0], [2.0], [3.0], [100.0]]))
+    array([2.5])
     """
 
     name: str
     dim: int
     evaluate: Callable[[np.ndarray], np.ndarray]
-    evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -162,43 +170,29 @@ class EstimatorSpec:
 
 
 def apply_estimator(estimator: EstimatorSpec, sample: np.ndarray, where: str = "sample") -> np.ndarray:
-    """Evaluate the estimator on one collection, returning shape (r,).
-
-    Exceptions from the user function are wrapped in EvaluationError with
-    ``where`` naming the offending input (row index, window, ...).
-    """
-    out = np.atleast_1d(np.squeeze(_evaluate(estimator, estimator.evaluate, sample, where)))
-    return _check_output(estimator, out, (estimator.dim,), where)
+    """Evaluate the estimator on one collection, shape (k, d), returning
+    shape (r,): ``apply_estimator_batch`` on a stack of one."""
+    return apply_estimator_batch(estimator, np.asarray(sample)[None], where)[0]
 
 
 def apply_estimator_batch(estimator: EstimatorSpec, stack: np.ndarray, where: str = "batch") -> np.ndarray:
     """Evaluate on a (B, k, d) stack, returning (B, r).
 
-    Uses ``evaluate_batch`` when available, otherwise loops ``evaluate``.
+    Exceptions from the user function are wrapped in EvaluationError with
+    ``where`` naming the offending input (row index, window, ...); so are
+    outputs of the wrong shape or with non-finite values.
     """
     B = stack.shape[0]
-    if estimator.evaluate_batch is not None:
-        out = _evaluate(estimator, estimator.evaluate_batch, stack, where)
-        if out.shape == (B,) and estimator.dim == 1:
-            out = out[:, None]
-        return _check_output(estimator, out, (B, estimator.dim), where)
-    out = np.empty((B, estimator.dim))
-    for b in range(B):
-        out[b] = apply_estimator(estimator, stack[b], f"{where}[{b + 1}]")
-    return out
-
-
-def _evaluate(estimator: EstimatorSpec, fn, data: np.ndarray, where: str) -> np.ndarray:
     try:
-        return np.asarray(fn(data), dtype=np.float64)
+        out = np.asarray(estimator.evaluate(stack), dtype=np.float64)
     except Exception as exc:  # noqa: BLE001 - wrapping is the contract
         raise EvaluationError(f"estimator '{estimator.name}' failed on {where}: {exc}") from exc
-
-
-def _check_output(estimator: EstimatorSpec, out: np.ndarray, shape: tuple, where: str) -> np.ndarray:
-    if out.shape != shape:
+    if out.shape == (B,) and estimator.dim == 1:
+        out = out[:, None]
+    if out.shape != (B, estimator.dim):
         raise EvaluationError(
-            f"estimator '{estimator.name}' returned shape {out.shape} on {where}, expected {shape}"
+            f"estimator '{estimator.name}' returned shape {out.shape} on {where}, "
+            f"expected {(B, estimator.dim)}"
         )
     if not np.isfinite(out).all():
         raise EvaluationError(f"estimator '{estimator.name}' returned non-finite values on {where}")
@@ -214,33 +208,22 @@ def mean_estimator() -> EstimatorSpec:
     return EstimatorSpec(
         name="mean",
         dim=1,
-        evaluate=lambda x: np.asarray(x, dtype=np.float64).mean(),
-        evaluate_batch=lambda s: s.reshape(s.shape[0], -1).mean(axis=1)[:, None],
+        evaluate=lambda s: s.reshape(s.shape[0], -1).mean(axis=1),
     )
 
 
 def componentwise_mean_estimator(d: int) -> EstimatorSpec:
     """Mean vector of d-dimensional observations (r = d)."""
-    return EstimatorSpec(
-        name="componentwise_mean",
-        dim=d,
-        evaluate=lambda x: np.asarray(x, dtype=np.float64).reshape(-1, d).mean(axis=0),
-        evaluate_batch=lambda s: s.mean(axis=1),
-    )
+    return EstimatorSpec(name="componentwise_mean", dim=d, evaluate=lambda s: s.mean(axis=1))
 
 
 def pooled_variance_estimator() -> EstimatorSpec:
     """Plug-in variance of the pooled coordinates (r = 1, divisor k)."""
-
-    def _ev(x):
-        flat = np.asarray(x, dtype=np.float64).ravel()
-        return flat.var()
-
-    def _ev_batch(stack):
-        flat = stack.reshape(stack.shape[0], -1)
-        return flat.var(axis=1)[:, None]
-
-    return EstimatorSpec(name="pooled_variance", dim=1, evaluate=_ev, evaluate_batch=_ev_batch)
+    return EstimatorSpec(
+        name="pooled_variance",
+        dim=1,
+        evaluate=lambda s: s.reshape(s.shape[0], -1).var(axis=1),
+    )
 
 
 def median_estimator() -> EstimatorSpec:
@@ -248,8 +231,7 @@ def median_estimator() -> EstimatorSpec:
     return EstimatorSpec(
         name="median",
         dim=1,
-        evaluate=lambda x: np.median(np.asarray(x, dtype=np.float64)),
-        evaluate_batch=lambda s: np.median(s.reshape(s.shape[0], -1), axis=1)[:, None],
+        evaluate=lambda s: np.median(s.reshape(s.shape[0], -1), axis=1),
     )
 
 

@@ -7,6 +7,8 @@ from gapboot import (
     BootstrapConfig,
     BoundsError,
     VarianceEstimate,
+    apply_estimator,
+    apply_estimator_batch,
     block_bootstrap_variance,
     build_data_array,
     componentwise_mean_estimator,
@@ -37,7 +39,7 @@ def _block_reference(array, estimator, ell, config):
     starts = rng.integers(0, m - ell + 1, size=(reps, nblocks), dtype=np.int64)
     cols = (starts[:, :, None] + np.arange(ell)).reshape(reps, nblocks * ell)[:, :m]
     stack = array.values[cols].reshape(reps, m * p, d)
-    return _spread(estimator.evaluate_batch(stack).reshape(reps, -1))
+    return _spread(apply_estimator_batch(estimator, stack))
 
 
 class TestSubsampling:
@@ -79,8 +81,8 @@ class TestSubsampling:
         # window i is columns i..i+ell-1 of the grid in series order
         windows = np.stack([arr.values[i : i + ell].reshape(ell * 4, d) for i in range(m - ell + 1)])
         for est in _estimators(d):
-            theta = est.evaluate_batch(windows).reshape(windows.shape[0], -1)
-            dev = theta - est.evaluate(arr.series())
+            theta = apply_estimator_batch(est, windows)
+            dev = theta - apply_estimator(est, arr.series())
             ref = (ell * 4 / arr.n) * (dev.T @ dev / windows.shape[0])
             assert_array_equal(
                 subsampling_variance(arr, est, ell).matrix, VarianceEstimate(ref).matrix

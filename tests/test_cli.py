@@ -186,6 +186,18 @@ def test_config_fuzz_never_raises(tmp_path, capsys, name):
         assert ok.get(code), f"{name}={value!r}: exit {code}: {err}"
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"runs": 3,', b"\xff\xfe"], ids=["truncated", "not-utf8"]
+)
+def test_malformed_config_file_is_a_config_error(tmp_path, capsys, content):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    code = run("simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"configuration error: cannot parse config file {cfg}: "), err
+
+
 class TestOd:
     def test_surrogate_run(self, tmp_path):
         out = tmp_path / "split.csv"

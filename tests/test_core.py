@@ -3,18 +3,23 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gapboot import (
+    BootstrapConfig,
     BoundsError,
     ConsistencyError,
     DataError,
     DimensionError,
     EstimatorSpec,
     EvaluationError,
+    ModelSpec,
     SubseriesEstimates,
     VarianceEstimate,
+    apply_estimator,
     apply_estimator_batch,
     build_data_array,
+    collect_row_estimates,
     componentwise_mean_estimator,
     gb2_variance,
+    generate_series,
     mean_estimator,
     median_estimator,
     pooled_variance_estimator,
@@ -68,14 +73,31 @@ class TestBuildDataArray:
         assert_array_equal(arr.series()[3:9].ravel(), np.arange(3.0, 9.0))
 
 
+#: Each built-in estimator, by factory of d, and its single-sample form.
+BUILT_IN_REFERENCES = {
+    "mean": (lambda d: mean_estimator(), lambda x: x.mean()),
+    "componentwise_mean": (
+        componentwise_mean_estimator, lambda x: x.reshape(-1, x.shape[-1]).mean(axis=0)
+    ),
+    "pooled_variance": (lambda d: pooled_variance_estimator(), lambda x: x.ravel().var()),
+    "median": (lambda d: median_estimator(), lambda x: np.median(x)),
+}
+
+
 class TestEstimators:
-    def test_mean_batch_matches_loop(self):
-        rng = np.random.default_rng(0)
-        stack = rng.standard_normal((8, 5, 2))
-        est = mean_estimator()
-        batched = apply_estimator_batch(est, stack)
-        looped = np.stack([est.evaluate(s) for s in stack]).reshape(8, 1)
-        assert_allclose(batched, looped, rtol=1e-15)
+    @pytest.mark.parametrize("name", BUILT_IN_REFERENCES)
+    @pytest.mark.parametrize(
+        "family, n, p", [("ar2", 200, 5), ("mar", 200, 5), ("mma", 500, 10)]
+    )
+    def test_built_ins_match_single_sample_reference(self, name, family, n, p):
+        # a stack of one gives the single-sample form bit for bit, on the
+        # whole series and on every strided row view
+        factory, reference = BUILT_IN_REFERENCES[name]
+        for seed in range(3):
+            array = generate_series(ModelSpec(family, n, p), (seed, "estimator"))
+            est = factory(array.d)
+            for x in [array.series()] + [array.row(j) for j in range(1, p + 1)]:
+                assert_array_equal(apply_estimator(est, x), np.atleast_1d(reference(x)))
 
     @pytest.mark.parametrize(
         "factory", [mean_estimator, pooled_variance_estimator, median_estimator]
@@ -89,7 +111,7 @@ class TestEstimators:
     def test_componentwise_mean(self):
         est = componentwise_mean_estimator(2)
         x = np.array([[1.0, 10.0], [3.0, 20.0]])
-        assert_array_equal(est.evaluate(x), [2.0, 15.0])
+        assert_array_equal(apply_estimator(est, x), [2.0, 15.0])
 
     def test_estimator_failure_wrapped(self):
         def boom(_):
@@ -101,10 +123,29 @@ class TestEstimators:
             verify_linearity(arr, est)
 
     def test_bad_output_shape(self):
-        est = EstimatorSpec(name="two", dim=2, evaluate=lambda x: np.zeros(3))
+        est = EstimatorSpec(name="two", dim=2, evaluate=lambda s: np.zeros((s.shape[0], 3)))
         arr = build_data_array(np.arange(6.0), p=2)
         with pytest.raises(EvaluationError, match="returned shape"):
             verify_linearity(arr, est)
+
+    def test_non_finite_output_named(self):
+        # NaN on any sample holding both a repeated value and one above
+        # 100: row 3's resamples and the full series, not row 3 itself
+        def evaluate(stack):
+            flat = np.sort(stack.reshape(stack.shape[0], -1), axis=1)
+            repeated = (np.diff(flat, axis=1) == 0.0).any(axis=1)
+            return np.where(repeated & (flat[:, -1] > 100.0), np.nan, flat.mean(axis=1))
+
+        est = EstimatorSpec(name="gappy", dim=1, evaluate=evaluate)
+        grid = np.tile(np.arange(30.0)[:, None], (1, 4))
+        grid[:, 2] += 1000.0
+        array = build_data_array(grid.ravel(), p=4)
+        with pytest.raises(
+            EvaluationError, match=r"'gappy' returned non-finite values on row 3 resamples 1\.\.\d+$"
+        ):
+            collect_row_estimates(array, est, BootstrapConfig(replicates=50, seed=2))
+        with pytest.raises(EvaluationError, match="'gappy' returned non-finite values on full series$"):
+            verify_linearity(array, est)
 
     def test_weight_validation(self):
         # row weights are gb2_variance's argument; an estimator carries none

@@ -12,6 +12,7 @@ from gapboot import (
     ConfigError,
     DimensionError,
     ModelSpec,
+    apply_estimator,
     generate_series,
     mean_estimator,
     monte_carlo_true_se,
@@ -230,7 +231,7 @@ class TestMonteCarloTruth:
             monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", gate)
             ses.append(monte_carlo_true_se(spec, mean_estimator(), runs=120, seed=(4, "truth")))
         estimates = [
-            mean_estimator().evaluate(generate_series(spec, (4, "truth", "truth", r)).series())
+            apply_estimator(mean_estimator(), generate_series(spec, (4, "truth", "truth", r)).series())
             for r in range(120)
         ]
         assert_array_equal(ses[0], np.std(estimates, axis=0, ddof=1))

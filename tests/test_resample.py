@@ -9,6 +9,7 @@ from gapboot import (
     EstimatorSpec,
     EvaluationError,
     InsufficientDataError,
+    apply_estimator_batch,
     bootstrap_replicates,
     build_data_array,
     collect_row_estimates,
@@ -157,7 +158,7 @@ def test_chunked_replicates_match_whole_table(monkeypatch, m, d, rows, estimator
     cfg = BootstrapConfig(replicates=250, seed=6)
     reps = bootstrap_replicates(sample, est, cfg, key=("row", 2))
     idx = resample_indices(m, 250, seed=6, key=("row", 2))
-    assert_array_equal(reps, est.evaluate_batch(sample[idx]).reshape(250, -1))
+    assert_array_equal(reps, apply_estimator_batch(est, sample[idx]))
 
 
 @pytest.mark.parametrize("m, rows", [(5, 7), (7, 4099)])
@@ -166,7 +167,7 @@ def test_chunked_exhaustive_matches_whole_table(monkeypatch, m, rows):
     monkeypatch.setattr(resample_module, "_CHUNK_BYTES", rows * sample.nbytes)
     est = median_estimator()
     reps = bootstrap_replicates(sample, est, BootstrapConfig(mode="exhaustive"))
-    assert_array_equal(reps, est.evaluate_batch(sample[_exhaustive_table(m)]))
+    assert_array_equal(reps, apply_estimator_batch(est, sample[_exhaustive_table(m)]))
 
 
 def test_memory_does_not_grow_with_replicates(traced_peak):
@@ -183,17 +184,18 @@ def test_memory_does_not_grow_with_replicates(traced_peak):
 
 
 def test_evaluation_error_names_row_and_closed_range(monkeypatch):
-    # Row 3 alone holds values above 100; the batch evaluator rejects them.
+    # Row 3 alone holds values above 100; the estimator rejects its
+    # resamples.  A stack of one is the row's own estimate, which passes.
     grid = np.tile(np.arange(30.0)[:, None], (1, 4))
     grid[:, 2] += 1000.0
     array = build_data_array(grid.ravel(), p=4)
 
     def batch(stack):
-        if stack.max() > 100.0:
+        if stack.shape[0] > 1 and stack.max() > 100.0:
             raise ValueError("value above 100")
         return stack.reshape(stack.shape[0], -1).mean(axis=1)
 
-    est = EstimatorSpec(name="capped", dim=1, evaluate=np.mean, evaluate_batch=batch)
+    est = EstimatorSpec(name="capped", dim=1, evaluate=batch)
     monkeypatch.setattr(resample_module, "_CHUNK_BYTES", 20 * 30 * 8)
     with pytest.raises(EvaluationError, match=r"on row 3 resamples 1\.\.20: value above 100"):
         collect_row_estimates(array, est, BootstrapConfig(replicates=50, seed=2))
