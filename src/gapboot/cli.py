@@ -195,10 +195,7 @@ def _cmd_od(args) -> int:
     )
     split = SplitProportions(theta=theta)
     for origin, dest, value in split.infeasible_entries():
-        print(
-            f"warning: estimated p{origin}{dest} = {value:.4f} outside [0, 1]",
-            file=sys.stderr,
-        )
+        warnings.warn(f"estimated p{origin}{dest} = {value:.4f} outside [0, 1]")
     with open(args.out, "w", newline="") as fh:
         fh.write("param,estimate,std_gb1,std_gb2\n")
         for i, name in enumerate(PARAM_NAMES):
@@ -285,11 +282,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "od":
-            return _cmd_od(args)
-        return _cmd_check(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            if args.command == "simulate":
+                return _cmd_simulate(args)
+            if args.command == "od":
+                return _cmd_od(args)
+            return _cmd_check(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

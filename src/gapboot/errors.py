@@ -30,7 +30,7 @@ class EvaluationError(GapBootstrapError, RuntimeError):
 
 
 class DegenerateCorrelationError(GapBootstrapError, ArithmeticError):
-    """Sampling-window correlation undefined because a denominator is zero."""
+    """Sampling-window correlation undefined: a row's windows are round-off of its estimate."""
 
 
 class RankError(GapBootstrapError, ValueError):

@@ -43,6 +43,7 @@ __all__ = [
     "sym_sqrt",
 ]
 
+DEGENERATE_RTOL = 1e-9  # the one degeneracy rule; see _window_correlations
 
 def default_block_length(m: int) -> int:
     """Rule-of-thumb window length round(2 * m**(1/3)).
@@ -148,22 +149,25 @@ def sym_inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
-def _window_correlations(dev: np.ndarray, floor, degenerate: str, label) -> np.ndarray:
+def _window_correlations(dev: np.ndarray, centre, degenerate: str, label) -> np.ndarray:
     """R[..., j, k] = A_j^{-1/2} C_jk A_k^{-1/2}, shape (..., q, q, r, r).
 
     One GEMM of the window deviations ``dev``, shape (..., I, q, r),
     gives each row's own moment A_j and every cross moment C_jk; each A_j
-    is inverted (square root) once.  Rows with trace(A_j) <= ``floor``
-    (broadcast to (..., q)) are degenerate: under ``degenerate="error"``
-    the first, in C order, raises DegenerateCorrelationError naming
-    ``label(*its index)``; under ``"zero"`` their rows and columns of R
-    are zero.
+    is inverted (square root) once.  Row j is degenerate when
+    trace(A_j) <= (DEGENERATE_RTOL ||centre_j||)**2, ``centre`` (broadcast
+    to (..., q, r)) being the full-data estimate the windows deviate from:
+    its RMS window deviation is round-off of that estimate.  Under
+    ``degenerate="error"`` the first, in C order, raises
+    DegenerateCorrelationError naming ``label(*its index)``; under
+    ``"zero"`` its rows and columns of R are zero.
     """
     *batch, count, q, r = dev.shape
     flat = dev.reshape(*batch, count, q * r)
     moments = (flat.swapaxes(-1, -2) @ flat / count).reshape(*batch, q, r, q, r).swapaxes(-3, -2)
     own = moments[..., np.arange(q), np.arange(q), :, :]  # (..., q, r, r)
-    flat_rows = np.trace(own, axis1=-2, axis2=-1) <= floor
+    scale = np.square(np.broadcast_to(centre, (*batch, q, r))).sum(axis=-1)
+    flat_rows = np.trace(own, axis1=-2, axis2=-1) <= DEGENERATE_RTOL**2 * scale
     if degenerate == "error" and flat_rows.any():
         raise DegenerateCorrelationError(
             f"window deviations carry no variation for {label(*np.argwhere(flat_rows)[0])}; "
@@ -174,7 +178,7 @@ def _window_correlations(dev: np.ndarray, floor, degenerate: str, label) -> np.n
     return whiten[..., :, None, :, :] @ moments @ whiten[..., None, :, :, :]
 
 
-def _gb2_combine(variances, dev, weights, floor, degenerate: str, label) -> np.ndarray:
+def _gb2_combine(variances, dev, weights, centre, degenerate: str, label) -> np.ndarray:
     """sum_{j,k} w_j w_k Sigma_j^{1/2} R(j, k) Sigma_k^{1/2} of the (..., q, r, r)
     ``variances``, shape (..., r, r); the other arguments are as for
     ``_window_correlations``, and ``weights`` has shape (q,).  The sum is
@@ -182,7 +186,7 @@ def _gb2_combine(variances, dev, weights, floor, degenerate: str, label) -> np.n
     (the diagonal terms use Sigma_j itself), so it is PSD up to rounding.
     """
     *batch, q, r, _ = variances.shape
-    corr = _window_correlations(dev, floor, degenerate, label)
+    corr = _window_correlations(dev, centre, degenerate, label)
     rows = np.arange(q)
     corr[..., rows, rows, :, :] = 0.0  # diagonal terms use Sigma_j itself
     # scaled[a, (j, b)] = w_j Sigma_j^{1/2}[a, b], so the q^2 cross terms
@@ -199,8 +203,8 @@ def correlation_matrix(sub: SubseriesEstimates, j: int, k: int) -> np.ndarray:
     A_j^{-1/2} C_{jk} A_k^{-1/2}, where A_j is the window second-moment
     matrix of row j's deviations and C_{jk} the cross second moment.
     For r = 1 this is sum_i a_i b_i / sqrt(sum a_i^2 * sum b_i^2), the
-    correlation of the two rows' window deviations, unclipped.  A block
-    with trace(A_j) == 0 has no variability to normalise by and raises
+    correlation of the two rows' window deviations, unclipped.  A
+    degenerate row (``_window_correlations``) raises
     DegenerateCorrelationError.  ``gb2_variance`` computes the same
     matrices for every pair at once.
     """
@@ -208,8 +212,9 @@ def correlation_matrix(sub: SubseriesEstimates, j: int, k: int) -> np.ndarray:
         if not 1 <= row <= sub.p:
             raise BoundsError(f"row index {row} outside 1..{sub.p}")
     rows = [j - 1, k - 1]
-    dev = sub.grid[:, rows, :] - sub.full_estimates[rows]
-    return _window_correlations(dev, 0.0, "error", lambda i: f"row {rows[i] + 1}")[0, 1]
+    full = sub.full_estimates[rows]
+    label = lambda i: f"row {rows[i] + 1}"
+    return _window_correlations(sub.grid[:, rows] - full, full, "error", label)[0, 1]
 
 
 def gb2_variance(
@@ -240,9 +245,9 @@ def gb2_variance(
         Combination weights (default equal).  Must lie in [0, 1] and sum
         to one.
     degenerate : {"error", "zero"}
-        Whether a degenerate row (window deviations identically zero)
-        aborts the computation, naming the first such row, or contributes
-        zero cross terms to every pair it is in.
+        Whether a degenerate row (see ``_window_correlations``) aborts the
+        computation, naming the first such row, or contributes zero cross
+        terms to every pair it is in.
 
     Notes
     -----
@@ -252,6 +257,16 @@ def gb2_variance(
     ...                          full_estimates=[[2.0], [2.0]])
     >>> gb2_variance([[[4.0]], [[1.0]]], sub).scalar  # rho = -1
     0.25
+
+    A constant row of 0.1s is degenerate: its window means differ from
+    its full mean only by round-off (1.4e-17 here).
+
+    >>> from gapboot import build_data_array, mean_estimator
+    >>> rows = np.array([np.arange(12.0) % 5, np.full(12, 0.1), np.arange(12.0) % 3])
+    >>> sub = subseries_estimates(build_data_array(rows.T.ravel(), p=3), mean_estimator(), ell=4)
+    >>> gb2_variance(np.ones((3, 1, 1)), sub)
+    Traceback (most recent call last):
+    gapboot.errors.DegenerateCorrelationError: window deviations carry no variation for row 2; correlation undefined
     """
     _check_degenerate_policy(degenerate)
     v = np.asarray(row_variances, dtype=np.float64)
@@ -265,5 +280,5 @@ def gb2_variance(
     if p == 1:
         return VarianceEstimate(matrix=v[0].copy())
     dev = sub.grid - sub.full_estimates
-    acc = _gb2_combine(v, dev, w, 0.0, degenerate, lambda j: f"row {j + 1}")
+    acc = _gb2_combine(v, dev, w, sub.full_estimates, degenerate, lambda j: f"row {j + 1}")
     return VarianceEstimate(matrix=acc)

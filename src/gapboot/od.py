@@ -10,14 +10,9 @@ slots within a day the role of rows of a gapped array, so the gap
 bootstrap machinery applies with slot-specific weight matrices
 W_k = Gamma_full^{-1} Gamma_slot.
 
-``ODFit`` is the fit of one dataset.  It computes each record's normal
-equations once, as one (days, slots, 42) array holding the 21 origin
-products that O'O's entries are made of and the 21 entries of O'D', and
-keeps the pooled and per-slot estimates, the weights W_k and the
-per-slot pairs-bootstrap covariances, each computed on first use.  GB-I
-and GB-II are two combinations of one fit, so ``od_standard_errors`` --
-what ``gapboot od`` runs -- draws each slot's bootstrap stream once for
-both; least squares alone never runs the bootstrap.  GB-II runs
+``ODFit`` is the fit of one dataset, and GB-I and GB-II are two
+combinations of one fit, so ``od_standard_errors`` -- what ``gapboot od``
+runs -- draws each slot's bootstrap stream once for both.  GB-II runs
 ``gb2``'s kernel batched over the parameters.
 
 Every normal-equation solve (pooled, slot, weight, bootstrap, window)
@@ -27,16 +22,12 @@ form through S's Cholesky factor, under one rank rule.  The opt-in ridge
 is added to S's diagonal, as six pseudo-records would add it, so it
 keeps that form.
 
-The slots are independent subproblems: each slot's bootstrap and window
-solves run on one of up to nproc threads, each slot draws from its own
-keyed stream, and each writes only its own results, so the output is
-byte-identical for any number of these threads, though not of BLAS
-threads: the slot bootstrap's GEMM sums in a BLAS-thread-dependent
-order, which moves the last digits of the standard errors.  A slot's
-bootstrap streams its replicates in ``_BATCH`` chunks and its window
-estimates are projected in its own thread, so memory grows with the
-data, and with B only by the (B, 21) replicate estimates of the slots
-in flight.
+The slots are independent subproblems, run on up to nproc threads, each
+drawing from its own keyed stream, so the output is byte-identical for
+any number of these threads, though not of BLAS threads: the slot
+bootstrap's GEMM sums in a BLAS-thread-dependent order.  Memory grows
+with the data, and with B only by the (B, 21) replicate estimates of the
+slots in flight (``_slot_bootstrap_covs``).
 """
 from __future__ import annotations
 
@@ -495,10 +486,10 @@ def _window_projections(
 
 
 def _check_gb2_options(ell: int | None, days: int, degenerate: str, ridge: float) -> int:
-    """Check the ridge, the GB-II degeneracy policy and the window length,
-    in that order; returns the length (default ``default_block_length(days)``),
-    which without a ridge must be at least 6: a shorter window's origin Gram is singular."""
-    ridge = _check_nonnegative("ridge", ridge)
+    """Check the GB-II degeneracy policy, then the window length (the caller
+    has checked ``ridge``); returns the length (default
+    ``default_block_length(days)``), which without a ridge must be at least
+    6: a shorter window's origin Gram is singular."""
     _check_degenerate_policy(degenerate)
     ell = _check_window(default_block_length(days) if ell is None else ell, days)
     if ell < 6 and not ridge:
@@ -626,17 +617,14 @@ class ODFit:
         This scalar form is the r = 1 case of ``gb2_variance``'s matrix form
         A_j^{-1/2} C_jk A_k^{-1/2}, computed by the same kernel with the 21
         parameters as a batch axis and unit slot weights (W_k enters through
-        the projections).  Only the degeneracy floor on a window moment
-        differs: ``gb2_variance`` tests for exact zero, which keeps it
-        ``c**2``-equivariant; here noise-free window solves leave round-off of
-        ~1e-13 of the estimate, so the floor is (1e-9 (1 + |theta_a|))**2.
-
-        ``ell`` is the window length in days (default
-        ``default_block_length(days)``) and ``degenerate`` the policy,
-        ``"error"`` or ``"zero"``, when a window-projection series has zero
-        variability.  A slot whose normal equations are rank deficient
-        raises RankError naming it, as GB-I does.  Returns the standard
-        errors ordered as PARAM_NAMES, shape (21,).
+        the projections).  Its centre is theta_a, so the kernel's degeneracy
+        rule flags slot k for parameter a when the projections' RMS is at
+        most DEGENERATE_RTOL |theta_a|; ``degenerate``, ``"error"`` or
+        ``"zero"``, is the policy for such slots.  ``ell`` is the window
+        length in days (default ``default_block_length(days)``).  A slot
+        whose normal equations are rank deficient raises RankError naming
+        it, as GB-I does.  Returns the standard errors ordered as
+        PARAM_NAMES, shape (21,).
         """
         days, slots = self.dataset.days, self.dataset.slots
         ell = _check_gb2_options(ell, days, degenerate, self.ridge)
@@ -646,9 +634,8 @@ class ODFit:
         # w_ak' (window_k - theta), (21, I, S, 1); variances w_ak' Cov_k w_ak
         proj = _window_projections(self._stats, theta, weights, ell, self.ridge)[..., None]
         quad = np.einsum("kab,kbc,kac->ak", weights, self.slot_covariances, weights)
-        floor = (1e-9 * (1.0 + np.abs(theta))) ** 2
         var = _gb2_combine(
-            quad[..., None, None], proj, np.ones(slots), floor[:, None], degenerate,
+            quad[..., None, None], proj, np.ones(slots), theta[:, None, None], degenerate,
             lambda a, k: f"parameter {PARAM_NAMES[a]} in slot {k + 1}",
         )[:, 0, 0]
         return np.sqrt(np.clip(var, 0.0, None))
@@ -666,15 +653,14 @@ def od_standard_errors(
 
     Returns ``(theta, se_gb1, se_gb2)``, each of shape (21,) and ordered as
     PARAM_NAMES, from one ``ODFit``: the statistics are computed and the
-    slot bootstrap is run once for both standard errors.  The window
-    length, the degeneracy policy and the ridge are checked before any of
-    that work.  GB-II runs first: it solves the windows before it reads
-    the slot covariances, so a window the ridge leaves singular raises
-    before any slot bootstrap is drawn.  ``config`` and ``ridge`` are as
-    for ``ODFit``; ``ell``, ``degenerate`` and the per-parameter scalar
-    form of GB-II are described at ``ODFit.gb2_standard_errors``.
+    slot bootstrap is run once for both standard errors.  GB-II runs
+    first: it checks the window length and the degeneracy policy, and
+    solves the windows, before it reads the slot covariances, so a bad
+    option or a window the ridge leaves singular raises before any slot
+    bootstrap is drawn.  ``config`` and ``ridge`` are as for ``ODFit``;
+    ``ell``, ``degenerate`` and the per-parameter scalar form of GB-II
+    are described at ``ODFit.gb2_standard_errors``.
     """
-    _check_gb2_options(ell, dataset.days, degenerate, ridge)
     fit = ODFit(dataset, config, ridge=ridge)
     se2 = fit.gb2_standard_errors(ell, degenerate)
     return fit.theta, fit.gb1_standard_errors(), se2

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rand import derived_seed
 from .baselines import block_bootstrap_variance, naive_column_variance, subsampling_variance
-from .core import _check_int, mean_estimator
+from .core import _check_int, _check_window, mean_estimator
 from .errors import ConfigError, GapBootstrapError
 from .gb1 import collect_row_estimates, gb1_variance
 from .gb2 import default_block_length, gb2_variance, subseries_estimates
@@ -163,7 +163,7 @@ def _run_cell(config: StudyConfig, ci: int, family: str, dist: str, n: int, p: i
     try:
         spec = _model_for_cell(config, family, dist, n, p)
         windowed = not {"gb2", "ss", "bb"}.isdisjoint(config.methods)
-        ell = (config.block_length or default_block_length(spec.m)) if windowed else None
+        ell = _check_window(config.block_length or default_block_length(spec.m), spec.m) if windowed else None
         true_se = float(
             monte_carlo_true_se(spec, estimator, config.truth_runs, (config.seed, "truth", ci))[0]
         )

@@ -331,6 +331,17 @@ class TestOd:
         ) == 0
         assert slot_draws == [1, 2, 3, 4]
 
+    def test_warning_is_one_line(self, tmp_path, capsys):
+        # a library warning and the infeasible-split warnings, one line each
+        assert run(
+            "od", "--surrogate", "--days", "30", "--slots", "3", "--noise", "0.5",
+            "--replicates", "50", "--out", str(tmp_path / "o.csv"),
+        ) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: gap bootstrap I with only 3 rows") == 1
+        assert re.search(r"^warning: estimated p\d\d = -?\d\.\d{4} outside \[0, 1\]$", err, re.M)
+        assert "FewRowsWarning" not in err and ".py:" not in err and "UserWarning" not in err
+
     def test_columns_equal_library_standard_errors(self, tmp_path):
         out = tmp_path / "split.csv"
         dump = tmp_path / "data.csv"

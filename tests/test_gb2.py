@@ -257,6 +257,12 @@ def reference_correlation(sub, j, k):
     return _root(dj.T @ dj / count, -0.5) @ (dj.T @ dk / count) @ _root(dk.T @ dk / count, -0.5)
 
 
+def degenerate_row(sub, j):
+    """Row j's mean squared window deviation is at most (1e-9 |full_j|)**2."""
+    d = deviations(sub, j)
+    return np.sum(d * d) / len(d) <= (1e-9 * np.linalg.norm(sub.full_estimates[j - 1])) ** 2
+
+
 def reference_gb2(row_variances, sub, weights=None, degenerate="error"):
     """GB-II as a loop over row pairs with two inverse roots per pair, the
     form the batched kernel replaced; returns the PSD-projected sum."""
@@ -267,7 +273,7 @@ def reference_gb2(row_variances, sub, weights=None, degenerate="error"):
     acc = np.einsum("j,jab->ab", w * w, v)
     for j in range(1, p + 1):
         for k in range(j + 1, p + 1):
-            flat = [row for row in (j, k) if not deviations(sub, row).any()]
+            flat = [row for row in (j, k) if degenerate_row(sub, row)]
             if flat:
                 if degenerate == "zero":
                     continue
@@ -317,7 +323,7 @@ class TestGb2Kernel:
 
     def test_correlations_match_correlation_matrix(self):
         sub, _ = kernel_case(p=5, r=3, n=600, seed=4)
-        corr = _window_correlations(sub.grid - sub.full_estimates, 0.0, "error", str)
+        corr = _window_correlations(sub.grid - sub.full_estimates, sub.full_estimates, "error", str)
         for j in range(1, 6):
             for k in range(1, 6):
                 expected = correlation_matrix(sub, j, k)
@@ -338,6 +344,26 @@ class TestGb2Kernel:
         assert_matches_reference(
             gb2_variance(variances, sub, degenerate="zero").matrix,
             reference_gb2(variances, sub, degenerate="zero"),
+        )
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, 0.7, 1.0, 1e6 + 0.1])
+    def test_constant_row_is_degenerate_at_any_value(self, value):
+        # its window means differ from its full mean by summation round-off,
+        # exactly zero or not depending on the value
+        rows = np.random.default_rng(14).standard_normal((4, 60))
+        rows[1] = value
+        arr = build_data_array(rows.T.ravel(), p=4)
+        sub = subseries_estimates(arr, mean_estimator(), ell=7)
+        variances = np.array([[[np.var(arr.row(j)) / arr.m]] for j in range(1, 5)])
+        for call in (lambda: gb2_variance(variances, sub), lambda: correlation_matrix(sub, 1, 2)):
+            with pytest.raises(DegenerateCorrelationError, match=r"row 2\b"):
+                call()
+        grid = sub.grid.copy()
+        grid[:, 1] = sub.full_estimates[1]
+        exact = SubseriesEstimates(grid=grid, full_estimates=sub.full_estimates)
+        assert_array_equal(
+            gb2_variance(variances, sub, degenerate="zero").matrix,
+            gb2_variance(variances, exact, degenerate="zero").matrix,
         )
 
     def test_row_permutation_invariance(self):
@@ -389,10 +415,16 @@ class TestGb2Kernel:
         x = rng.standard_normal((4, 3, 6, 2, 2))
         variances = x @ x.swapaxes(-1, -2)
         w = np.full(6, 1.0 / 6.0)
-        floor = rng.uniform(0.0, 1.0, (4, 3, 6))
-        batched = _gb2_combine(variances, dev, w, floor, "zero", str)
+        # centres of 1 to 1e12: a row is degenerate past about 1.4e9
+        centre = rng.standard_normal((4, 3, 6, 2)) * 10.0 ** rng.integers(0, 13, (4, 3, 6, 1))
+        flat = np.einsum("...iqr,...iqr->...q", dev, dev) / 25 <= (
+            1e-9 * np.linalg.norm(centre, axis=-1)) ** 2
+        assert 0 < flat.sum() < flat.size
+        corr = _window_correlations(dev, centre, "zero", str)
+        assert_array_equal(~corr[..., np.arange(6), np.arange(6), :, :].any(axis=(-2, -1)), flat)
+        batched = _gb2_combine(variances, dev, w, centre, "zero", str)
         for b in np.ndindex(4, 3):
-            assert_array_equal(batched[b], _gb2_combine(variances[b], dev[b], w, floor[b], "zero", str))
+            assert_array_equal(batched[b], _gb2_combine(variances[b], dev[b], w, centre[b], "zero", str))
 
     def test_psd_combination_makes_one_eigvalsh(self, monkeypatch):
         sub, variances = kernel_case(p=6, r=2, n=600, seed=9)

@@ -194,8 +194,7 @@ def reference_od_gb2(fit, ell, degenerate="error"):
     proj = np.einsum("kab,kib->aki", weights, window - theta)  # (21, S, I)
     moment = np.einsum("aki,aki->ak", proj, proj) / count  # (21, S)
     num = np.einsum("aki,ali->akl", proj, proj) / count  # (21, S, S)
-    floor = (1e-9 * (1.0 + np.abs(theta))) ** 2
-    flat = moment <= floor[:, None]  # (21, S)
+    flat = moment <= ((1e-9 * theta) ** 2)[:, None]  # (21, S)
     if degenerate == "error" and flat.any():
         a, k = np.argwhere(flat)[0]
         raise DegenerateCorrelationError(f"parameter {PARAM_NAMES[a]} in slot {k + 1}")
@@ -214,10 +213,11 @@ def reference_od_gb2(fit, ell, degenerate="error"):
 def od_kernel_inputs(fit, ell):
     """The GB-II kernel inputs of a fit at r = 1: slot variances
     w_ak' Cov_k w_ak, shape (21, S, 1, 1), window projections
-    w_ak' (window_k - theta), shape (21, I, S, 1), and the floor (21, 1)."""
+    w_ak' (window_k - theta), shape (21, I, S, 1), and their centre theta,
+    shape (21, 1, 1)."""
     proj = od._window_projections(fit._stats, fit.theta, fit.weights, ell, fit.ridge)[..., None]
     quad = np.einsum("kab,kbc,kac->ak", fit.weights, fit.slot_covariances, fit.weights)
-    return quad[..., None, None], proj, ((1e-9 * (1.0 + np.abs(fit.theta))) ** 2)[:, None]
+    return quad[..., None, None], proj, fit.theta[:, None, None]
 
 
 def degenerate_name(call):
@@ -1245,19 +1245,19 @@ class TestInvariants:
                     else:
                         assert_array_equal(a, b, err_msg=msg)
             # slot relabelling, given the permuted slot inputs
-            quad, proj, floor = od_kernel_inputs(fit, ell)
+            quad, proj, centre = od_kernel_inputs(fit, ell)
             perm = rng.permutation(slots)
             ones = np.ones(slots)
             assert_allclose(
-                gb2._gb2_combine(quad[:, perm], proj[:, :, perm], ones, floor, "error", str),
-                gb2._gb2_combine(quad, proj, ones, floor, "error", str), rtol=1e-12, err_msg=msg,
+                gb2._gb2_combine(quad[:, perm], proj[:, :, perm], ones, centre, "error", str),
+                gb2._gb2_combine(quad, proj, ones, centre, "error", str), rtol=1e-12, err_msg=msg,
             )
             gb1 = gb1_variance(RowEstimates(fit.slot_estimates, fit.slot_covariances)).matrix
             shuffled = RowEstimates(fit.slot_estimates[perm], fit.slot_covariances[perm])
             assert_allclose(gb1_variance(shuffled).matrix, gb1, rtol=1e-12,
                             atol=1e-12 * np.abs(gb1).max(), err_msg=msg)
             # the unclipped projection correlations
-            rho = gb2._window_correlations(proj, floor, "error", str)
+            rho = gb2._window_correlations(proj, centre, "error", str)
             assert np.abs(rho).max() <= 1.0 + 1e-12, msg
 
     @pytest.mark.parametrize("kind", ["zero-volume", "constant"])

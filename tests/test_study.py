@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import gapboot._rand as rand_module
+from gapboot import study as study_module
 from gapboot import (
     METHODS,
     ConfigError,
@@ -149,6 +150,17 @@ class TestRunStudy:
         assert payload["cells"][0]["error"] is not None
         assert payload["cells"][0]["true_se"] is None
         assert payload["cells"][1]["error"] is None
+
+
+    def test_too_long_block_length_fails_before_the_truth(self, monkeypatch):
+        calls = []
+        truth = study_module.monte_carlo_true_se
+        monkeypatch.setattr(
+            study_module, "monte_carlo_true_se", lambda *a, **k: calls.append(1) or truth(*a, **k)
+        )
+        (cell,) = run_study(tiny_config(sizes=((40, 5),), methods=("bb",), block_length=100)).cells
+        assert calls == []
+        assert cell.error == "window length 100 outside 2..7"
 
 
 class TestReports:
