@@ -18,8 +18,8 @@ from .core import (
     apply_estimator,
     apply_estimator_batch,
 )
-from .errors import BoundsError
-from .resample import BootstrapConfig, _chunk_ranges
+from .errors import BoundsError, ConfigError
+from .resample import BootstrapConfig, _chunk_ranges, _window_estimates
 
 __all__ = [
     "block_bootstrap_variance",
@@ -36,24 +36,12 @@ def subsampling_variance(array: DataArray, estimator: EstimatorSpec, ell: int) -
     ell*p observations in series order.  The leading factor rescales the
     window-level sampling variability to full-sample size.
     """
-    m, p = array.m, array.p
-    _check_window(ell, m)
-    count = m - ell + 1
-    series = array.series()
-    full = apply_estimator(estimator, series, "full series")
-    # Window i is series[(i-1)*p : (i-1+ell)*p]; sliding_window_view
-    # appends the window axis last, batch wants (I, ell*p, d).
-    windows = np.lib.stride_tricks.sliding_window_view(series, ell * p, axis=0)[::p]
-    windows = np.moveaxis(windows, -1, 1)
-    theta = np.empty((count, estimator.dim))
-    for lo, hi in _chunk_ranges(count, ell * p * array.d * 8):
-        theta[lo:hi] = apply_estimator_batch(
-            estimator, windows[lo:hi], f"subsampling windows {lo + 1}..{hi}"
-        )
+    _check_window(ell, array.m)
+    full = apply_estimator(estimator, array.series(), "full series")
+    theta = _window_estimates(array.values, estimator, ell, "subsampling windows")
     dev = theta - full
-    cov = dev.T @ dev / count
-    scaled = (ell * p / array.n) * cov
-    return VarianceEstimate(matrix=scaled)
+    cov = dev.T @ dev / len(theta)
+    return VarianceEstimate(matrix=(ell * array.p / array.n) * cov)
 
 
 def block_bootstrap_variance(
@@ -68,11 +56,14 @@ def block_bootstrap_variance(
     overlapping blocks of ell consecutive columns, truncated to m
     columns, and re-evaluates the estimator on the resulting series.
     The replicate spread (divisor B) is the variance estimate.  With
-    ell = 1 this is the i.i.d. bootstrap over columns.
+    ell = 1 this is the i.i.d. bootstrap over columns.  Only the
+    "monte_carlo" mode is supported; another raises ConfigError.
     """
     m, p, d = array.m, array.p, array.d
     if not 1 <= ell < m:
         raise BoundsError(f"block length {ell} outside 1..{m - 1}")
+    if config.mode != "monte_carlo":
+        raise ConfigError(f"the block bootstrap draws its resamples; mode {config.mode!r} is not supported")
     reps = config.replicates
     nblocks = -(-m // ell)  # ceil
     rng = derived_stream(config.seed, "block_bootstrap")

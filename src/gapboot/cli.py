@@ -262,7 +262,7 @@ def _cmd_check(args) -> int:
     ok &= _check("pooled OD estimate equals weighted slot combination", lres <= 1e-8, f"residual {lres:.2e}")
 
     # Row means are exchangeable for constant-mean families, not for periodic.
-    max_z = row_mean_spread(ModelSpec("ar2", 120, 4), runs=200, seed=(args.seed, "chk"))
+    max_z = row_mean_spread(ModelSpec("ma2", 120, 4), runs=200, seed=(args.seed, "chk"))
     ok &= _check(
         "constant-mean family has exchangeable row means", max_z <= 4.5, f"max |z| {max_z:.2f}"
     )

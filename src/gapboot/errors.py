@@ -38,7 +38,7 @@ class RankError(GapBootstrapError, ValueError):
 
 
 class ConsistencyError(GapBootstrapError, ValueError):
-    """An internal identity was violated (weights, partitions, symmetry)."""
+    """An internal identity was violated (weights, symmetry)."""
 
 
 class FewRowsWarning(UserWarning):

@@ -24,7 +24,6 @@ from .core import (
     _check_window,
     _row_weights,
     apply_estimator,
-    apply_estimator_batch,
 )
 from .errors import (
     BoundsError,
@@ -32,6 +31,7 @@ from .errors import (
     DimensionError,
     InsufficientDataError,
 )
+from .resample import _window_estimates
 
 __all__ = [
     "SubseriesEstimates",
@@ -100,17 +100,12 @@ def subseries_estimates(array: DataArray, estimator: EstimatorSpec, ell: int) ->
     I = m - ell + 1 overlapping windows.
     """
     _check_window(ell, array.m)
-    count = array.m - ell + 1
-    grid = np.empty((count, array.p, estimator.dim))
+    grid = np.empty((array.m - ell + 1, array.p, estimator.dim))
     full = np.empty((array.p, estimator.dim))
     for j in range(1, array.p + 1):
         row = array.row(j)
         full[j - 1] = apply_estimator(estimator, row, f"row {j}")
-        windows = np.lib.stride_tricks.sliding_window_view(row, ell, axis=0)
-        # sliding_window_view appends the window axis last; batch wants (I, ell, d)
-        grid[:, j - 1, :] = apply_estimator_batch(
-            estimator, np.moveaxis(windows, -1, 1), f"row {j} windows"
-        )
+        grid[:, j - 1, :] = _window_estimates(row, estimator, ell, f"row {j} windows")
     return SubseriesEstimates(grid=grid, full_estimates=full)
 
 

@@ -521,13 +521,14 @@ class ODFit:
     first use and kept, so least squares alone never pays for the
     bootstrap, and GB-I and GB-II on one fit share one slot bootstrap.
 
-    ``config`` sets the slot bootstrap's replicates and seed.  ``ridge``,
+    ``config`` sets the slot bootstrap's replicates and seed; its mode
+    must be "monte_carlo" (ConfigError otherwise).  ``ridge``,
     for nearly collinear volumes, zero-volume slots and windows under 6
     days, is added to the diagonal of every system's 6x6 origin Gram S
     (see ``_solve_normal_equations``); it must be finite and >= 0.  A
     ridge below about S[j, j] / MAX_CONDITION leaves a singular system
-    singular.  When positive, the weight/partition identity checks are
-    skipped (the ridge perturbs them by design).
+    singular.  When positive, the weights' sum-to-identity check is
+    skipped (the ridge perturbs it by design).
     """
 
     def __init__(
@@ -540,13 +541,11 @@ class ODFit:
         self.dataset = dataset
         self.config = config
         self.ridge = _check_nonnegative("ridge", ridge)
+        if config.mode != "monte_carlo":
+            raise ConfigError(f"the slot bootstrap draws its resamples; mode {config.mode!r} is not supported")
         self._stats = _statistics(dataset)
         self._pooled = self._stats.sum(axis=(0, 1))
         self._slot_sums = self._stats.sum(axis=0)
-        #: Pooled O'O, shape (21, 21), and per-slot O'O, shape (S, 21, 21),
-        #: both without the ridge.
-        self.gamma = _gram(self._pooled[:21])
-        self.slot_gammas = _gram(self._slot_sums[:, :21])
 
     @cached_property
     def theta(self) -> np.ndarray:
@@ -570,21 +569,16 @@ class ODFit:
         the 21 S columns of the Gamma_k solved as one batch against
         Gamma_full (its origin Gram ridged).
 
-        Without a ridge, checks that the slot matrices sum to the full
-        matrix (the slots partition the records) and that the weights sum
-        to the identity, both to within 1e-8 relative tolerance.
+        Without a ridge, checks that the weights sum to the identity to
+        within 1e-8, which an ill-conditioned pooled Gram can break.
         """
-        columns = self.slot_gammas.swapaxes(1, 2).reshape(-1, 21)
+        columns = _gram(self._slot_sums[:, :21]).swapaxes(1, 2).reshape(-1, 21)
         weights = _solve_normal_equations(
             np.broadcast_to(self._pooled[:21], columns.shape), columns, self.ridge,
             lambda _: "normal equations for all slots",
         ).reshape(-1, 21, 21).swapaxes(1, 2)
-        if not self.ridge:
-            scale = max(float(np.abs(self.gamma).max()), 1.0)
-            if float(np.abs(self.slot_gammas.sum(axis=0) - self.gamma).max()) > 1e-8 * scale:
-                raise ConsistencyError("slot matrices do not sum to the full matrix")
-            if float(np.abs(weights.sum(axis=0) - np.eye(21)).max()) > 1e-8:
-                raise ConsistencyError("slot weights do not sum to the identity")
+        if not self.ridge and float(np.abs(weights.sum(axis=0) - np.eye(21)).max()) > 1e-8:
+            raise ConsistencyError("slot weights do not sum to the identity")
         return weights
 
     @cached_property
@@ -617,10 +611,11 @@ class ODFit:
         This scalar form is the r = 1 case of ``gb2_variance``'s matrix form
         A_j^{-1/2} C_jk A_k^{-1/2}, computed by the same kernel with the 21
         parameters as a batch axis and unit slot weights (W_k enters through
-        the projections).  Its centre is theta_a, so the kernel's degeneracy
-        rule flags slot k for parameter a when the projections' RMS is at
-        most DEGENERATE_RTOL |theta_a|; ``degenerate``, ``"error"`` or
-        ``"zero"``, is the policy for such slots.  ``ell`` is the window
+        the projections).  A projection mixes all 21 parameters, so its
+        round-off scales with ||theta|| ||w_ak||, the kernel's centre: slot
+        k is degenerate for parameter a when the projections' RMS is at
+        most DEGENERATE_RTOL times that product.  ``degenerate``, ``"error"``
+        or ``"zero"``, is the policy for such slots.  ``ell`` is the window
         length in days (default ``default_block_length(days)``).  A slot
         whose normal equations are rank deficient raises RankError naming
         it, as GB-I does.  Returns the standard errors ordered as
@@ -631,11 +626,13 @@ class ODFit:
         theta = self.theta
         weights = self.weights
         # kernel rows of size r = 1, batched over parameters a: projections
-        # w_ak' (window_k - theta), (21, I, S, 1); variances w_ak' Cov_k w_ak
+        # w_ak' (window_k - theta), (21, I, S, 1); variances w_ak' Cov_k w_ak;
+        # centres ||theta|| ||w_ak||, (21, S, 1)
         proj = _window_projections(self._stats, theta, weights, ell, self.ridge)[..., None]
         quad = np.einsum("kab,kbc,kac->ak", weights, self.slot_covariances, weights)
+        centre = np.sqrt(theta @ theta * np.einsum("kab,kab->ak", weights, weights))[..., None]
         var = _gb2_combine(
-            quad[..., None, None], proj, np.ones(slots), theta[:, None, None], degenerate,
+            quad[..., None, None], proj, np.ones(slots), centre, degenerate,
             lambda a, k: f"parameter {PARAM_NAMES[a]} in slot {k + 1}",
         )[:, 0, 0]
         return np.sqrt(np.clip(var, 0.0, None))

@@ -69,6 +69,21 @@ def _chunk_ranges(total: int, row_bytes: int):
         yield lo, min(lo + step, total)
 
 
+def _window_estimates(values: np.ndarray, estimator: EstimatorSpec, ell: int, label: str) -> np.ndarray:
+    """Estimates on the m - ell + 1 windows of ell consecutive entries of
+    ``values`` along axis 0, shape (m - ell + 1, r), each window's entries
+    flattened in order to one (k, d) sample.  The windows stay views,
+    evaluated in ``_chunk_ranges`` chunks labelled ``label lo+1..hi``."""
+    windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(values, ell, axis=0), -1, 1)
+    count, d = windows.shape[0], values.shape[-1]
+    out = np.empty((count, estimator.dim))
+    for lo, hi in _chunk_ranges(count, windows[0].nbytes):
+        out[lo:hi] = apply_estimator_batch(
+            estimator, windows[lo:hi].reshape(hi - lo, -1, d), f"{label} {lo + 1}..{hi}"
+        )
+    return out
+
+
 def _as_sample(sample) -> np.ndarray:
     arr = np.asarray(sample, dtype=np.float64)
     if arr.ndim == 1:

@@ -6,6 +6,7 @@ import gapboot.resample as resample_module
 from gapboot import (
     BootstrapConfig,
     BoundsError,
+    ConfigError,
     VarianceEstimate,
     apply_estimator,
     apply_estimator_batch,
@@ -120,6 +121,13 @@ class TestBlockBootstrap:
             block_bootstrap_variance(arr, mean_estimator(), ell=0)
         with pytest.raises(BoundsError):
             block_bootstrap_variance(arr, mean_estimator(), ell=10)
+
+    def test_exhaustive_mode_is_refused(self):
+        # block starts are drawn; an exhaustive config is not silently run
+        # as Monte Carlo with its default replicates and seed
+        arr = build_data_array(np.random.default_rng(3).standard_normal(40), p=2)
+        with pytest.raises(ConfigError, match="'exhaustive'"):
+            block_bootstrap_variance(arr, mean_estimator(), 3, BootstrapConfig(mode="exhaustive"))
 
     def test_iid_calibration(self):
         rng = np.random.default_rng(7)

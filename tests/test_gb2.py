@@ -2,19 +2,26 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gapboot.resample as resample_module
 from gapboot import (
     BoundsError,
     ConfigError,
     ConsistencyError,
     DegenerateCorrelationError,
+    EstimatorSpec,
+    EvaluationError,
     InsufficientDataError,
     SubseriesEstimates,
+    apply_estimator,
+    apply_estimator_batch,
     build_data_array,
     componentwise_mean_estimator,
     correlation_matrix,
     default_block_length,
     gb2_variance,
     mean_estimator,
+    median_estimator,
+    pooled_variance_estimator,
     psd_project,
     subseries_estimates,
     sym_inverse_sqrt,
@@ -58,6 +65,40 @@ class TestSubseriesEstimates:
         arr = build_data_array(np.arange(10.0), p=2)
         with pytest.raises(BoundsError):
             subseries_estimates(arr, mean_estimator(), ell=ell)
+
+    @pytest.mark.parametrize("m, d", [(7, 1), (101, 3)])
+    def test_chunked_matches_stacked_windows(self, monkeypatch, m, d):
+        # Chunks of 3 windows split each row's I windows at odd counts.
+        arr = build_data_array(np.random.default_rng(m).standard_normal((m * 4, d)), p=4)
+        ell = 3
+        monkeypatch.setattr(resample_module, "_CHUNK_BYTES", 3 * ell * d * 8)
+        estimators = [mean_estimator(), median_estimator(), pooled_variance_estimator(),
+                      componentwise_mean_estimator(d)]
+        for est in estimators:
+            sub = subseries_estimates(arr, est, ell)
+            for j in range(1, 5):
+                row = arr.row(j)
+                windows = np.stack([row[i : i + ell] for i in range(m - ell + 1)])
+                assert_array_equal(sub.grid[:, j - 1], apply_estimator_batch(est, windows))
+                assert_array_equal(sub.full_estimates[j - 1], apply_estimator(est, row))
+
+    def test_window_labels_name_the_chunk(self, monkeypatch):
+        def fail_on_nine(stack):  # in a window of 3; the full row passes
+            if stack.shape[1] == 3 and (stack == 9.0).any():
+                raise ValueError("nine")
+            return stack.reshape(stack.shape[0], -1).mean(axis=1)
+
+        arr = build_data_array(np.arange(24.0) % 10, p=2)  # row 2 holds 9 in column 5
+        monkeypatch.setattr(resample_module, "_CHUNK_BYTES", 2 * 3 * 8)
+        with pytest.raises(EvaluationError, match=r"on row 2 windows 3\.\.4: nine$"):
+            subseries_estimates(arr, EstimatorSpec("nines", 1, fail_on_nine), ell=3)
+
+    def test_memory_does_not_hold_every_window(self, traced_peak):
+        # 50,000 columns of 4-vectors in 5 rows, ell = 74: one row's windows
+        # flattened at once would take 113 MiB
+        arr = build_data_array(np.random.default_rng(6).standard_normal((250_000, 4)), p=5)
+        ell = default_block_length(arr.m)
+        assert traced_peak(lambda: subseries_estimates(arr, mean_estimator(), ell)) < 16 << 20
 
 
 def deviations(sub, j):

@@ -1,7 +1,7 @@
 """What importing gapboot loads: numpy, and nothing from scipy until a
 code path needs it.  ``gapboot od``, with or without ``--ridge``, solves
-with numpy alone and loads no scipy; ``scipy.signal`` loads at the first
-``ar2`` series."""
+with numpy alone and loads no scipy, and so does ``gapboot check``;
+``scipy.signal`` loads at the first ``ar2`` series."""
 import json
 import os
 import subprocess
@@ -27,6 +27,7 @@ for ridge in ("0", "0.5"):
         "--ridge", ridge, "--out", sys.argv[1],
     ])
     report[f"od --ridge {ridge}"] = [code, scipy_modules()]
+report["check"] = [gapboot.cli.main(["check"]), scipy_modules()]
 print(json.dumps(report))
 """
 
@@ -38,10 +39,11 @@ def test_scipy_loads_only_where_used(tmp_path):
         [sys.executable, "-c", _PROBE, str(tmp_path / "od.csv")],
         env=env, capture_output=True, text=True, check=True,
     )
-    report = json.loads(done.stdout)
+    report = json.loads(done.stdout.splitlines()[-1])  # after check's own lines
     assert report["import"] == []
     assert report["mma"] == []
     for ridge in ("0", "0.5"):
         code, loaded = report[f"od --ridge {ridge}"]
         assert code == 0
         assert loaded == []
+    assert report["check"] == [0, []]

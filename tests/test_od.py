@@ -1,4 +1,5 @@
 import csv
+import itertools
 import re
 import sys
 import threading
@@ -186,7 +187,8 @@ def bootstrap_sums(stats, seed, slot, reps):
 def reference_od_gb2(fit, ell, degenerate="error"):
     """OD GB-II as it was written before it ran the gb2 kernel: per-parameter
     window moments, rho = num / sqrt(m_k m_l) clipped to [-1, 1], slot
-    scales sqrt(w_ak' Cov_k w_ak), and its own degeneracy branch."""
+    scales sqrt(w_ak' Cov_k w_ak), and its own degeneracy branch at the
+    round-off scale ||theta|| ||w_ak|| of the projections."""
     theta = fit.theta
     weights = fit.weights
     window = window_estimates(fit._stats, ell, fit.ridge)  # (S, I, 21)
@@ -194,7 +196,8 @@ def reference_od_gb2(fit, ell, degenerate="error"):
     proj = np.einsum("kab,kib->aki", weights, window - theta)  # (21, S, I)
     moment = np.einsum("aki,aki->ak", proj, proj) / count  # (21, S)
     num = np.einsum("aki,ali->akl", proj, proj) / count  # (21, S, S)
-    flat = moment <= ((1e-9 * theta) ** 2)[:, None]  # (21, S)
+    scale = np.linalg.norm(theta) * np.linalg.norm(weights, axis=2).T  # (21, S)
+    flat = moment <= (1e-9 * scale) ** 2  # (21, S)
     if degenerate == "error" and flat.any():
         a, k = np.argwhere(flat)[0]
         raise DegenerateCorrelationError(f"parameter {PARAM_NAMES[a]} in slot {k + 1}")
@@ -213,11 +216,31 @@ def reference_od_gb2(fit, ell, degenerate="error"):
 def od_kernel_inputs(fit, ell):
     """The GB-II kernel inputs of a fit at r = 1: slot variances
     w_ak' Cov_k w_ak, shape (21, S, 1, 1), window projections
-    w_ak' (window_k - theta), shape (21, I, S, 1), and their centre theta,
-    shape (21, 1, 1)."""
+    w_ak' (window_k - theta), shape (21, I, S, 1), and their centre
+    ||theta|| ||w_ak||, shape (21, S, 1)."""
     proj = od._window_projections(fit._stats, fit.theta, fit.weights, ell, fit.ridge)[..., None]
     quad = np.einsum("kab,kbc,kac->ak", fit.weights, fit.slot_covariances, fit.weights)
-    return quad[..., None, None], proj, fit.theta[:, None, None]
+    centre = np.linalg.norm(fit.theta) * np.linalg.norm(fit.weights, axis=2).T
+    return quad[..., None, None], proj, centre[..., None]
+
+
+def random_corridors():
+    """200 small random corridors, as ``(case, dataset, ell, config, perm)``;
+    one in ten is noise-free, where every window projection is degenerate,
+    and has ``perm`` None, the others a random slot permutation."""
+    rng = np.random.default_rng(20)
+    for case in range(200):
+        days, slots = int(rng.integers(24, 49)), int(rng.integers(2, 7))
+        noise_free = case % 10 == 9
+        dataset, _ = surrogate_od_dataset(
+            days, slots=slots, seed=case,
+            day_ar=rng.uniform(0.0, 0.8), slot_spread=rng.uniform(0.0, 0.5),
+            noise=0.0 if noise_free else rng.uniform(0.01, 0.1),
+            split_drift=0.0 if noise_free else rng.uniform(0.0, 0.15),
+        )
+        ell = int(rng.integers(6, days // 2))
+        config = BootstrapConfig(replicates=int(rng.integers(20, 61)), seed=case)
+        yield case, dataset, ell, config, None if noise_free else rng.permutation(slots)
 
 
 def degenerate_name(call):
@@ -684,11 +707,13 @@ class TestDataset:
 
 class TestLeastSquares:
     def test_noise_free_recovery(self):
-        fit = ODFit(exact_dataset(days=20, slots=4, seed=1))
-        theta, gamma = fit.theta, fit.gamma
-        assert_allclose(theta, THETA, rtol=0, atol=1e-8)
-        assert gamma.shape == (21, 21)
+        dataset = exact_dataset(days=20, slots=4, seed=1)
+        fit = ODFit(dataset)
+        assert_allclose(fit.theta, THETA, rtol=0, atol=1e-8)
         assert_allclose(fit.slot_estimates[1], THETA, rtol=0, atol=1e-8)
+        # the pooled estimate solves the pooled normal equations O'O theta = O'D'
+        sums = od._statistics(dataset).sum(axis=(0, 1))
+        assert_allclose(od._gram(sums[:21]) @ fit.theta, sums[21:], rtol=1e-10)
 
     def test_zero_volume_slot_is_rank_deficient(self):
         # 8 days, so that only the zero-volume slot is singular: a slot of
@@ -731,10 +756,14 @@ class TestWeights:
         assert fit.weights.shape == (4, 21, 21)
         assert_allclose(fit.weights.sum(axis=0), np.eye(21), rtol=0, atol=1e-10)
 
-    def test_partition_violation(self):
-        fit = ODFit(exact_dataset(days=12, slots=4, seed=5))
-        fit.slot_gammas[0] *= 1.01
-        with pytest.raises(ConsistencyError, match="sum"):
+    def test_ill_conditioned_pooled_gram(self):
+        # origin 2 tracks origin 1 to 1e-5: the pooled Gram passes the rank
+        # rule, but its solves lose the weights' sum to the identity
+        rng = np.random.default_rng(2)
+        origins = rng.uniform(20.0, 80.0, size=(12, 3, 7))
+        origins[..., 1] = origins[..., 0] * (1.0 + 1e-5 * rng.standard_normal((12, 3)))
+        fit = ODFit(ODDataset(origins=origins, destinations=origins @ SplitProportions(THETA).matrix))
+        with pytest.raises(ConsistencyError, match="^slot weights do not sum to the identity$"):
             fit.weights
 
 
@@ -819,8 +848,8 @@ class TestFit:
         fit = ODFit(dataset)
         assert_array_equal(od._statistics(dataset)[..., 21:], h)
         # origin products are summed in the same order as the full O'O matrices
-        assert_array_equal(fit.gamma, g.sum(axis=(0, 1)))
-        assert_array_equal(fit.slot_gammas, g.sum(axis=0))
+        assert_array_equal(od._gram(fit._pooled[:21]), g.sum(axis=(0, 1)))
+        assert_array_equal(od._gram(fit._slot_sums[:, :21]), g.sum(axis=0))
 
     def test_stacked_sums_match_separate_arrays(self):
         # one (D, S, 42) array gives the bits of separate C-contiguous
@@ -863,14 +892,15 @@ class TestFit:
         for seed in range(6):
             dataset, _ = surrogate_od_dataset(30 + 5 * seed, slots=4, seed=seed, split_drift=0.1)
             fit = ODFit(dataset, ridge=ridge)
-            h = od._statistics(dataset)[..., 21:]
-            gamma = fit.gamma + ridge * RIDGE_GRAM
-            slot_gammas = fit.slot_gammas + ridge * RIDGE_GRAM
+            stats = od._statistics(dataset)
+            products, h = stats[..., :21], stats[..., 21:]
+            slot_grams = od._gram(products.sum(axis=0))
+            gamma = od._gram(products.sum(axis=(0, 1))) + ridge * RIDGE_GRAM
             cases = (
                 (fit.theta[None], [gamma], h.sum(axis=(0, 1))[None]),
-                (fit.slot_estimates, slot_gammas, h.sum(axis=0)),
+                (fit.slot_estimates, slot_grams + ridge * RIDGE_GRAM, h.sum(axis=0)),
                 (fit.weights.swapaxes(1, 2).reshape(-1, 21), [gamma] * 84,
-                 fit.slot_gammas.reshape(-1, 21)),
+                 slot_grams.reshape(-1, 21)),
             )
             for got, grams, rhs in cases:
                 want = np.stack([cho_solve(cho_factor(g), b) for g, b in zip(grams, rhs)])
@@ -906,6 +936,18 @@ class TestFit:
         assert_array_equal(theta, ODFit(dataset, config, ridge=0.5).theta)
         assert_array_equal(se1, ODFit(dataset, config, ridge=0.5).gb1_standard_errors())
         assert_array_equal(se2, ODFit(dataset, config, ridge=0.5).gb2_standard_errors(10))
+
+    def test_exhaustive_mode_is_refused(self, slot_draws):
+        # slot replicates are drawn; an exhaustive config is not silently
+        # run as Monte Carlo with its default replicates and seed
+        dataset = exact_dataset(days=12, slots=3)
+        for call in (
+            lambda: ODFit(dataset, BootstrapConfig(mode="exhaustive")),
+            lambda: od_standard_errors(dataset, 6, BootstrapConfig(mode="exhaustive")),
+        ):
+            with pytest.raises(ConfigError, match="'exhaustive'"):
+                call()
+        assert slot_draws == []
 
     @pytest.mark.parametrize("ridge", [-0.5, np.nan, np.inf])
     def test_bad_ridge(self, ridge):
@@ -1211,23 +1253,11 @@ class TestInvariants:
 
     @pytest.mark.filterwarnings("ignore::gapboot.FewRowsWarning")
     def test_random_corridors(self):
-        # 200 small random corridors; one in ten is noise-free, where every
-        # window projection is degenerate
-        rng = np.random.default_rng(20)
-        for case in range(200):
-            days, slots = int(rng.integers(24, 49)), int(rng.integers(2, 7))
-            noise_free = case % 10 == 9
-            dataset, _ = surrogate_od_dataset(
-                days, slots=slots, seed=case,
-                day_ar=rng.uniform(0.0, 0.8), slot_spread=rng.uniform(0.0, 0.5),
-                noise=0.0 if noise_free else rng.uniform(0.01, 0.1),
-                split_drift=0.0 if noise_free else rng.uniform(0.0, 0.15),
-            )
-            ell = int(rng.integers(6, days // 2))
-            config = BootstrapConfig(replicates=int(rng.integers(20, 61)), seed=case)
+        for case, dataset, ell, config, perm in random_corridors():
+            slots = dataset.slots
             fit = ODFit(dataset, config)
             msg = f"case {case}"
-            if noise_free:
+            if perm is None:
                 assert degenerate_name(lambda: fit.gb2_standard_errors(ell)) == degenerate_name(
                     lambda: reference_od_gb2(fit, ell)), msg
                 continue
@@ -1246,10 +1276,9 @@ class TestInvariants:
                         assert_array_equal(a, b, err_msg=msg)
             # slot relabelling, given the permuted slot inputs
             quad, proj, centre = od_kernel_inputs(fit, ell)
-            perm = rng.permutation(slots)
             ones = np.ones(slots)
             assert_allclose(
-                gb2._gb2_combine(quad[:, perm], proj[:, :, perm], ones, centre, "error", str),
+                gb2._gb2_combine(quad[:, perm], proj[:, :, perm], ones, centre[:, perm], "error", str),
                 gb2._gb2_combine(quad, proj, ones, centre, "error", str), rtol=1e-12, err_msg=msg,
             )
             gb1 = gb1_variance(RowEstimates(fit.slot_estimates, fit.slot_covariances)).matrix
@@ -1259,6 +1288,23 @@ class TestInvariants:
             # the unclipped projection correlations
             rho = gb2._window_correlations(proj, centre, "error", str)
             assert np.abs(rho).max() <= 1.0 + 1e-12, msg
+
+    def test_noise_free_corridor_flags_every_pair(self, monkeypatch):
+        # noise-free case 179 (36 days, 4 slots, ell 6): the projections'
+        # round-off reaches 4e-9 of |theta_a| for some parameters, but stays
+        # below 1e-9 of ||theta|| ||w_ak|| for every (parameter, slot) pair
+        _, dataset, ell, config, _ = next(itertools.islice(random_corridors(), 179, None))
+        assert (dataset.days, dataset.slots, ell) == (36, 4, 6)
+        correlations = []
+
+        def spy(variances, dev, weights, centre, degenerate, label):
+            correlations.append(gb2._window_correlations(dev, centre, "zero", label))
+            return gb2._gb2_combine(variances, dev, weights, centre, degenerate, label)
+
+        monkeypatch.setattr(od, "_gb2_combine", spy)
+        ODFit(dataset, config).gb2_standard_errors(ell, "zero")
+        # a flagged row's correlations are zeroed, an unflagged row's own is one
+        assert not correlations[0].any()
 
     @pytest.mark.parametrize("kind", ["zero-volume", "constant"])
     @pytest.mark.parametrize("degenerate", ["error", "zero"])
