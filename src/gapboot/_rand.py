@@ -9,9 +9,9 @@ run on ``_thread_map``'s threads.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,11 +22,14 @@ _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
-#: Random values one task must draw to be worth a thread (``_gated_workers``).
+#: Random values one task must draw to be worth a thread: a row is one
+#: task (``_gated_workers``), and truth series are grouped into tasks of at
+#: least this many draws (``models.monte_carlo_true_se``).
 _MIN_THREAD_DRAWS = 1 << 19
 
-#: Set in each ``_thread_map`` worker thread: ``chunk_share`` is how many
-#: tasks split the resampling chunk budget (see ``resample._chunk_ranges``).
+#: Set on every thread of a ``_thread_map``, the caller included (and
+#: restored on the caller after it): ``chunk_share`` is how many tasks
+#: split the resampling chunk budget (see ``resample._chunk_ranges``).
 _pool = threading.local()
 
 
@@ -66,21 +69,54 @@ def _gated_workers(draws: int) -> int:
 
 
 def _thread_map(task, count: int, workers: int) -> list:
-    """``[task(i) for i in range(count)]`` on ``min(workers, count)`` threads
-    (none when that is 1), which split one chunk budget between them; as
-    in the loop, the lowest failing index's error is raised."""
+    """``[task(i) for i in range(count)]`` on ``min(workers, count)`` threads,
+    the caller one of them (no thread is started when that is 1), which
+    split one chunk budget between them.
+
+    The caller runs index 0, so it always runs a task; after that, each
+    thread takes the next index from one shared counter.  As in the loop,
+    the lowest failing index's error is raised: once a failure is
+    recorded no thread takes another index, and every lower one has been
+    taken.
+    """
     workers = min(workers, count)
     if workers <= 1:
         return [task(i) for i in range(count)]
+    results = [None] * count
+    failed = {}
+    claim = itertools.count(1)  # index 0 is the caller's
+    lock = threading.Lock()
 
-    def join():
+    def take() -> int:
+        with lock:
+            return count if failed else next(claim)
+
+    def work(i: int) -> None:
         _pool.chunk_share = workers
+        while i < count:
+            try:
+                results[i] = task(i)
+            except BaseException as exc:  # raised on the caller, below
+                with lock:
+                    failed[i] = exc
+            i = take()
 
-    with ThreadPoolExecutor(workers, initializer=join) as pool:
-        futures = [pool.submit(task, i) for i in range(count)]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+    threads = [threading.Thread(target=lambda: work(take())) for _ in range(workers - 1)]
+    share = getattr(_pool, "chunk_share", None)
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # an interrupt outside the tasks stops the others too
+        failed[-1] = exc
+        raise
+    finally:
+        if share is None:
+            vars(_pool).pop("chunk_share", None)
+        else:
+            _pool.chunk_share = share
+    if failed:
+        raise failed[min(failed)]
+    return results

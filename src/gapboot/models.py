@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rand import _gated_workers, _thread_map, derived_stream
+from . import _rand
+from ._rand import derived_stream
 from .core import DataArray, EstimatorSpec, _check_int, apply_estimator, build_data_array
 from .errors import ConfigError, DimensionError
 
@@ -167,9 +168,14 @@ def _innovations(rng: np.random.Generator, kind: str, size) -> np.ndarray:
     return rng.exponential(1.0, size) - 1.0
 
 
-def _gap_indices(m: int, p: int, q: int) -> np.ndarray:
-    """Parent indices of the retained observations, shape (m, p)."""
-    return np.arange(m)[:, None] * (p + q) + np.arange(p)[None, :]
+def _gap_cut(parent: np.ndarray, m: int, p: int, q: int) -> np.ndarray:
+    """The retained observations of ``parent``, whose step t is
+    ``parent[t]``: a read-only (m, p, ...) view, entry (i, j) at step
+    i (p + q) + j.  The last is step (m - 1)(p + q) + p - 1, the parent's."""
+    stride = parent.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        parent, (m, p) + parent.shape[1:], ((p + q) * stride,) + parent.strides, writeable=False
+    )
 
 
 def _slot_phase(p: int) -> np.ndarray:
@@ -197,7 +203,6 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
     m, p, q = spec.m, spec.p, spec.gap_q
     burn = DEFAULT_BURN_IN
     parent_len = _parent_length(spec)
-    idx = _gap_indices(m, p, q)
 
     if spec.family in _UNIVARIATE:
         if spec.family == "periodic":
@@ -215,7 +220,7 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
             else:
                 b1, b2 = MA_COEFFICIENTS
                 parent = np.convolve([1.0, b1, b2], eps)[burn : burn + parent_len]
-            values = spec.mu + parent[idx]
+            values = spec.mu + _gap_cut(parent, m, p, q)
         return build_data_array(values.reshape(spec.n), p=p)
 
     chol = np.eye(4) if spec.cov_kind == "identity" else _TOEPLITZ_CHOLESKY
@@ -239,7 +244,7 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
         lagged1 = np.vstack([np.zeros((1, 4)), eta[:-1]])
         lagged2 = np.vstack([np.zeros((2, 4)), eta[:-2]])
         parent = (eta + lagged1 @ phi1.T + lagged2 @ phi2.T)[burn:]
-    values = mean[None, None, :] + parent[idx]
+    values = mean[None, None, :] + _gap_cut(parent, m, p, q)
     return build_data_array(values.reshape(spec.n, 4), p=p)
 
 
@@ -253,18 +258,25 @@ def monte_carlo_true_se(spec: ModelSpec, estimator: EstimatorSpec, runs: int, se
 
     Simulates ``runs`` independent arrays (runs >= 100) and reports the
     componentwise standard deviation (divisor runs - 1) of the estimates.
-    Series that draw at least ``_MIN_THREAD_DRAWS`` innovations run on
-    ``_thread_map``'s threads, with the same result for any count.
+    Consecutive runs are grouped into tasks that draw at least
+    ``_MIN_THREAD_DRAWS`` innovations each, and the tasks run on
+    ``_thread_map``'s threads, the caller among them; a single task runs
+    inline.  Each run draws from its own keyed stream and writes only its
+    own row of estimates, so the result is the same for any grouping or
+    thread count.
     """
     _check_truth_runs(runs)
     base = _key(seed)
     estimates = np.empty((runs, estimator.dim))
+    draws = (DEFAULT_BURN_IN + _parent_length(spec)) * spec.d
+    size = max(1, -(-_rand._MIN_THREAD_DRAWS // draws))  # runs per task
 
-    def one(r: int) -> None:
-        arr = generate_series(spec, base + ("truth", r))
-        estimates[r] = apply_estimator(estimator, arr.series(), f"truth run {r + 1}")
+    def group(g: int) -> None:
+        for r in range(g * size, min(g * size + size, runs)):
+            arr = generate_series(spec, base + ("truth", r))
+            estimates[r] = apply_estimator(estimator, arr.series(), f"truth run {r + 1}")
 
-    _thread_map(one, runs, _gated_workers((DEFAULT_BURN_IN + _parent_length(spec)) * spec.d))
+    _rand._thread_map(group, -(-runs // size), _rand._WORKERS)
     return estimates.std(axis=0, ddof=1)
 
 

@@ -30,10 +30,11 @@ MAX_EXHAUSTIVE = 1_000_000
 _CHUNK_BYTES = 4 << 20
 
 #: The k threads of a row pool (``gb1.collect_row_estimates``) share this
-#: budget, a k-th each.  A worker thread frees its chunks into its own
-#: malloc arena, which keeps them resident after the pool ends, so they
-#: add to the peak the calling thread reaches on its own: about 3 MiB at
-#: this budget, 10 MiB at ``_CHUNK_BYTES`` (study-long on 2 CPUs).
+#: budget, a k-th each.  The caller is one of them; each of the k - 1
+#: threads it starts frees its chunks into its own malloc arena, which
+#: keeps them resident after the pool ends, so they add to the peak the
+#: calling thread reaches on its own: about 3 MiB at this budget, 10 MiB
+#: at ``_CHUNK_BYTES`` (study-long on 2 CPUs).
 _POOL_CHUNK_BYTES = _CHUNK_BYTES // 4
 
 

@@ -8,9 +8,10 @@ same model.  All randomness is keyed by (seed, cell, run), so results
 are identical for any number of the package's own worker threads and
 any method subset; the BLAS thread count is outside that promise.
 
-A cell's runs go one at a time.  Bootstraps of long rows and long
-truth series run on all the CPUs the process may use
-(``gb1.collect_row_estimates``, ``models.monte_carlo_true_se``).
+A cell's runs go one at a time.  Bootstraps of long rows, and truth
+series grouped into tasks of at least ``_rand._MIN_THREAD_DRAWS``
+innovations, run on all the CPUs the process may use, the calling thread
+among them (``gb1.collect_row_estimates``, ``models.monte_carlo_true_se``).
 """
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.signal import lfilter
 
 import gapboot._rand as rand_module
+import gapboot.models as models_module
 from gapboot import (
     ConfigError,
     DimensionError,
@@ -26,7 +28,7 @@ from gapboot.models import (
     MULTIVARIATE_MEAN,
     TOEPLITZ_RHO,
     UNIVARIATE_SD,
-    _gap_indices,
+    _gap_cut,
     _innovations,
     _mma_coefficients,
     row_mean_spread,
@@ -170,6 +172,24 @@ class TestGeneration:
         assert abs(corr) < 0.2
 
 
+def gap_indices(m, p, q):
+    """Parent indices of the retained observations, shape (m, p): the
+    fancy-index reference for ``_gap_cut``."""
+    return np.arange(m)[:, None] * (p + q) + np.arange(p)[None, :]
+
+
+@pytest.mark.parametrize("m, p, q", [(2, 1, 0), (10_000, 5, 0), (6, 5, 300), (100, 40, 10), (3, 4, 60)])
+@pytest.mark.parametrize("d", [None, 4])
+def test_gap_cut_is_the_fancy_index_cut(m, p, q, d):
+    length = (m - 1) * (p + q) + p
+    base = np.random.default_rng(m).standard_normal((500 + length,) + ((d,) if d else ()))
+    parent = base[500:]
+    cut = _gap_cut(parent, m, p, q)
+    assert not cut.flags.writeable
+    assert cut.tobytes() == parent[gap_indices(m, p, q)].tobytes()
+    assert cut[-1, -1].tobytes() == parent[-1].tobytes()
+
+
 def ma2_reference(spec, seed):
     """``generate_series(spec, seed).values`` for ``ma2``, filtered by
     ``scipy.signal.lfilter`` as the generator once did: the reference for
@@ -178,7 +198,7 @@ def ma2_reference(spec, seed):
     size = burn + (m - 1) * (p + q) + p
     eps = UNIVARIATE_SD * _innovations(derived_stream(seed, "series"), spec.innovation, size)
     parent = lfilter([1.0, *MA_COEFFICIENTS], [1.0], eps)[burn:]
-    return (spec.mu + parent[_gap_indices(m, p, q)])[..., None]
+    return (spec.mu + parent[gap_indices(m, p, q)])[..., None]
 
 
 class TestMa2Filter:
@@ -221,21 +241,43 @@ class TestMonteCarloTruth:
         se = monte_carlo_true_se(ModelSpec("ar2", 200, 5), mean_estimator(), runs=400, seed=123)
         assert se[0] == pytest.approx(0.013, rel=0.15)
 
-    @pytest.mark.parametrize("family", ["ar2", "mma"])
-    def test_threaded_series_equal_serial_series(self, monkeypatch, fast_switching, family):
+    @pytest.mark.parametrize(
+        "family, n, p, gap_q",
+        [("ar2", 200, 5, None), ("mma", 200, 5, None), ("ar2", 2000, 5, 0), ("mar", 40, 5, None)],
+        ids=["ar2", "mma", "ar2-contiguous", "mar"],
+    )
+    def test_threaded_series_equal_serial_series(self, monkeypatch, fast_switching, family, n, p, gap_q):
         # each series writes only its own row of the shared estimates
-        spec = ModelSpec(family, 200, 5)
+        spec = ModelSpec(family, n, p, gap_q=gap_q)
+        draws = (DEFAULT_BURN_IN + (spec.m - 1) * (p + spec.gap_q) + p) * spec.d
+        generate = models_module.generate_series
+        threads = {}
+
+        def recording(spec, seed):
+            threads[seed[-1]] = threading.current_thread()
+            return generate(spec, seed)
+
+        monkeypatch.setattr(models_module, "generate_series", recording)
         monkeypatch.setattr(rand_module, "_WORKERS", 8)
-        ses = []
-        for gate in (1 << 62, 0):
+        ses = {}
+        # inline, one series per task, and three series per task
+        for gate in (1 << 62, 0, 3 * draws - 1):
             monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", gate)
-            ses.append(monte_carlo_true_se(spec, mean_estimator(), runs=120, seed=(4, "truth")))
+            threads.clear()
+            ses[gate] = monte_carlo_true_se(spec, mean_estimator(), runs=120, seed=(4, "truth"))
+            used = set(threads.values())
+            if gate == 1 << 62:
+                assert used == {threading.main_thread()}
+            else:
+                assert len(used) >= 2 and threading.main_thread() in used
+        # a group of three runs on one thread
+        assert all(threads[r] == threads[r - r % 3] for r in range(120))
         estimates = [
-            apply_estimator(mean_estimator(), generate_series(spec, (4, "truth", "truth", r)).series())
+            apply_estimator(mean_estimator(), generate(spec, (4, "truth", "truth", r)).series())
             for r in range(120)
         ]
-        assert_array_equal(ses[0], np.std(estimates, axis=0, ddof=1))
-        assert_array_equal(ses[1], ses[0])
+        for se in ses.values():
+            assert_array_equal(se, np.std(estimates, axis=0, ddof=1))
 
 
 def test_row_mean_spread_flags_periodic():

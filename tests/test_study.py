@@ -1,5 +1,6 @@
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gapboot import study as study_module
 from gapboot import (
     METHODS,
     ConfigError,
+    EstimatorSpec,
     StudyConfig,
     run_study,
     write_study_csv,
@@ -101,22 +103,26 @@ class TestRunStudy:
 
     def test_deterministic_and_thread_invariant(self, tmp_path, monkeypatch):
         # the row and truth pools forced on (3 workers) and off, as in
-        # test_gb1's gate
-        pools = []
+        # test_gb1's gate; ``threads`` holds the threads the estimator runs on
+        threads = set()
+        mean = study_module.mean_estimator()
 
-        class CountingPool(rand_module.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(args[0])
-                super().__init__(*args, **kwargs)
+        def evaluate(stack):
+            threads.add(threading.current_thread())
+            return mean.evaluate(stack)
 
-        monkeypatch.setattr(rand_module, "ThreadPoolExecutor", CountingPool)
+        recording = EstimatorSpec(mean.name, mean.dim, evaluate)
+        monkeypatch.setattr(study_module, "mean_estimator", lambda: recording)
         monkeypatch.setattr(rand_module, "_WORKERS", 3)
         config = tiny_config(runs=10)
         results = {}
         for on in (False, True):
             monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", 0 if on else 1 << 62)
+            threads.clear()
             results[on] = run_study(config)
-            assert bool(pools) == on
+            # the caller is one of the pool's threads
+            assert threading.main_thread() in threads
+            assert (len(threads) >= 2) == on
         first, threaded = results[False], results[True]
         second = run_study(config)  # pools still on
         for method in METHODS:
