@@ -3,13 +3,12 @@ naive independent-column estimate.
 
 All three operate on whole columns of the gapped array, treating each
 period as one sampling unit, and serve as comparison points for the gap
-bootstrap methods.
+bootstrap methods.  The block bootstrap runs on ``resample``'s loop.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ._rand import derived_stream
 from .core import (
     DataArray,
     EstimatorSpec,
@@ -19,7 +18,7 @@ from .core import (
     apply_estimator_batch,
 )
 from .errors import BoundsError, ConfigError
-from .resample import BootstrapConfig, _chunk_ranges, _window_estimates
+from .resample import BootstrapConfig, _resample_estimates, _spread, _window_estimates
 
 __all__ = [
     "block_bootstrap_variance",
@@ -59,29 +58,12 @@ def block_bootstrap_variance(
     ell = 1 this is the i.i.d. bootstrap over columns.  Only the
     "monte_carlo" mode is supported; another raises ConfigError.
     """
-    m, p, d = array.m, array.p, array.d
-    if not 1 <= ell < m:
-        raise BoundsError(f"block length {ell} outside 1..{m - 1}")
+    if not 1 <= ell < array.m:
+        raise BoundsError(f"block length {ell} outside 1..{array.m - 1}")
     if config.mode != "monte_carlo":
         raise ConfigError(f"the block bootstrap draws its resamples; mode {config.mode!r} is not supported")
-    reps = config.replicates
-    nblocks = -(-m // ell)  # ceil
-    rng = derived_stream(config.seed, "block_bootstrap")
-    columns = array.values.reshape(m, p * d)
-    offsets = np.arange(ell)
-    theta = np.empty((reps, estimator.dim))
-    for lo, hi in _chunk_ranges(reps, array.values.nbytes):
-        # Consecutive draws concatenate to one (B, nblocks) draw of block
-        # starts; each start expands to ell columns, truncated to m.
-        starts = rng.integers(0, m - ell + 1, size=(hi - lo, nblocks), dtype=np.int64)
-        cols = (starts[:, :, None] + offsets).reshape(hi - lo, nblocks * ell)[:, :m]
-        stack = columns.take(cols, axis=0).reshape(hi - lo, m * p, d)
-        theta[lo:hi] = apply_estimator_batch(
-            estimator, stack, f"block resamples {lo + 1}..{hi}"
-        )
-    dev = theta - theta.mean(axis=0)
-    cov = dev.T @ dev / reps
-    return VarianceEstimate(matrix=cov)
+    theta = _resample_estimates(array.values, estimator, config, ("block_bootstrap",), ell)
+    return VarianceEstimate(matrix=_spread(theta))
 
 
 def naive_column_variance(

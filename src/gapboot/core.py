@@ -247,7 +247,7 @@ def _row_weights(weights, p: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (p,):
         raise DimensionError(f"expected {p} weights, got shape {w.shape}")
-    if np.any(w < 0.0) or np.any(w > 1.0):
+    if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN fails both comparisons
         raise ConsistencyError("weights must lie in [0, 1]")
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise ConsistencyError(f"weights must sum to 1, got {float(w.sum())!r}")

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .gb1 import RowEstimates, gb1_variance
 from .gb2 import _gb2_combine, default_block_length
-from .resample import BootstrapConfig
+from .resample import BootstrapConfig, _draw, _spread
 
 __all__ = [
     "DEFAULT_SPLIT_THETA",
@@ -432,7 +432,7 @@ def _slot_bootstrap_covs(stats: np.ndarray, config: BootstrapConfig, ridge: floa
             stop = min(start + rows, reps)
             for lo in range(start, stop, _BATCH):
                 n = min(_BATCH, stop - lo)
-                idx = streams[k].integers(0, days, size=(n, days), dtype=np.int64)
+                idx = _draw(streams[k], n, days)
                 idx += offsets[:n]
                 counts[:n] = np.bincount(idx.ravel(), minlength=n * days).reshape(n, days)
                 np.matmul(counts[:n], stats[:, k], out=sums[lo - start : lo - start + n])
@@ -440,8 +440,7 @@ def _slot_bootstrap_covs(stats: np.ndarray, config: BootstrapConfig, ridge: floa
                 sums[: stop - start, :21], sums[: stop - start, 21:], ridge,
                 lambda _: f"bootstrap normal equations in slot {k + 1}",
             )
-        thetas -= thetas.mean(axis=0)
-        covs[k] = thetas.T @ thetas / reps
+        covs[k] = _spread(thetas)
 
     _thread_map(bootstrap, slots, _WORKERS)
     return covs

@@ -1,10 +1,13 @@
-"""Within-row i.i.d. bootstrap.
+"""Within-row i.i.d. bootstrap, and the resampler every bootstrap shares.
 
 Rows of a gapped array are treated as i.i.d. samples; the bootstrap
 resamples a row with replacement, evaluates the estimator on each
 resample, and reports the spread of the replicates around their mean
 (divisor B, the Monte Carlo population convention).  Small samples can
-be enumerated exhaustively, which removes all Monte Carlo error.
+be enumerated exhaustively, which removes all Monte Carlo error.  The
+moving-block bootstrap resamples columns in blocks of ell on the same
+loop, the OD slot bootstrap draws its days with the same ``_draw``, and
+both report the same ``_spread``.
 """
 from __future__ import annotations
 
@@ -96,6 +99,53 @@ def _as_sample(sample) -> np.ndarray:
     return arr
 
 
+def _draw(rng: np.random.Generator, n: int, m: int, ell: int = 1) -> np.ndarray:
+    """Unit indices of n resamples, shape (n, m): ceil(m / ell) uniform block
+    starts on 0..m - ell, each expanded to ell consecutive units, cut to m.
+    At ell = 1 this is ``rng.integers(0, m, size=(n, m))`` itself."""
+    starts = rng.integers(0, m - ell + 1, size=(n, -(-m // ell)), dtype=np.int64)
+    if ell == 1:
+        return starts
+    return (starts[:, :, None] + np.arange(ell)).reshape(n, -1)[:, :m]
+
+
+def _resample_estimates(units: np.ndarray, estimator, config, key: tuple, ell: int = 1) -> np.ndarray:
+    """``bootstrap_replicates`` on units of any shape (m, ..., d), drawn in
+    blocks of ell, each resample flattened in order to one (k, d) sample."""
+    m, d = units.shape[0], units.shape[-1]
+    if config.mode == "exhaustive":
+        # 2**m > MAX_EXHAUSTIVE past its bit length: m**m is never formed there
+        if m > MAX_EXHAUSTIVE.bit_length() or m**m > MAX_EXHAUSTIVE:
+            raise ConfigError(
+                f"exhaustive mode enumerates m**m resamples, above "
+                f"MAX_EXHAUSTIVE = {MAX_EXHAUSTIVE} at m = {m}"
+            )
+        total = m**m
+        # lexicographic order: resample b is the base-m digits of b
+        draw = lambda lo, hi: np.stack(np.unravel_index(np.arange(lo, hi), (m,) * m), axis=1)
+    else:
+        total = config.replicates
+        rng = derived_stream(config.seed, *key)
+        draw = lambda lo, hi: _draw(rng, hi - lo, m, ell)
+    label = " ".join(str(part) for part in (*key, "resamples"))
+    out = np.empty((total, estimator.dim))
+    for lo, hi in _chunk_ranges(total, units.nbytes):
+        # idx stays bound until the next draw replaces it.  Freeing it with
+        # the gathered chunk lets malloc return both to the OS, and the
+        # page faults that follow double the cost of a chunk.
+        idx = draw(lo, hi)
+        out[lo:hi] = apply_estimator_batch(
+            estimator, units.take(idx, axis=0).reshape(hi - lo, -1, d), f"{label} {lo + 1}..{hi}"
+        )
+    return out
+
+
+def _spread(reps: np.ndarray) -> np.ndarray:
+    """Divisor-B spread of (B, r) replicates about their mean, centred in place."""
+    reps -= reps.mean(axis=0)
+    return reps.T @ reps / reps.shape[0]
+
+
 def bootstrap_replicates(
     sample,
     estimator: EstimatorSpec,
@@ -110,32 +160,7 @@ def bootstrap_replicates(
     the ``(seed, *key)`` stream.  Either way resamples are drawn and
     evaluated in chunks of about ``_CHUNK_BYTES``; no (B, m) table is held.
     """
-    arr = np.ascontiguousarray(_as_sample(sample))
-    m = arr.shape[0]
-    if config.mode == "exhaustive":
-        if m**m > MAX_EXHAUSTIVE:
-            raise ConfigError(
-                f"exhaustive mode enumerates m**m = {m**m} resamples, "
-                f"above the limit {MAX_EXHAUSTIVE}"
-            )
-        total = m**m
-        # lexicographic order: resample b is the base-m digits of b
-        draw = lambda lo, hi: np.stack(np.unravel_index(np.arange(lo, hi), (m,) * m), axis=1)
-    else:
-        total = config.replicates
-        rng = derived_stream(config.seed, *key)
-        draw = lambda lo, hi: rng.integers(0, m, size=(hi - lo, m), dtype=np.int64)
-    label = " ".join(str(part) for part in (*key, "resamples"))
-    out = np.empty((total, estimator.dim))
-    for lo, hi in _chunk_ranges(total, arr.nbytes):
-        # idx stays bound until the next draw replaces it.  Freeing it with
-        # the gathered chunk lets malloc return both to the OS, and the
-        # page faults that follow double the cost of a chunk.
-        idx = draw(lo, hi)
-        out[lo:hi] = apply_estimator_batch(
-            estimator, arr.take(idx, axis=0), f"{label} {lo + 1}..{hi}"
-        )
-    return out
+    return _resample_estimates(np.ascontiguousarray(_as_sample(sample)), estimator, config, key)
 
 
 def iid_bootstrap_variance(
@@ -169,7 +194,4 @@ def iid_bootstrap_variance(
     For the sample mean the exhaustive value equals the plug-in variance
     divided by m; e.g. rows (0, 2) -> 0.5 and (1, 2, 3) -> 2/9.
     """
-    reps = bootstrap_replicates(sample, estimator, config, key)
-    dev = reps - reps.mean(axis=0)
-    cov = dev.T @ dev / reps.shape[0]
-    return VarianceEstimate(matrix=cov)
+    return VarianceEstimate(matrix=_spread(bootstrap_replicates(sample, estimator, config, key)))

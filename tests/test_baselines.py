@@ -7,6 +7,8 @@ from gapboot import (
     BootstrapConfig,
     BoundsError,
     ConfigError,
+    EstimatorSpec,
+    EvaluationError,
     VarianceEstimate,
     apply_estimator,
     apply_estimator_batch,
@@ -32,14 +34,20 @@ def _spread(theta):
     return VarianceEstimate(dev.T @ dev / theta.shape[0]).matrix
 
 
+def _block_table(m, ell, reps, seed):
+    """The whole (B, m) column table of the moving-block bootstrap: one
+    (B, ceil(m / ell)) draw of block starts, each expanded to ell columns
+    and cut to m."""
+    nblocks = -(-m // ell)
+    rng = derived_stream(seed, "block_bootstrap")
+    starts = rng.integers(0, m - ell + 1, size=(reps, nblocks), dtype=np.int64)
+    return (starts[:, :, None] + np.arange(ell)).reshape(reps, nblocks * ell)[:, :m]
+
+
 def _block_reference(array, estimator, ell, config):
     """The moving-block bootstrap with its whole (B, m) column table."""
-    m, p, d, reps = array.m, array.p, array.d, config.replicates
-    nblocks = -(-m // ell)
-    rng = derived_stream(config.seed, "block_bootstrap")
-    starts = rng.integers(0, m - ell + 1, size=(reps, nblocks), dtype=np.int64)
-    cols = (starts[:, :, None] + np.arange(ell)).reshape(reps, nblocks * ell)[:, :m]
-    stack = array.values[cols].reshape(reps, m * p, d)
+    cols = _block_table(array.m, ell, config.replicates, config.seed)
+    stack = array.values[cols].reshape(config.replicates, array.m * array.p, array.d)
     return _spread(apply_estimator_batch(estimator, stack))
 
 
@@ -152,6 +160,30 @@ class TestBlockBootstrap:
             for ell in (1, 2, 4):
                 got = block_bootstrap_variance(arr, est, ell, cfg)
                 assert_array_equal(got.matrix, _block_reference(arr, est, ell, cfg))
+
+    @pytest.mark.parametrize("m, ell", [(10, 3), (12, 4), (101, 7), (5, 4)])
+    def test_chunked_draws_concatenate_to_the_column_table(self, m, ell):
+        # the shared draw, called chunk by chunk on one stream, gives the
+        # rows of the one-draw table, ragged last block included
+        rng = derived_stream(12, "block_bootstrap")
+        chunks = [resample_module._draw(rng, n, m, ell) for n in (3, 1, 50, 7)]
+        assert_array_equal(np.concatenate(chunks), _block_table(m, ell, 61, 12))
+
+    def test_evaluation_error_names_the_block_resamples(self, monkeypatch):
+        # the block bootstrap evaluates nothing but its resamples, so the
+        # first chunk fails, and the error names its closed range
+        arr = build_data_array(np.arange(60.0), p=2)
+
+        def batch(stack):
+            raise ValueError("refused")
+
+        est = EstimatorSpec(name="refuser", dim=1, evaluate=batch)
+        monkeypatch.setattr(resample_module, "_CHUNK_BYTES", 20 * arr.values.nbytes)
+        with pytest.raises(
+            EvaluationError,
+            match=r"'refuser' failed on block_bootstrap resamples 1\.\.20: refused$",
+        ):
+            block_bootstrap_variance(arr, est, 3, BootstrapConfig(replicates=50, seed=2))
 
     def test_memory_does_not_grow_with_replicates(self, traced_peak):
         arr = build_data_array(np.random.default_rng(5).standard_normal(50_000), p=5)

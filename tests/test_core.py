@@ -153,6 +153,11 @@ class TestEstimators:
         for weights in ([0.5, 0.6], [-0.5, 1.5]):
             with pytest.raises(ConsistencyError):
                 gb2_variance([[[4.0]], [[1.0]]], sub, weights=weights)
+        # NaN fails every comparison: it is refused here, not later as a
+        # non-finite variance matrix
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConsistencyError, match=r"weights must lie in \[0, 1\]"):
+                gb2_variance([[[4.0]], [[1.0]]], sub, weights=[bad, 0.5])
         with pytest.raises(DimensionError, match="expected 2 weights"):
             gb2_variance([[[4.0]], [[1.0]]], sub, weights=[1.0])
 

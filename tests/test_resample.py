@@ -126,6 +126,27 @@ def test_exhaustive_guard():
         iid_bootstrap_variance(np.arange(8.0), mean_estimator(), EXHAUSTIVE)
 
 
+@pytest.mark.parametrize("entry", ["row", "array"])
+def test_exhaustive_guard_on_a_long_row(entry):
+    # m**m at m = 2,000 has 6,602 digits, more than Python will print;
+    # the refusal names m and the limit without forming it
+    values = np.random.default_rng(1).standard_normal(6000)
+    with pytest.raises(ConfigError, match=r"MAX_EXHAUSTIVE = 1000000 at m = 2000$"):
+        if entry == "row":
+            iid_bootstrap_variance(values[:2000], mean_estimator(), EXHAUSTIVE)
+        else:
+            collect_row_estimates(build_data_array(values, p=3), mean_estimator(), EXHAUSTIVE)
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (6, 1), (101, 250)])
+def test_unit_draw_is_the_row_draw(m, n):
+    # at ell = 1 the shared draw is the plain with-replacement call, so the
+    # row and OD slot streams give the same indices as a direct draw
+    got = resample_module._draw(derived_stream(4, "slot", 2), n, m)
+    assert_array_equal(got, derived_stream(4, "slot", 2).integers(0, m, size=(n, m), dtype=np.int64))
+    assert got.flags.c_contiguous and got.base is None
+
+
 def test_too_few_observations():
     with pytest.raises(InsufficientDataError):
         iid_bootstrap_variance([1.0], mean_estimator(), EXHAUSTIVE)
