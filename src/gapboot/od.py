@@ -22,12 +22,13 @@ form through S's Cholesky factor, under one rank rule.  The opt-in ridge
 is added to S's diagonal, as six pseudo-records would add it, so it
 keeps that form.
 
-The slots are independent subproblems, run on up to nproc threads, each
-drawing from its own keyed stream, so the output is byte-identical for
-any number of these threads, though not of BLAS threads: the slot
-bootstrap's GEMM sums in a BLAS-thread-dependent order.  Memory grows
-with the data, and with B only by the (B, 21) replicate estimates of the
-slots in flight (``_slot_bootstrap_covs``).
+The slots are independent subproblems.  Their bootstraps run on up to
+nproc threads, each slot drawing from its own keyed stream, so the
+output is byte-identical for any number of these threads, though not of
+BLAS threads: the slot bootstrap's GEMM sums in a BLAS-thread-dependent
+order.  Their window solves run one slot after another on the calling
+thread.  Memory grows with the data, and with B only by the (B, 21)
+replicate estimates of the slots in flight (``_slot_bootstrap_covs``).
 """
 from __future__ import annotations
 
@@ -198,8 +199,14 @@ def read_od_csv(path) -> ODDataset:
     with open(path, newline="") as fh:
         fieldnames = next(csv.reader(fh), None)
     if fieldnames != OD_CSV_COLUMNS:
+        column, got, want = next(
+            (i + 1, a, b)
+            for i, (a, b) in enumerate(itertools.zip_longest(fieldnames or [], OD_CSV_COLUMNS))
+            if a != b
+        )
         raise DataError(
             f"bad header: expected {','.join(OD_CSV_COLUMNS)}, got {','.join(fieldnames or [])}"
+            f" (field {column} is {got!r}, not {want!r})"
         )
     try:
         with warnings.catch_warnings():
@@ -461,17 +468,17 @@ def _window_projections(
     for the slot estimates window_k on sliding windows of ell whole days
     and the rows w_ak of the slot weights W_k.
 
-    Each slot runs on one of ``_WORKERS`` threads: one cumsum over its
-    42 columns of ``stats`` gives its window sums, and it solves, centres
-    and projects its own (I, 21) window estimates, so no (S, I, 21) array
-    of estimates is formed.  The result is a transposed view of the
+    The slots run in turn on the calling thread, so a failing slot raises
+    before any later one is solved: one cumsum over a slot's 42 columns of
+    ``stats`` gives its window sums, and its (I, 21) window estimates are
+    solved, centred and projected before the next slot's, so no (S, I, 21)
+    array of estimates is formed.  The result is a transposed view of the
     (S, I, 21) array the slots fill: the values and memory layout that
     one einsum over every slot's estimates gives.
     """
     days, slots = stats.shape[:2]
     out = np.empty((slots, days - ell + 1, 21))
-
-    def windows(k: int) -> None:
+    for k in range(slots):
         sums = _window_sums(stats[:, k], ell)
         estimates = _solve_normal_equations(
             sums[:, :21], sums[:, 21:], ridge,
@@ -479,8 +486,6 @@ def _window_projections(
         )
         estimates -= theta
         np.einsum("ab,ib->ia", weights[k], estimates, out=out[k])
-
-    _thread_map(windows, slots, _WORKERS)
     return out.transpose(2, 1, 0)
 
 
@@ -490,6 +495,10 @@ def _check_gb2_options(ell: int | None, days: int, degenerate: str, ridge: float
     ``default_block_length(days)``), which without a ridge must be at least
     6: a shorter window's origin Gram is singular."""
     _check_degenerate_policy(degenerate)
+    if ell is None and days < 8:
+        raise InsufficientDataError(
+            f"need at least 8 days for an automatic window length, got {days}; give a window length"
+        )
     ell = _check_window(default_block_length(days) if ell is None else ell, days)
     if ell < 6 and not ridge:
         raise BoundsError(f"window length {ell} is below 6, the minimum without a ridge")
@@ -649,15 +658,18 @@ def od_standard_errors(
 
     Returns ``(theta, se_gb1, se_gb2)``, each of shape (21,) and ordered as
     PARAM_NAMES, from one ``ODFit``: the statistics are computed and the
-    slot bootstrap is run once for both standard errors.  GB-II runs
-    first: it checks the window length and the degeneracy policy, and
-    solves the windows, before it reads the slot covariances, so a bad
-    option or a window the ridge leaves singular raises before any slot
-    bootstrap is drawn.  ``config`` and ``ridge`` are as for ``ODFit``;
-    ``ell``, ``degenerate`` and the per-parameter scalar form of GB-II
-    are described at ``ODFit.gb2_standard_errors``.
+    slot bootstrap is run once for both standard errors.  A dataset of
+    fewer than 2 slots, which GB-I cannot combine, is refused first.
+    GB-II runs next: it checks the window length and the degeneracy
+    policy, and solves the windows, before it reads the slot covariances,
+    so a bad option or a window the ridge leaves singular raises before
+    any slot bootstrap is drawn.  ``config`` and ``ridge`` are as for
+    ``ODFit``; ``ell``, ``degenerate`` and the per-parameter scalar form
+    of GB-II are described at ``ODFit.gb2_standard_errors``.
     """
     fit = ODFit(dataset, config, ridge=ridge)
+    if dataset.slots < 2:
+        raise InsufficientDataError(f"gap bootstrap I needs at least 2 slots, got {dataset.slots}")
     se2 = fit.gb2_standard_errors(ell, degenerate)
     return fit.theta, fit.gb1_standard_errors(), se2
 

@@ -291,8 +291,9 @@ class TestOd:
         "bad, code, message",
         [(["--ridge=-0.5"], 1, "ridge"), (["--block-len", "1"], 2, "window length"),
          (["--block-len", "30"], 2, "window length"),
-         (["--days", "15"], 2, "window length 5 is below 6, the minimum without a ridge")],
-        ids=["ridge", "block-len-1", "block-len-30", "days-15"],
+         (["--days", "15"], 2, "window length 5 is below 6, the minimum without a ridge"),
+         (["--days", "7"], 2, "need at least 8 days for an automatic window length, got 7")],
+        ids=["ridge", "block-len-1", "block-len-30", "days-15", "days-7"],
     )
     def test_bad_ridge_or_window_write_nothing(self, tmp_path, capsys, bad, code, message):
         out, dump = tmp_path / "o.csv", tmp_path / "d.csv"

@@ -351,8 +351,13 @@ def read_od_csv_reference(path) -> ODDataset:
     with open(path, newline="") as fh:
         fieldnames = next(csv.reader(fh), None)
     if fieldnames != OD_CSV_COLUMNS:
+        got = fieldnames or []
+        column, field, want = next(
+            (i + 1, a, b) for i, (a, b) in enumerate(zip(got + [None], OD_CSV_COLUMNS + [None])) if a != b
+        )
         raise DataError(
-            f"bad header: expected {','.join(OD_CSV_COLUMNS)}, got {','.join(fieldnames or [])}"
+            f"bad header: expected {','.join(OD_CSV_COLUMNS)}, got {','.join(got)}"
+            f" (field {column} is {field!r}, not {want!r})"
         )
     try:
         with warnings.catch_warnings():
@@ -446,10 +451,32 @@ class TestCsv:
         return f"{day},{slot}," + ",".join([value] * 14)
 
     def test_bad_header(self, tmp_path):
+        # the message ends with the first field that differs
         path = tmp_path / "bad.csv"
-        path.write_text("day,slot,o1\n1,1,2.0\n")
-        with pytest.raises(DataError, match="header"):
-            read_od_csv(path)
+        cases = (
+            ("day,slot,o1", "field 4 is None, not 'o2'"),
+            (",".join(OD_CSV_COLUMNS + ["x"]), "field 17 is 'x', not None"),
+            ("Day," + ",".join(OD_CSV_COLUMNS[1:]), "field 1 is 'Day', not 'day'"),
+            ("", "field 1 is None, not 'day'"),
+        )
+        for header, difference in cases:
+            path.write_text(header + "\n1,1,2.0\n")
+            for read in (read_od_csv, read_od_csv_reference):
+                with pytest.raises(DataError, match=r"^bad header: expected ") as info:
+                    read(path)
+                assert str(info.value).endswith(f" ({difference})"), header
+
+    def test_byte_order_mark_is_shown(self, tmp_path):
+        # a BOM, as spreadsheet exports prepend, is refused, and the message
+        # shows it: the two joined headers alone print identically
+        dataset, _ = surrogate_od_dataset(4, slots=2, seed=1)
+        path = tmp_path / "bom.csv"
+        write_od_csv(dataset, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for read in (read_od_csv, read_od_csv_reference):
+            with pytest.raises(DataError) as info:
+                read(path)
+            assert str(info.value).endswith("(field 1 is '\\ufeffday', not 'day')")
 
     def test_duplicate_record(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -872,8 +899,8 @@ class TestFit:
 
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
     def test_window_projections_match_one_einsum(self, ridge):
-        # each slot thread projects its own window estimates, with the bits
-        # of one einsum over every slot's stacked (S, I, 21) estimates
+        # the slots' window estimates, projected one slot at a time, have
+        # the bits of one einsum over every slot's stacked (S, I, 21) estimates
         dataset, _ = surrogate_od_dataset(80, slots=5, seed=3, day_ar=0.5, split_drift=0.1)
         fit = ODFit(dataset, ridge=ridge)
         window = window_estimates(fit._stats, 10, ridge)
@@ -980,6 +1007,33 @@ class TestFit:
         config = BootstrapConfig(replicates=50, seed=1)
         assert np.isfinite(od_standard_errors(dataset, 5, config, ridge=0.5)[2]).all()
 
+    def test_automatic_window_needs_eight_days(self, slot_draws):
+        dataset, _ = surrogate_od_dataset(7, slots=5, seed=1)
+        for call in (lambda: od_standard_errors(dataset), lambda: ODFit(dataset).gb2_standard_errors()):
+            with pytest.raises(InsufficientDataError, match="^need at least 8 days for an automatic window length, got 7; "):
+                call()
+        assert slot_draws == []
+
+    def test_one_slot_is_refused_before_any_draw(self, slot_draws, tmp_path, capsys, monkeypatch):
+        # GB-I needs 2 slots; the refusal comes before GB-II solves a window
+        solve = od._solve_normal_equations
+        windows = []
+
+        def recording(products, rhs, ridge, label):
+            windows.append(label(0).startswith("window"))
+            return solve(products, rhs, ridge, label)
+
+        monkeypatch.setattr(od, "_solve_normal_equations", recording)
+        dataset, _ = surrogate_od_dataset(40, slots=1, seed=1)
+        with pytest.raises(InsufficientDataError, match="^gap bootstrap I needs at least 2 slots, got 1$"):
+            od_standard_errors(dataset, 10, BootstrapConfig(replicates=50, seed=1))
+        out = tmp_path / "split.csv"
+        code = main(["od", "--surrogate", "--days", "40", "--slots", "1", "--replicates", "50",
+                     "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert "error: gap bootstrap I needs at least 2 slots, got 1" in capsys.readouterr().err
+        assert slot_draws == [] and not any(windows)
+
     def test_too_small_ridge_fails_before_any_draw(self, slot_draws, tmp_path, capsys):
         # a ridge far below S[j, j] / 1e12 leaves a 5-day window singular;
         # GB-II solves the windows before the slot bootstrap is drawn
@@ -1039,11 +1093,13 @@ class TestSlotThreads:
         dataset, _ = surrogate_od_dataset(80, slots=5, seed=9, day_ar=0.5, split_drift=0.1)
         config = BootstrapConfig(replicates=120, seed=3)
         solve, derive = od._solve_normal_equations, od.derived_stream
-        threads, draw_threads = set(), set()
+        threads = {"bootstrap": set(), "window": set()}
+        draw_threads = set()
 
         def recording(products, rhs, ridge, label):
-            if label(0).startswith(("bootstrap", "window")):
-                threads.add(threading.current_thread())
+            kind = label(0).split(" ")[0]
+            if kind in threads:
+                threads[kind].add(threading.current_thread())
             return solve(products, rhs, ridge, label)
 
         def deriving(*key):
@@ -1056,14 +1112,17 @@ class TestSlotThreads:
         for workers in (1, 2, 3):
             monkeypatch.setattr(od, "_WORKERS", workers)
             slot_draws.clear()
-            threads.clear()
+            for seen in threads.values():
+                seen.clear()
             results[workers] = od_standard_errors(dataset, 12, config, ridge=0.5)
             # every stream is derived on the calling thread, in slot order;
-            # the bootstrap and window solves run on the caller and, when
-            # workers > 1, on at least one more thread
+            # the window solves run only on the caller; the bootstrap solves
+            # run on the caller and, when workers > 1, on at least one more
+            # thread
             assert slot_draws == [1, 2, 3, 4, 5]
-            assert threading.main_thread() in threads
-            assert (len(threads) >= 2) == (workers > 1)
+            assert threads["window"] == {threading.main_thread()}
+            assert threading.main_thread() in threads["bootstrap"]
+            assert (len(threads["bootstrap"]) >= 2) == (workers > 1)
         # more workers than slots
         monkeypatch.setattr(od, "_WORKERS", 8)
         results[8] = od_standard_errors(dataset, 12, config, ridge=0.5)
