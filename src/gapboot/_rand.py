@@ -5,7 +5,7 @@ Philox generator seeded from the user seed plus a structured key (row
 index, slot number, run index, purpose tag, ...).  Streams are therefore
 a pure function of the key and never depend on call order, worker count
 or how many other streams were consumed before them, so keyed tasks may
-run on ``_thread_map``'s threads.
+run on ``_thread_map``'s threads, which keep no state of their own.
 """
 from __future__ import annotations
 
@@ -23,14 +23,9 @@ _WORKERS = (
 )
 
 #: Random values one task must draw to be worth a thread: a row is one
-#: task (``_gated_workers``), and truth series are grouped into tasks of at
-#: least this many draws (``models.monte_carlo_true_se``).
+#: task (``resample._row_workers``), and truth series are grouped into
+#: tasks of at least this many draws (``models.monte_carlo_true_se``).
 _MIN_THREAD_DRAWS = 1 << 19
-
-#: Set on every thread of a ``_thread_map``, the caller included (and
-#: restored on the caller after it): ``chunk_share`` is how many tasks
-#: split the resampling chunk budget (see ``resample._chunk_ranges``).
-_pool = threading.local()
 
 
 def _entropy(part) -> int:
@@ -56,22 +51,9 @@ def derived_seed(*key) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _chunk_share() -> int:
-    """Tasks the current thread splits the chunk budget with; 1 when it
-    has a whole one."""
-    return getattr(_pool, "chunk_share", 1)
-
-
-def _gated_workers(draws: int) -> int:
-    """Workers for tasks that draw ``draws`` random values each: all of
-    ``_WORKERS`` from ``_MIN_THREAD_DRAWS`` on, one (inline) below it."""
-    return _WORKERS if draws >= _MIN_THREAD_DRAWS else 1
-
-
 def _thread_map(task, count: int, workers: int) -> list:
     """``[task(i) for i in range(count)]`` on ``min(workers, count)`` threads,
-    the caller one of them (no thread is started when that is 1), which
-    split one chunk budget between them.
+    the caller one of them (no thread is started when that is 1).
 
     The caller runs index 0, so it always runs a task; after that, each
     thread takes the next index from one shared counter.  As in the loop,
@@ -92,7 +74,6 @@ def _thread_map(task, count: int, workers: int) -> list:
             return count if failed else next(claim)
 
     def work(i: int) -> None:
-        _pool.chunk_share = workers
         while i < count:
             try:
                 results[i] = task(i)
@@ -102,7 +83,6 @@ def _thread_map(task, count: int, workers: int) -> list:
             i = take()
 
     threads = [threading.Thread(target=lambda: work(take())) for _ in range(workers - 1)]
-    share = getattr(_pool, "chunk_share", None)
     try:
         for thread in threads:
             thread.start()
@@ -112,11 +92,6 @@ def _thread_map(task, count: int, workers: int) -> list:
     except BaseException as exc:  # an interrupt outside the tasks stops the others too
         failed[-1] = exc
         raise
-    finally:
-        if share is None:
-            vars(_pool).pop("chunk_share", None)
-        else:
-            _pool.chunk_share = share
     if failed:
         raise failed[min(failed)]
     return results

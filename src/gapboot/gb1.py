@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rand import _gated_workers, _thread_map
+from ._rand import _thread_map
 from .core import DataArray, EstimatorSpec, VarianceEstimate, apply_estimator, psd_project
 from .errors import DimensionError, FewRowsWarning, InsufficientDataError
-from .resample import BootstrapConfig, iid_bootstrap_variance
+from .resample import BootstrapConfig, _row_workers, iid_bootstrap_variance
 
 __all__ = [
     "RowEstimates",
@@ -64,8 +64,8 @@ def collect_row_estimates(
 
     Row j draws from a stream keyed by ("row", j) on top of the config
     seed, so the p bootstraps are mutually independent yet reproducible.
-    Rows whose resamples hold at least ``_MIN_THREAD_DRAWS`` indices run
-    on ``_thread_map``'s threads, with the same result for any count.
+    Rows long enough for ``resample._row_workers`` run on
+    ``_thread_map``'s threads, with the same result for any count.
     """
     def row(i: int) -> tuple[np.ndarray, np.ndarray]:
         values = array.row(i + 1)
@@ -74,10 +74,7 @@ def collect_row_estimates(
             iid_bootstrap_variance(values, estimator, config, key=("row", i + 1)).matrix,
         )
 
-    m = array.m
-    # m**m exhaustive resamples; past m = 7 every row refuses them anyway
-    resamples = m ** min(m, 8) if config.mode == "exhaustive" else config.replicates
-    rows = _thread_map(row, array.p, _gated_workers(m * resamples))
+    rows = _thread_map(row, array.p, _row_workers(array.m, config))
     estimates, variances = zip(*rows)
     return RowEstimates(estimates=np.stack(estimates), variances=np.stack(variances))
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rand import _chunk_share, derived_stream
+from . import _rand
+from ._rand import derived_stream
 from .core import EstimatorSpec, VarianceEstimate, _check_int, apply_estimator_batch
 from .errors import ConfigError, InsufficientDataError
 
@@ -32,12 +33,13 @@ MAX_EXHAUSTIVE = 1_000_000
 #: sample takes about this many bytes, so memory does not grow with B.
 _CHUNK_BYTES = 4 << 20
 
-#: The k threads of a row pool (``gb1.collect_row_estimates``) share this
-#: budget, a k-th each.  The caller is one of them; each of the k - 1
-#: threads it starts frees its chunks into its own malloc arena, which
-#: keeps them resident after the pool ends, so they add to the peak the
-#: calling thread reaches on its own: about 3 MiB at this budget, 10 MiB
-#: at ``_CHUNK_BYTES`` (study-long on 2 CPUs).
+#: A row long enough for the row pool (``_row_workers``) takes a k-th of
+#: this budget per chunk on k > 1 CPUs, pooled or not.  The pool's caller is
+#: one of its k threads; each of the k - 1 threads it starts frees its
+#: chunks into its own malloc arena, which keeps them resident after the
+#: pool ends, so they add to the peak the calling thread reaches on its
+#: own: about 3 MiB at this budget, 10 MiB at ``_CHUNK_BYTES`` (study-long
+#: on 2 CPUs).
 _POOL_CHUNK_BYTES = _CHUNK_BYTES // 4
 
 
@@ -62,12 +64,21 @@ class BootstrapConfig:
             raise ConfigError(f"need at least 2 replicates, got {self.replicates}")
 
 
-def _chunk_ranges(total: int, row_bytes: int):
+def _row_workers(m: int, config: BootstrapConfig) -> int:
+    """Threads for the bootstraps of rows of ``m`` units: all of
+    ``_rand._WORKERS`` when a row's resamples hold at least
+    ``_rand._MIN_THREAD_DRAWS`` indices, one (inline) below that."""
+    # m**m exhaustive resamples; past m = 7 every row refuses them anyway
+    resamples = m ** min(m, 8) if config.mode == "exhaustive" else config.replicates
+    return _rand._WORKERS if m * resamples >= _rand._MIN_THREAD_DRAWS else 1
+
+
+def _chunk_ranges(total: int, row_bytes: int, workers: int = 1):
     """Closed-open ``(lo, hi)`` ranges covering ``range(total)`` in chunks
-    of about ``_CHUNK_BYTES``, or this thread's share of
-    ``_POOL_CHUNK_BYTES`` in a row pool, when each item takes ``row_bytes``."""
-    share = _chunk_share()
-    budget = _CHUNK_BYTES if share == 1 else _POOL_CHUNK_BYTES // share
+    of about ``_CHUNK_BYTES``, or of a ``workers``-th of
+    ``_POOL_CHUNK_BYTES`` when ``workers`` > 1 (``_row_workers``), when
+    each item takes ``row_bytes``."""
+    budget = _CHUNK_BYTES if workers == 1 else _POOL_CHUNK_BYTES // workers
     step = max(1, budget // max(1, row_bytes))
     for lo in range(0, total, step):
         yield lo, min(lo + step, total)
@@ -109,9 +120,12 @@ def _draw(rng: np.random.Generator, n: int, m: int, ell: int = 1) -> np.ndarray:
     return (starts[:, :, None] + np.arange(ell)).reshape(n, -1)[:, :m]
 
 
-def _resample_estimates(units: np.ndarray, estimator, config, key: tuple, ell: int = 1) -> np.ndarray:
+def _resample_estimates(
+    units: np.ndarray, estimator, config, key: tuple, ell: int = 1, workers: int = 1
+) -> np.ndarray:
     """``bootstrap_replicates`` on units of any shape (m, ..., d), drawn in
-    blocks of ell, each resample flattened in order to one (k, d) sample."""
+    blocks of ell, each resample flattened in order to one (k, d) sample,
+    in ``_chunk_ranges(..., workers)`` chunks."""
     m, d = units.shape[0], units.shape[-1]
     if config.mode == "exhaustive":
         # 2**m > MAX_EXHAUSTIVE past its bit length: m**m is never formed there
@@ -129,7 +143,7 @@ def _resample_estimates(units: np.ndarray, estimator, config, key: tuple, ell: i
         draw = lambda lo, hi: _draw(rng, hi - lo, m, ell)
     label = " ".join(str(part) for part in (*key, "resamples"))
     out = np.empty((total, estimator.dim))
-    for lo, hi in _chunk_ranges(total, units.nbytes):
+    for lo, hi in _chunk_ranges(total, units.nbytes, workers):
         # idx stays bound until the next draw replaces it.  Freeing it with
         # the gathered chunk lets malloc return both to the OS, and the
         # page faults that follow double the cost of a chunk.
@@ -158,9 +172,12 @@ def bootstrap_replicates(
     lexicographic index order, each occurring exactly once.  In Monte
     Carlo mode replicate b resamples row b of one (B, m) index draw from
     the ``(seed, *key)`` stream.  Either way resamples are drawn and
-    evaluated in chunks of about ``_CHUNK_BYTES``; no (B, m) table is held.
+    evaluated in chunks of about ``_CHUNK_BYTES``, or of a row pool's
+    smaller share when the row is long enough for one (``_row_workers``);
+    no (B, m) table is held.
     """
-    return _resample_estimates(np.ascontiguousarray(_as_sample(sample)), estimator, config, key)
+    units = np.ascontiguousarray(_as_sample(sample))
+    return _resample_estimates(units, estimator, config, key, workers=_row_workers(len(units), config))
 
 
 def iid_bootstrap_variance(

@@ -50,9 +50,10 @@ class TestUsage:
             ([], {"cov_kind": "foo"}), (["--gap-q", "-1"], {}), (["--replicates", "1"], {}),
             ([], {"runs": 2.5}), ([], {"sizes": [[200]]}), ([], {"sizes": 200}),
             ([], {"models": "ar2"}), ([], {"dists": "normal"}), ([], {"methods": "gb1"}),
+            (["--timings"], {}),
         ],
         ids=["cov_kind", "gap_q", "replicates", "runs", "sizes-pair", "sizes-int",
-             "models-str", "dists-str", "methods-str"],
+             "models-str", "dists-str", "methods-str", "timings-without-json"],
     )
     def test_bad_study_field_fails_before_any_cell(self, tmp_path, capsys, monkeypatch, extra, config):
         def no_truth(*args, **kwargs):
@@ -292,8 +293,9 @@ class TestOd:
         [(["--ridge=-0.5"], 1, "ridge"), (["--block-len", "1"], 2, "window length"),
          (["--block-len", "30"], 2, "window length"),
          (["--days", "15"], 2, "window length 5 is below 6, the minimum without a ridge"),
-         (["--days", "7"], 2, "need at least 8 days for an automatic window length, got 7")],
-        ids=["ridge", "block-len-1", "block-len-30", "days-15", "days-7"],
+         (["--days", "7"], 2, "need at least 8 days for an automatic window length, got 7"),
+         (["--slots", "1"], 2, "gap bootstrap I needs at least 2 slots, got 1")],
+        ids=["ridge", "block-len-1", "block-len-30", "days-15", "days-7", "slots-1"],
     )
     def test_bad_ridge_or_window_write_nothing(self, tmp_path, capsys, bad, code, message):
         out, dump = tmp_path / "o.csv", tmp_path / "d.csv"

@@ -3,18 +3,17 @@ import threading
 import pytest
 
 import gapboot._rand as rand_module
-from gapboot._rand import _chunk_share, _pool, _thread_map
+from gapboot._rand import _thread_map
 
 pytestmark = pytest.mark.usefixtures("fast_switching")
 
 
-def recording(threads: dict, shares: dict):
+def recording(threads: dict):
     """A task that returns ``i * i`` and notes, per index, the thread it ran
-    on and the chunk share that thread saw."""
+    on."""
 
     def task(i):
         threads[i] = threading.current_thread()
-        shares[i] = _chunk_share()
         return i * i
 
     return task
@@ -22,10 +21,9 @@ def recording(threads: dict, shares: dict):
 
 @pytest.mark.parametrize("count", [2, 3, 7])
 def test_results_come_back_in_index_order(count):
-    threads, shares = {}, {}
-    assert _thread_map(recording(threads, shares), count, 3) == [i * i for i in range(count)]
+    threads = {}
+    assert _thread_map(recording(threads), count, 3) == [i * i for i in range(count)]
     assert sorted(threads) == list(range(count))
-    assert shares == dict.fromkeys(range(count), min(3, count))
 
 
 def test_every_index_runs_once_on_more_threads_than_cpus():
@@ -45,10 +43,9 @@ def test_no_thread_is_started_for_one_worker_or_task(monkeypatch, workers, count
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(rand_module.threading, "Thread", refuse)
-    threads, shares = {}, {}
-    assert _thread_map(recording(threads, shares), count, workers) == [i * i for i in range(count)]
+    threads = {}
+    assert _thread_map(recording(threads), count, workers) == [i * i for i in range(count)]
     assert set(threads.values()) <= {threading.main_thread()}
-    assert set(shares.values()) <= {1}
 
 
 def test_lowest_failing_index_is_raised():
@@ -85,30 +82,6 @@ def test_no_index_above_a_recorded_failure_starts():
     with pytest.raises(ValueError, match="index 1"):
         _thread_map(task, 20, 2)
     assert sorted(started) == [0, 1]
-
-
-@pytest.mark.parametrize("fail", [False, True])
-def test_caller_chunk_share_is_restored(fail):
-    def task(i):
-        if fail and i == 1:
-            raise ValueError("index 1")
-
-    def run():
-        if fail:
-            with pytest.raises(ValueError):
-                _thread_map(task, 4, 2)
-        else:
-            _thread_map(task, 4, 2)
-
-    assert not hasattr(_pool, "chunk_share")
-    run()
-    assert not hasattr(_pool, "chunk_share")
-    _pool.chunk_share = 5
-    try:
-        run()
-        assert _pool.chunk_share == 5
-    finally:
-        del _pool.chunk_share
 
 
 def test_keyboard_interrupt_propagates_and_no_thread_raises(monkeypatch):

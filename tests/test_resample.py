@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gapboot._rand as rand_module
 import gapboot.resample as resample_module
 from gapboot import (
     BootstrapConfig,
@@ -202,6 +203,45 @@ def test_memory_does_not_grow_with_replicates(traced_peak):
     ]
     assert abs(peaks[1] - peaks[0]) <= resample_module._CHUNK_BYTES
     assert max(peaks) < 16 << 20
+
+
+def recording_sizes(sizes: list) -> EstimatorSpec:
+    """The mean estimator, with the size of each stack it is given put in
+    ``sizes``."""
+
+    def evaluate(stack):
+        sizes.append(stack.shape[0])
+        return stack.reshape(stack.shape[0], -1).mean(axis=1)
+
+    return EstimatorSpec("mean", 1, evaluate)
+
+
+@pytest.mark.parametrize(
+    "workers, replicates, pooled",
+    [(2, 100, True), (2, 99, False), (1, 100, False)],
+    ids=["long-row", "short-row", "one-cpu"],
+)
+def test_chunk_budget_follows_the_row(monkeypatch, workers, replicates, pooled):
+    # Rows of m = 40 units against a gate of 4,000 indices: at B = 100 a
+    # row is long enough for the row pool on 2 CPUs and takes half of the
+    # pool budget, 10 resamples, per chunk, bootstrapped on its own or on
+    # the pool.  At B = 99, or on one CPU, it takes a whole _CHUNK_BYTES
+    # chunk, which holds every resample.
+    m, p = 40, 3
+    values = np.random.default_rng(8).standard_normal(m * p)
+    monkeypatch.setattr(rand_module, "_WORKERS", workers)
+    monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", 4000)
+    monkeypatch.setattr(resample_module, "_POOL_CHUNK_BYTES", 2 * 10 * m * 8)
+    chunk = 10 if pooled else replicates
+    expected = [chunk] * (replicates // chunk)
+    config = BootstrapConfig(replicates=replicates, seed=5)
+    sizes = []
+    iid_bootstrap_variance(values[:m], recording_sizes(sizes), config)
+    assert sizes == expected
+    sizes.clear()
+    # each row's own estimate is a stack of one
+    collect_row_estimates(build_data_array(values, p=p), recording_sizes(sizes), config)
+    assert sorted(sizes) == sorted([1] * p + expected * p)
 
 
 def test_evaluation_error_names_row_and_closed_range(monkeypatch):

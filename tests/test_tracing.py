@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+import gapboot._rand as rand_module
 from gapboot import cli
 
 PERFBENCH = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -50,6 +51,20 @@ def test_study_runs_reach_every_expected_layer(tmp_path, capsys):
     assert recorder.skipped == {}
     for workload in ("study-wide", "study-long"):
         assert missing_layers(recorder, workload) == [], workload
+
+
+def test_rows_on_the_row_pool_record_their_bootstraps(tmp_path, capsys, monkeypatch):
+    # Every row runs on the row pool; collect_row_estimates must still
+    # reach iid_bootstrap_variance by name for its calls to be traced.
+    monkeypatch.setattr(rand_module, "_WORKERS", 2)
+    monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", 0)
+    recorder = traced([
+        "simulate", "--model", "ar2", "--dist", "normal", "--n", "100", "--p", "5",
+        "--methods", "gb1", "--runs", "2", "--truth-runs", "100", "--replicates", "20",
+        "--seed", "3", "--out", str(tmp_path / "study.csv"),
+    ])
+    names = [span.name for span in recorder.spans]
+    assert names.count("resample.iid_bootstrap_variance") == 2 * 5  # runs x rows
 
 
 @pytest.mark.filterwarnings("error")
