@@ -23,12 +23,12 @@ is added to S's diagonal, as six pseudo-records would add it, so it
 keeps that form.
 
 The slots are independent subproblems.  Their bootstraps run on up to
-nproc threads, each slot drawing from its own keyed stream, so the
-output is byte-identical for any number of these threads, though not of
-BLAS threads: the slot bootstrap's GEMM sums in a BLAS-thread-dependent
+nproc threads, each slot resampling under its own key, so the output is
+byte-identical for any number of these threads, though not of BLAS
+threads: the slot bootstrap's GEMM sums in a BLAS-thread-dependent
 order.  Their window solves run one slot after another on the calling
-thread.  Memory grows with the data, and with B only by the (B, 21)
-replicate estimates of the slots in flight (``_slot_bootstrap_covs``).
+thread.  Memory grows with the data, and with B only by the (B, 42) sums
+and (B, 21) estimates of the slots in flight (``_slot_bootstrap_covs``).
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ from .errors import (
 )
 from .gb1 import RowEstimates, gb1_variance
 from .gb2 import _gb2_combine, default_block_length
-from .resample import BootstrapConfig, _draw, _spread
+from .resample import BootstrapConfig, _resamples, _spread
 
 __all__ = [
     "DEFAULT_SPLIT_THETA",
@@ -324,13 +324,8 @@ def _statistics(dataset: ODDataset) -> np.ndarray:
 # Solves, the bootstrap within slots and sliding windows
 # ---------------------------------------------------------------------------
 
-#: Replicates per chunk of the slot bootstrap: its index draws, day
-#: counts and one (_BATCH, D) x (D, 42) GEMM.
-_BATCH = 100
-
 #: Systems per batch of normal-equation solves (a batch's working arrays
-#: take about 0.5 MiB), and the slot bootstrap's replicates per solve
-#: call, rounded down to whole ``_BATCH`` chunks.
+#: take about 0.5 MiB).
 _GRAM_BATCH = 500
 
 
@@ -405,48 +400,36 @@ def _slot_bootstrap_covs(stats: np.ndarray, config: BootstrapConfig, ridge: floa
 
     Within slot k whole day-records are resampled with replacement;
     replicate b re-solves the normal equations built from its day
-    multiplicities.  Streams are keyed by slot, so slot draws are
-    independent of each other and of the slot count.  The replicates'
-    sums are formed on the 21 origin products, and each replicate is
-    solved through its 6x6 origin Gram (see ``_solve_normal_equations``).
-    Without a ridge, a replicate that draws fewer than 6 distinct days
-    has a singular origin Gram and raises RankError naming the slot.
+    multiplicities.  The slots run on ``_WORKERS`` threads, slot k taking
+    its day indices from ``resample._resamples`` under the key ("slot",
+    k + 1).  A chunk's day multiplicities, from one ``bincount``, go
+    through one GEMM against the slot's (D, 42) view of ``stats`` into
+    (B, 42) replicate sums, whose B systems are solved in one
+    ``_solve_normal_equations`` call.  Without a ridge, a replicate that
+    draws fewer than 6 distinct days has a singular origin Gram and
+    raises RankError naming the slot.
 
-    Every stream is derived here, in slot order, before the slots run on
-    ``_WORKERS`` threads.  Each slot draws its indices ``_BATCH``
-    replicates at a time; consecutive draws from a stream concatenate,
-    so the replicates are those of one (B, D) draw.  A chunk's day
-    multiplicities go through one GEMM against the slot's (D, 42) view of
-    ``stats``, straight into a buffer of replicate sums, which is solved
-    whenever it holds the whole chunks that fit in ``_GRAM_BATCH``
-    replicates (one chunk if none fits); a solution's bits do not depend
-    on its batch.  A slot thread thus holds one (_BATCH, D) chunk and one
-    buffer, not a (B, D) table: its memory grows with B only by the
-    (B, 21) estimates, whose covariance is taken in two passes.
+    Chunks are a pooled row's on two threads (113 replicates at D = 575)
+    whatever ``_WORKERS`` is: a GEMM row's bits depend on the GEMM's row
+    count (OpenBLAS, for one, switches to a small-matrix kernel at about
+    10**6 multiply-adds), so chunks that followed the thread count would
+    make the output follow it too.  A slot thread thus holds one chunk,
+    not a (B, D) table, and its memory grows with B only by the (B, 42)
+    sums and (B, 21) estimates.
     """
     days, slots = stats.shape[:2]
     reps = config.replicates
-    rows = max(_GRAM_BATCH // _BATCH, 1) * _BATCH  # replicates per solve call
-    streams = [derived_stream(config.seed, "slot", k + 1) for k in range(slots)]
     covs = np.empty((slots, 21, 21))
 
     def bootstrap(k: int) -> None:
-        thetas = np.empty((reps, 21))
-        sums = np.empty((min(rows, reps), 42))
-        counts = np.empty((_BATCH, days))
-        offsets = np.arange(_BATCH)[:, None] * days
-        for start in range(0, reps, rows):
-            stop = min(start + rows, reps)
-            for lo in range(start, stop, _BATCH):
-                n = min(_BATCH, stop - lo)
-                idx = _draw(streams[k], n, days)
-                idx += offsets[:n]
-                counts[:n] = np.bincount(idx.ravel(), minlength=n * days).reshape(n, days)
-                np.matmul(counts[:n], stats[:, k], out=sums[lo - start : lo - start + n])
-            thetas[start:stop] = _solve_normal_equations(
-                sums[: stop - start, :21], sums[: stop - start, 21:], ridge,
-                lambda _: f"bootstrap normal equations in slot {k + 1}",
-            )
+        sums = np.empty((reps, 42))
+        for lo, hi, idx in _resamples(days, config, ("slot", k + 1), 8 * days, workers=2):
+            idx += np.arange(hi - lo)[:, None] * days
+            counts = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
+            np.matmul(counts.astype(np.float64), stats[:, k], out=sums[lo:hi])
+        thetas = _solve_normal_equations(
+            sums[:, :21], sums[:, 21:], ridge, lambda _: f"bootstrap normal equations in slot {k + 1}"
+        )
         covs[k] = _spread(thetas)
 
     _thread_map(bootstrap, slots, _WORKERS)
@@ -487,22 +470,6 @@ def _window_projections(
         estimates -= theta
         np.einsum("ab,ib->ia", weights[k], estimates, out=out[k])
     return out.transpose(2, 1, 0)
-
-
-def _check_gb2_options(ell: int | None, days: int, degenerate: str, ridge: float) -> int:
-    """Check the GB-II degeneracy policy, then the window length (the caller
-    has checked ``ridge``); returns the length (default
-    ``default_block_length(days)``), which without a ridge must be at least
-    6: a shorter window's origin Gram is singular."""
-    _check_degenerate_policy(degenerate)
-    if ell is None and days < 8:
-        raise InsufficientDataError(
-            f"need at least 8 days for an automatic window length, got {days}; give a window length"
-        )
-    ell = _check_window(default_block_length(days) if ell is None else ell, days)
-    if ell < 6 and not ridge:
-        raise BoundsError(f"window length {ell} is below 6, the minimum without a ridge")
-    return ell
 
 
 def _check_nonnegative(name: str, value: float) -> float:
@@ -630,7 +597,15 @@ class ODFit:
         PARAM_NAMES, shape (21,).
         """
         days, slots = self.dataset.days, self.dataset.slots
-        ell = _check_gb2_options(ell, days, degenerate, self.ridge)
+        _check_degenerate_policy(degenerate)
+        if ell is None and days < 8:
+            raise InsufficientDataError(
+                f"need at least 8 days for an automatic window length, got {days}; give a window length"
+            )
+        ell = _check_window(default_block_length(days) if ell is None else ell, days)
+        if ell < 6 and not self.ridge:
+            # a window under 6 days has a singular origin Gram
+            raise BoundsError(f"window length {ell} is below 6, the minimum without a ridge")
         theta = self.theta
         weights = self.weights
         # kernel rows of size r = 1, batched over parameters a: projections

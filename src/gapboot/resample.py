@@ -4,10 +4,13 @@ Rows of a gapped array are treated as i.i.d. samples; the bootstrap
 resamples a row with replacement, evaluates the estimator on each
 resample, and reports the spread of the replicates around their mean
 (divisor B, the Monte Carlo population convention).  Small samples can
-be enumerated exhaustively, which removes all Monte Carlo error.  The
-moving-block bootstrap resamples columns in blocks of ell on the same
-loop, the OD slot bootstrap draws its days with the same ``_draw``, and
-both report the same ``_spread``.
+be enumerated exhaustively, which removes all Monte Carlo error.
+
+``_resamples`` is the one source of resamples: it alone derives a
+bootstrap stream, draws or enumerates the indices and sizes their
+chunks.  The row bootstrap and the moving-block bootstrap (columns in
+blocks of ell) gather and evaluate its chunks; the OD slot bootstrap
+turns them into day counts.  All three report the same ``_spread``.
 """
 from __future__ import annotations
 
@@ -64,20 +67,27 @@ class BootstrapConfig:
             raise ConfigError(f"need at least 2 replicates, got {self.replicates}")
 
 
+def _resample_count(m: int, config: BootstrapConfig) -> int:
+    """B, or the m**m resamples of exhaustive mode, read as MAX_EXHAUSTIVE + 1
+    past its bit length, where 2**m exceeds it and m**m is not formed."""
+    if config.mode != "exhaustive":
+        return config.replicates
+    return m**m if m <= MAX_EXHAUSTIVE.bit_length() else MAX_EXHAUSTIVE + 1
+
+
 def _row_workers(m: int, config: BootstrapConfig) -> int:
     """Threads for the bootstraps of rows of ``m`` units: all of
     ``_rand._WORKERS`` when a row's resamples hold at least
     ``_rand._MIN_THREAD_DRAWS`` indices, one (inline) below that."""
-    # m**m exhaustive resamples; past m = 7 every row refuses them anyway
-    resamples = m ** min(m, 8) if config.mode == "exhaustive" else config.replicates
-    return _rand._WORKERS if m * resamples >= _rand._MIN_THREAD_DRAWS else 1
+    return _rand._WORKERS if m * _resample_count(m, config) >= _rand._MIN_THREAD_DRAWS else 1
 
 
 def _chunk_ranges(total: int, row_bytes: int, workers: int = 1):
     """Closed-open ``(lo, hi)`` ranges covering ``range(total)`` in chunks
     of about ``_CHUNK_BYTES``, or of a ``workers``-th of
-    ``_POOL_CHUNK_BYTES`` when ``workers`` > 1 (``_row_workers``), when
-    each item takes ``row_bytes``."""
+    ``_POOL_CHUNK_BYTES`` when ``workers`` > 1 (a long row on
+    ``_row_workers`` threads, or an OD slot at two), when each item takes
+    ``row_bytes``."""
     budget = _CHUNK_BYTES if workers == 1 else _POOL_CHUNK_BYTES // workers
     step = max(1, budget // max(1, row_bytes))
     for lo in range(0, total, step):
@@ -120,34 +130,45 @@ def _draw(rng: np.random.Generator, n: int, m: int, ell: int = 1) -> np.ndarray:
     return (starts[:, :, None] + np.arange(ell)).reshape(n, -1)[:, :m]
 
 
+def _resamples(m: int, config: BootstrapConfig, key: tuple, row_bytes: int, ell: int = 1, workers: int = 1):
+    """Yield ``(lo, hi, idx)`` for the resamples of ``m`` units, each taking
+    ``row_bytes``, in ``_chunk_ranges(..., workers)`` chunks: ``idx`` holds
+    the unit indices of resamples lo..hi - 1, shape (hi - lo, m).
+
+    In Monte Carlo mode the chunks are consecutive ``_draw`` calls, in
+    blocks of ell, on the ``(seed, *key)`` stream, which concatenate to
+    one (B, m) draw.  In exhaustive mode resample b is the base-m digits
+    of b, so the m**m resamples run in lexicographic order; past
+    ``MAX_EXHAUSTIVE`` they are refused with ConfigError.
+    """
+    total = _resample_count(m, config)
+    if config.mode == "exhaustive":
+        if total > MAX_EXHAUSTIVE:
+            raise ConfigError(
+                f"exhaustive mode enumerates m**m resamples, above "
+                f"MAX_EXHAUSTIVE = {MAX_EXHAUSTIVE} at m = {m}"
+            )
+        draw = lambda lo, hi: np.stack(np.unravel_index(np.arange(lo, hi), (m,) * m), axis=1)
+    else:
+        rng = derived_stream(config.seed, *key)
+        draw = lambda lo, hi: _draw(rng, hi - lo, m, ell)
+    for lo, hi in _chunk_ranges(total, row_bytes, workers):
+        yield lo, hi, draw(lo, hi)
+
+
 def _resample_estimates(
     units: np.ndarray, estimator, config, key: tuple, ell: int = 1, workers: int = 1
 ) -> np.ndarray:
     """``bootstrap_replicates`` on units of any shape (m, ..., d), drawn in
     blocks of ell, each resample flattened in order to one (k, d) sample,
-    in ``_chunk_ranges(..., workers)`` chunks."""
+    gathered and evaluated chunk by chunk of ``_resamples``."""
     m, d = units.shape[0], units.shape[-1]
-    if config.mode == "exhaustive":
-        # 2**m > MAX_EXHAUSTIVE past its bit length: m**m is never formed there
-        if m > MAX_EXHAUSTIVE.bit_length() or m**m > MAX_EXHAUSTIVE:
-            raise ConfigError(
-                f"exhaustive mode enumerates m**m resamples, above "
-                f"MAX_EXHAUSTIVE = {MAX_EXHAUSTIVE} at m = {m}"
-            )
-        total = m**m
-        # lexicographic order: resample b is the base-m digits of b
-        draw = lambda lo, hi: np.stack(np.unravel_index(np.arange(lo, hi), (m,) * m), axis=1)
-    else:
-        total = config.replicates
-        rng = derived_stream(config.seed, *key)
-        draw = lambda lo, hi: _draw(rng, hi - lo, m, ell)
     label = " ".join(str(part) for part in (*key, "resamples"))
-    out = np.empty((total, estimator.dim))
-    for lo, hi in _chunk_ranges(total, units.nbytes, workers):
-        # idx stays bound until the next draw replaces it.  Freeing it with
-        # the gathered chunk lets malloc return both to the OS, and the
-        # page faults that follow double the cost of a chunk.
-        idx = draw(lo, hi)
+    out = np.empty((_resample_count(m, config), estimator.dim))
+    # idx stays bound until the next draw replaces it.  Freeing it with the
+    # gathered chunk lets malloc return both to the OS, and the page faults
+    # that follow double the cost of a chunk.
+    for lo, hi, idx in _resamples(m, config, key, units.nbytes, ell, workers):
         out[lo:hi] = apply_estimator_batch(
             estimator, units.take(idx, axis=0).reshape(hi - lo, -1, d), f"{label} {lo + 1}..{hi}"
         )

@@ -25,7 +25,7 @@ import numpy as np
 from ._rand import derived_seed
 from .baselines import block_bootstrap_variance, naive_column_variance, subsampling_variance
 from .core import _check_int, _check_window, mean_estimator
-from .errors import ConfigError, GapBootstrapError
+from .errors import ConfigError, GapBootstrapError, InsufficientDataError
 from .gb1 import collect_row_estimates, gb1_variance
 from .gb2 import default_block_length, gb2_variance, subseries_estimates
 from .models import ModelSpec, _check_truth_runs, generate_series, monte_carlo_true_se
@@ -165,6 +165,8 @@ def _run_cell(config: StudyConfig, ci: int, family: str, dist: str, n: int, p: i
         spec = _model_for_cell(config, family, dist, n, p)
         windowed = not {"gb2", "ss", "bb"}.isdisjoint(config.methods)
         ell = _check_window(config.block_length or default_block_length(spec.m), spec.m) if windowed else None
+        if "gb1" in config.methods and p < 2:
+            raise InsufficientDataError(f"gap bootstrap I needs at least 2 rows, got {p}")
         true_se = float(
             monte_carlo_true_se(spec, estimator, config.truth_runs, (config.seed, "truth", ci))[0]
         )

@@ -3,14 +3,14 @@ import tracemalloc
 
 import pytest
 
-from gapboot import od
+from gapboot import resample
 from gapboot._rand import derived_stream
 
 
 @pytest.fixture
 def slot_draws(monkeypatch):
-    """Slot numbers of the ("slot", k) bootstrap streams gapboot.od draws
-    while the test runs, in drawing order."""
+    """Slot numbers of the ("slot", k) bootstrap streams derived while the
+    test runs, in the order the slot threads derive them."""
     drawn = []
 
     def counting(*key):
@@ -18,7 +18,7 @@ def slot_draws(monkeypatch):
             drawn.append(key[2])
         return derived_stream(*key)
 
-    monkeypatch.setattr(od, "derived_stream", counting)
+    monkeypatch.setattr(resample, "derived_stream", counting)
     return drawn
 
 

@@ -33,7 +33,7 @@ from gapboot import (
     surrogate_od_dataset,
     write_od_csv,
 )
-from gapboot import gb2, od
+from gapboot import gb2, od, resample
 from gapboot._rand import derived_stream
 from gapboot.cli import main
 from gapboot.od import OD_CSV_COLUMNS
@@ -952,13 +952,13 @@ class TestFit:
         fit.gb1_standard_errors()
         fit.gb2_standard_errors(10)
         fit.gb1_standard_errors()
-        assert slot_draws == [1, 2, 3, 4, 5]
+        assert sorted(slot_draws) == [1, 2, 3, 4, 5]
 
     def test_one_fit_serves_every_wrapper(self, slot_draws):
         dataset, _ = surrogate_od_dataset(50, slots=5, seed=9, day_ar=0.5, split_drift=0.1)
         config = BootstrapConfig(replicates=150, seed=2)
         theta, se1, se2 = od_standard_errors(dataset, 10, config, ridge=0.5)
-        assert slot_draws == [1, 2, 3, 4, 5]
+        assert sorted(slot_draws) == [1, 2, 3, 4, 5]
         assert_array_equal(theta, ODFit(dataset, config, ridge=0.5).theta)
         assert_array_equal(se1, ODFit(dataset, config, ridge=0.5).gb1_standard_errors())
         assert_array_equal(se2, ODFit(dataset, config, ridge=0.5).gb2_standard_errors(10))
@@ -1055,12 +1055,13 @@ class TestSlotThreads:
     @pytest.mark.parametrize("batch", [7, 100])
     @pytest.mark.parametrize("ridge", [0.0, 10.0])
     def test_chunked_match_whole_stack(self, monkeypatch, batch, ridge):
-        # batches of 7 split both the 250 replicates and the 52 windows
-        # unevenly; every solve is a 6x6 origin Gram solve, within
-        # GRAM_RTOL of the whole stack's LU call, with or without a ridge
-        monkeypatch.setattr(od, "_BATCH", batch)
-        monkeypatch.setattr(od, "_GRAM_BATCH", batch)
+        # chunks and solve batches of 7 split both the 250 replicates and
+        # the 52 windows unevenly; every solve is a 6x6 origin Gram solve,
+        # within GRAM_RTOL of the whole stack's LU call, with or without a
+        # ridge.  A slot chunk is a pooled row's on two threads.
         dataset, _ = surrogate_od_dataset(60, slots=4, seed=2, day_ar=0.5, split_drift=0.1)
+        monkeypatch.setattr(resample, "_POOL_CHUNK_BYTES", 2 * batch * 8 * dataset.days)
+        monkeypatch.setattr(od, "_GRAM_BATCH", batch)
         config = BootstrapConfig(replicates=250, seed=4)
         fit = ODFit(dataset, config, ridge=ridge)
         stats = od._statistics(dataset)
@@ -1072,11 +1073,13 @@ class TestSlotThreads:
         assert_allclose(proj, want_proj, rtol=GRAM_RTOL)
 
     def test_memory_does_not_grow_with_replicates(self, monkeypatch, traced_peak):
-        # Each slot thread streams its replicates in _BATCH chunks, so past
-        # a fixed working set only its (B, 21) estimates grow with B.  The
-        # bound allows each worker that growth plus one chunk's indices,
-        # counts and float counts, which covers the threads' timing; a
-        # (B, D) count table per slot would add 2 x 3,500 x 200 x 8 bytes.
+        # Each slot thread streams its replicates in chunks of a pooled
+        # row's share on two threads, so past a fixed working set only its
+        # (B, 42) sums and (B, 21) estimates, 63 floats per replicate, grow
+        # with B.  The bound allows each worker that growth plus one
+        # chunk's indices, counts and float counts, which covers the
+        # threads' timing; a (B, D) count table per slot would add
+        # 2 x 3,500 x 200 x 8 bytes.
         workers = 2
         monkeypatch.setattr(od, "_WORKERS", workers)
         dataset, _ = surrogate_od_dataset(200, slots=4, seed=1, day_ar=0.5, split_drift=0.1)
@@ -1086,13 +1089,33 @@ class TestSlotThreads:
                 for _ in range(3))
             for B in (500, 4000)
         ]
-        chunk = 3 * od._BATCH * dataset.days * 8
-        assert peaks[1] - peaks[0] <= workers * ((4000 - 500) * 21 * 8 + chunk)
+        chunk = 3 * resample._POOL_CHUNK_BYTES // 2
+        assert peaks[1] - peaks[0] <= workers * ((4000 - 500) * 63 * 8 + chunk)
+
+    @pytest.mark.parametrize("share", [1, 7, None, 120], ids=["one", "seven", "pool-share", "all"])
+    def test_chunks_do_not_follow_the_worker_count(self, monkeypatch, share):
+        # A slot's chunks hold `share` replicates (None: the pool's own
+        # share), whatever the worker count.  A GEMM row's bits depend on
+        # the GEMM's row count, so chunks of a k-th of the pool's budget
+        # (in the `seven` case all 120 at 1 worker, 7 at 2, 4 at 3) would
+        # give other bits.
+        dataset, _ = surrogate_od_dataset(60, slots=4, seed=2, day_ar=0.5, split_drift=0.1)
+        config = BootstrapConfig(replicates=120, seed=4)
+        if share is not None:
+            monkeypatch.setattr(resample, "_POOL_CHUNK_BYTES", 2 * share * 8 * dataset.days)
+        covs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(od, "_WORKERS", workers)
+            covs[workers] = ODFit(dataset, config, ridge=0.5).slot_covariances
+        assert_array_equal(covs[2], covs[1])
+        assert_array_equal(covs[3], covs[1])
+        # across chunk sizes only the GEMM's summation order changes
+        assert_allclose(covs[1], whole_stack_slot_covs(od._statistics(dataset), config, 0.5), rtol=GRAM_RTOL)
 
     def test_any_worker_count_gives_the_same_bits(self, monkeypatch, fast_switching, slot_draws):
         dataset, _ = surrogate_od_dataset(80, slots=5, seed=9, day_ar=0.5, split_drift=0.1)
         config = BootstrapConfig(replicates=120, seed=3)
-        solve, derive = od._solve_normal_equations, od.derived_stream
+        solve, derive = od._solve_normal_equations, resample.derived_stream
         threads = {"bootstrap": set(), "window": set()}
         draw_threads = set()
 
@@ -1107,19 +1130,21 @@ class TestSlotThreads:
             return derive(*key)
 
         monkeypatch.setattr(od, "_solve_normal_equations", recording)
-        monkeypatch.setattr(od, "derived_stream", deriving)
+        monkeypatch.setattr(resample, "derived_stream", deriving)
         results = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(od, "_WORKERS", workers)
             slot_draws.clear()
+            draw_threads.clear()
             for seen in threads.values():
                 seen.clear()
             results[workers] = od_standard_errors(dataset, 12, config, ridge=0.5)
-            # every stream is derived on the calling thread, in slot order;
-            # the window solves run only on the caller; the bootstrap solves
-            # run on the caller and, when workers > 1, on at least one more
-            # thread
-            assert slot_draws == [1, 2, 3, 4, 5]
+            # every slot's stream is derived once, on the thread that
+            # solves the slot's bootstrap; the window solves run only on
+            # the caller; the bootstrap solves run on the caller and, when
+            # workers > 1, on at least one more thread
+            assert sorted(slot_draws) == [1, 2, 3, 4, 5]
+            assert draw_threads == threads["bootstrap"]
             assert threads["window"] == {threading.main_thread()}
             assert threading.main_thread() in threads["bootstrap"]
             assert (len(threads["bootstrap"]) >= 2) == (workers > 1)
@@ -1129,7 +1154,6 @@ class TestSlotThreads:
         for workers in (2, 3, 8):
             for a, b in zip(results[1], results[workers]):
                 assert_array_equal(a, b)
-        assert draw_threads == {threading.main_thread()}
 
     def test_lowest_failing_slot_is_raised(self, monkeypatch):
         # slot 2 fails first in time; slot 1's error is still the one raised

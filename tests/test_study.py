@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import gapboot._rand as rand_module
+from gapboot import models as models_module
 from gapboot import study as study_module
 from gapboot import (
     METHODS,
@@ -167,6 +168,19 @@ class TestRunStudy:
         (cell,) = run_study(tiny_config(sizes=((40, 5),), methods=("bb",), block_length=100)).cells
         assert calls == []
         assert cell.error == "window length 100 outside 2..7"
+
+    def test_one_row_gb1_fails_before_the_truth(self, monkeypatch):
+        series = []
+        generate = models_module.generate_series
+        monkeypatch.setattr(
+            models_module, "generate_series", lambda *a, **k: series.append(1) or generate(*a, **k)
+        )
+        (cell,) = run_study(tiny_config(sizes=((200, 1),), methods=("gb1", "naive"))).cells
+        assert series == []
+        assert cell.error == "gap bootstrap I needs at least 2 rows, got 1"
+        # without gb1 the one-row cell runs
+        (cell,) = run_study(tiny_config(sizes=((200, 1),), methods=("naive",), runs=2)).cells
+        assert cell.error is None and series
 
 
 class TestReports:
