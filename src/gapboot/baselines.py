@@ -13,6 +13,7 @@ from .core import (
     DataArray,
     EstimatorSpec,
     VarianceEstimate,
+    _check_int,
     _check_window,
     apply_estimator,
     apply_estimator_batch,
@@ -56,9 +57,10 @@ def block_bootstrap_variance(
     columns, and re-evaluates the estimator on the resulting series.
     The replicate spread (divisor B) is the variance estimate.  With
     ell = 1 this is the i.i.d. bootstrap over columns.  Only the
-    "monte_carlo" mode is supported; another raises ConfigError.
+    "monte_carlo" mode is supported; another raises ConfigError, as does
+    an ell that is not an integer.
     """
-    if not 1 <= ell < array.m:
+    if not 1 <= _check_int(ell, "block length") < array.m:
         raise BoundsError(f"block length {ell} outside 1..{array.m - 1}")
     if config.mode != "monte_carlo":
         raise ConfigError(f"the block bootstrap draws its resamples; mode {config.mode!r} is not supported")

@@ -239,21 +239,6 @@ def median_estimator() -> EstimatorSpec:
 # Checks shared by the variance methods
 # ---------------------------------------------------------------------------
 
-def _row_weights(weights, p: int) -> np.ndarray:
-    """Row-combination weights of length p: 1/p each when ``weights`` is
-    None, otherwise a (p,) vector in [0, 1] summing to one."""
-    if weights is None:
-        return np.full(p, 1.0 / p)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (p,):
-        raise DimensionError(f"expected {p} weights, got shape {w.shape}")
-    if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN fails both comparisons
-        raise ConsistencyError("weights must lie in [0, 1]")
-    if abs(float(w.sum()) - 1.0) > 1e-12:
-        raise ConsistencyError(f"weights must sum to 1, got {float(w.sum())!r}")
-    return w
-
-
 def _check_symmetric(matrix, where: str) -> np.ndarray:
     """A square matrix, or a stack of them, as float64; each must be
     symmetric to SYMMETRY_RTOL of max(|entry|, 1)."""
@@ -279,14 +264,10 @@ def _check_int(value, name: str) -> int:
     return int(value)
 
 
-def _check_degenerate_policy(degenerate: str) -> None:
-    if degenerate not in ("error", "zero"):
-        raise ConfigError(f"degenerate policy must be 'error' or 'zero', got {degenerate!r}")
-
-
 def _check_window(ell: int, m: int) -> int:
-    """The window length ell of a method with m columns, if 1 < ell < m."""
-    if not 1 < ell < m:
+    """The window length ell of a method with m columns, if an integer
+    (ConfigError otherwise) with 1 < ell < m (BoundsError otherwise)."""
+    if not 1 < _check_int(ell, "window length") < m:
         raise BoundsError(f"window length {ell} outside 2..{m - 1}")
     return ell
 
@@ -377,5 +358,5 @@ def verify_linearity(array: DataArray, estimator: EstimatorSpec) -> float:
     rows = np.stack(
         [apply_estimator(estimator, array.row(j), f"row {j}") for j in range(1, array.p + 1)]
     )
-    resid = full - _row_weights(None, array.p) @ rows
+    resid = full - np.full(array.p, 1.0 / array.p) @ rows
     return float(np.linalg.norm(resid))

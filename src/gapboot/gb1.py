@@ -50,10 +50,6 @@ class RowEstimates:
     def p(self) -> int:
         return self.estimates.shape[0]
 
-    @property
-    def r(self) -> int:
-        return self.estimates.shape[1]
-
 
 def collect_row_estimates(
     array: DataArray,

@@ -6,8 +6,11 @@ columns provide many (dependent) replicates of every row estimator, and
 the correlation of those window series -- centred at the full-data
 estimate -- estimates exactly the missing piece.  Combining per-row
 bootstrap variances with window correlations yields a variance estimate
-for any weighted row combination, without the exchangeability assumption
-gap bootstrap I needs.
+for a row combination without the exchangeability assumption gap
+bootstrap I needs.  ``gb2_variance`` combines the rows with equal
+weights; the kernel ``_gb2_combine`` takes the row weights and the
+degeneracy policy, and ``od`` runs it with its slot weights W_k folded
+into the window projections and with either policy.
 """
 from __future__ import annotations
 
@@ -19,10 +22,8 @@ from .core import (
     DataArray,
     EstimatorSpec,
     VarianceEstimate,
-    _check_degenerate_policy,
     _check_symmetric,
     _check_window,
-    _row_weights,
     apply_estimator,
 )
 from .errors import (
@@ -212,17 +213,13 @@ def correlation_matrix(sub: SubseriesEstimates, j: int, k: int) -> np.ndarray:
     return _window_correlations(sub.grid[:, rows] - full, full, "error", label)[0, 1]
 
 
-def gb2_variance(
-    row_variances,
-    sub: SubseriesEstimates,
-    weights=None,
-    degenerate: str = "error",
-) -> VarianceEstimate:
+def gb2_variance(row_variances, sub: SubseriesEstimates) -> VarianceEstimate:
     """Combine row bootstrap variances through window correlation matrices.
 
-    sum_{j,k} w_j w_k Sigma_j^{1/2} R(j, k) Sigma_k^{1/2}, where the
-    diagonal terms use Sigma_j itself (a series has correlation one with
-    itself) and off-diagonal R(j, k) equals ``correlation_matrix``.
+    p^{-2} sum_{j,k} Sigma_j^{1/2} R(j, k) Sigma_k^{1/2}, the variance of
+    the equal-weight row mean, where the diagonal terms use Sigma_j itself
+    (a series has correlation one with itself) and off-diagonal R(j, k)
+    equals ``correlation_matrix``.
     The sum is PSD by construction; ``VarianceEstimate`` clips rounding.
 
     Cost: one GEMM of the (I, p r) window deviations gives every moment;
@@ -235,14 +232,9 @@ def gb2_variance(
     row_variances : array_like, shape (p, r, r)
         Per-row bootstrap variance matrices.
     sub : SubseriesEstimates
-        Window estimates on the same array/estimator.
-    weights : array_like, optional
-        Combination weights (default equal).  Must lie in [0, 1] and sum
-        to one.
-    degenerate : {"error", "zero"}
-        Whether a degenerate row (see ``_window_correlations``) aborts the
-        computation, naming the first such row, or contributes zero cross
-        terms to every pair it is in.
+        Window estimates on the same array/estimator.  A degenerate row
+        (see ``_window_correlations``) raises DegenerateCorrelationError
+        naming the first such row.
 
     Notes
     -----
@@ -263,17 +255,16 @@ def gb2_variance(
     Traceback (most recent call last):
     gapboot.errors.DegenerateCorrelationError: window deviations carry no variation for row 2; correlation undefined
     """
-    _check_degenerate_policy(degenerate)
     v = np.asarray(row_variances, dtype=np.float64)
     p, r = sub.p, sub.r
     if v.shape != (p, r, r):
         raise DimensionError(
             f"row_variances must be (p, r, r) = {(p, r, r)}, got shape {v.shape}"
         )
-    w = _row_weights(weights, p)
-
     if p == 1:
         return VarianceEstimate(matrix=v[0].copy())
     dev = sub.grid - sub.full_estimates
-    acc = _gb2_combine(v, dev, w, sub.full_estimates, degenerate, lambda j: f"row {j + 1}")
+    acc = _gb2_combine(
+        v, dev, np.full(p, 1.0 / p), sub.full_estimates, "error", lambda j: f"row {j + 1}"
+    )
     return VarianceEstimate(matrix=acc)

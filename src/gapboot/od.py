@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from ._rand import _WORKERS, _thread_map, derived_stream
-from .core import _check_degenerate_policy, _check_window
+from .core import _check_window
 from .errors import (
     BoundsError,
     ConfigError,
@@ -328,6 +328,10 @@ def _statistics(dataset: ODDataset) -> np.ndarray:
 #: take about 0.5 MiB).
 _GRAM_BATCH = 500
 
+#: A slot bootstrap chunk's day indices take about this many bytes (113
+#: replicates at D = 575), on any number of CPUs; see ``_slot_bootstrap_covs``.
+_SLOT_CHUNK_BYTES = 1 << 19
+
 
 def _solve_normal_equations(
     products: np.ndarray, rhs: np.ndarray, ridge: float, label
@@ -409,13 +413,14 @@ def _slot_bootstrap_covs(stats: np.ndarray, config: BootstrapConfig, ridge: floa
     draws fewer than 6 distinct days has a singular origin Gram and
     raises RankError naming the slot.
 
-    Chunks are a pooled row's on two threads (113 replicates at D = 575)
-    whatever ``_WORKERS`` is: a GEMM row's bits depend on the GEMM's row
-    count (OpenBLAS, for one, switches to a small-matrix kernel at about
-    10**6 multiply-adds), so chunks that followed the thread count would
-    make the output follow it too.  A slot thread thus holds one chunk,
-    not a (B, D) table, and its memory grows with B only by the (B, 42)
-    sums and (B, 21) estimates.
+    Chunks take ``_SLOT_CHUNK_BYTES`` of day indices whatever
+    ``_WORKERS`` is, and whatever budgets the row bootstraps use: a GEMM
+    row's bits depend on the GEMM's row count (OpenBLAS, for one,
+    switches to a small-matrix kernel at about 10**6 multiply-adds), so
+    chunks that followed the thread count or the rows' budget would make
+    the output follow it too.  A slot thread thus holds one chunk, not a
+    (B, D) table, and its memory grows with B only by the (B, 42) sums
+    and (B, 21) estimates.
     """
     days, slots = stats.shape[:2]
     reps = config.replicates
@@ -423,7 +428,7 @@ def _slot_bootstrap_covs(stats: np.ndarray, config: BootstrapConfig, ridge: floa
 
     def bootstrap(k: int) -> None:
         sums = np.empty((reps, 42))
-        for lo, hi, idx in _resamples(days, config, ("slot", k + 1), 8 * days, workers=2):
+        for lo, hi, idx in _resamples(days, config, ("slot", k + 1), 8 * days, _SLOT_CHUNK_BYTES):
             idx += np.arange(hi - lo)[:, None] * days
             counts = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
             np.matmul(counts.astype(np.float64), stats[:, k], out=sums[lo:hi])
@@ -597,7 +602,8 @@ class ODFit:
         PARAM_NAMES, shape (21,).
         """
         days, slots = self.dataset.days, self.dataset.slots
-        _check_degenerate_policy(degenerate)
+        if degenerate not in ("error", "zero"):
+            raise ConfigError(f"degenerate policy must be 'error' or 'zero', got {degenerate!r}")
         if ell is None and days < 8:
             raise InsufficientDataError(
                 f"need at least 8 days for an automatic window length, got {days}; give a window length"

@@ -82,13 +82,9 @@ def _row_workers(m: int, config: BootstrapConfig) -> int:
     return _rand._WORKERS if m * _resample_count(m, config) >= _rand._MIN_THREAD_DRAWS else 1
 
 
-def _chunk_ranges(total: int, row_bytes: int, workers: int = 1):
+def _chunk_ranges(total: int, row_bytes: int, budget: int):
     """Closed-open ``(lo, hi)`` ranges covering ``range(total)`` in chunks
-    of about ``_CHUNK_BYTES``, or of a ``workers``-th of
-    ``_POOL_CHUNK_BYTES`` when ``workers`` > 1 (a long row on
-    ``_row_workers`` threads, or an OD slot at two), when each item takes
-    ``row_bytes``."""
-    budget = _CHUNK_BYTES if workers == 1 else _POOL_CHUNK_BYTES // workers
+    of about ``budget`` bytes when each item takes ``row_bytes``."""
     step = max(1, budget // max(1, row_bytes))
     for lo in range(0, total, step):
         yield lo, min(lo + step, total)
@@ -102,7 +98,7 @@ def _window_estimates(values: np.ndarray, estimator: EstimatorSpec, ell: int, la
     windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(values, ell, axis=0), -1, 1)
     count, d = windows.shape[0], values.shape[-1]
     out = np.empty((count, estimator.dim))
-    for lo, hi in _chunk_ranges(count, windows[0].nbytes):
+    for lo, hi in _chunk_ranges(count, windows[0].nbytes, _CHUNK_BYTES):
         out[lo:hi] = apply_estimator_batch(
             estimator, windows[lo:hi].reshape(hi - lo, -1, d), f"{label} {lo + 1}..{hi}"
         )
@@ -130,10 +126,10 @@ def _draw(rng: np.random.Generator, n: int, m: int, ell: int = 1) -> np.ndarray:
     return (starts[:, :, None] + np.arange(ell)).reshape(n, -1)[:, :m]
 
 
-def _resamples(m: int, config: BootstrapConfig, key: tuple, row_bytes: int, ell: int = 1, workers: int = 1):
+def _resamples(m: int, config: BootstrapConfig, key: tuple, row_bytes: int, budget: int, ell: int = 1):
     """Yield ``(lo, hi, idx)`` for the resamples of ``m`` units, each taking
-    ``row_bytes``, in ``_chunk_ranges(..., workers)`` chunks: ``idx`` holds
-    the unit indices of resamples lo..hi - 1, shape (hi - lo, m).
+    ``row_bytes``, in ``_chunk_ranges`` chunks of about ``budget`` bytes:
+    ``idx`` holds the unit indices of resamples lo..hi - 1, shape (hi - lo, m).
 
     In Monte Carlo mode the chunks are consecutive ``_draw`` calls, in
     blocks of ell, on the ``(seed, *key)`` stream, which concatenate to
@@ -152,7 +148,7 @@ def _resamples(m: int, config: BootstrapConfig, key: tuple, row_bytes: int, ell:
     else:
         rng = derived_stream(config.seed, *key)
         draw = lambda lo, hi: _draw(rng, hi - lo, m, ell)
-    for lo, hi in _chunk_ranges(total, row_bytes, workers):
+    for lo, hi in _chunk_ranges(total, row_bytes, budget):
         yield lo, hi, draw(lo, hi)
 
 
@@ -161,14 +157,17 @@ def _resample_estimates(
 ) -> np.ndarray:
     """``bootstrap_replicates`` on units of any shape (m, ..., d), drawn in
     blocks of ell, each resample flattened in order to one (k, d) sample,
-    gathered and evaluated chunk by chunk of ``_resamples``."""
+    gathered and evaluated chunk by chunk of ``_resamples``: chunks of about
+    ``_CHUNK_BYTES``, or of a ``workers``-th of ``_POOL_CHUNK_BYTES`` when
+    ``workers`` > 1 (a long row on ``_row_workers`` threads)."""
     m, d = units.shape[0], units.shape[-1]
+    budget = _CHUNK_BYTES if workers == 1 else _POOL_CHUNK_BYTES // workers
     label = " ".join(str(part) for part in (*key, "resamples"))
     out = np.empty((_resample_count(m, config), estimator.dim))
     # idx stays bound until the next draw replaces it.  Freeing it with the
     # gathered chunk lets malloc return both to the OS, and the page faults
     # that follow double the cost of a chunk.
-    for lo, hi, idx in _resamples(m, config, key, units.nbytes, ell, workers):
+    for lo, hi, idx in _resamples(m, config, key, units.nbytes, budget, ell):
         out[lo:hi] = apply_estimator_batch(
             estimator, units.take(idx, axis=0).reshape(hi - lo, -1, d), f"{label} {lo + 1}..{hi}"
         )

@@ -85,6 +85,11 @@ class StudyConfig:
         object.__setattr__(
             self, "sizes", tuple((_check_int(n, "n"), _check_int(p, "p")) for n, p in pairs)
         )
+        for name in ("models", "dists", "sizes", "methods"):
+            items = getattr(self, name)
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ConfigError(f"{name} lists {item!r} twice")
         # ModelSpec and BootstrapConfig hold the rules for the family,
         # innovation, covariance, gap, replicate count and seed; a 2 x 1
         # spec checks them before any cell does work.

@@ -148,6 +148,36 @@ class TestSimulate:
         failure = "need at least 8 columns for an automatic window length, got 6"
         assert (failure in capsys.readouterr().err) == (code == 2)
 
+    @pytest.mark.parametrize(
+        "flags, twice",
+        [
+            (["--methods", "gb1,gb1,naive"], "methods lists 'gb1' twice"),
+            (["--model", "ma2,ma2"], "models lists 'ma2' twice"),
+            (["--dist", "normal,exp,normal"], "dists lists 'normal' twice"),
+            (["--dist", "exp,centered_exponential"], "dists lists 'centered_exponential' twice"),
+        ],
+        ids=["methods", "models", "dists", "dists-alias"],
+    )
+    def test_duplicate_grid_entries_are_refused(self, tmp_path, capsys, monkeypatch, flags, twice):
+        # a repeated entry would write rows with one (model, dist, n, p,
+        # method) key twice; it is refused before any cell runs
+        def no_truth(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(study_module, "monte_carlo_true_se", no_truth)
+        out = tmp_path / "r.csv"
+        argv = ("--n", "60", "--p", "3", "--runs", "2", "--truth-runs", "100", "--out", str(out))
+        assert run("simulate", *flags, *argv) == 1
+        assert f"configuration error: {twice}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicate_sizes_are_refused(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"sizes": [[60, 3], [80, 4], [60, 3]]}))
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == 1
+        assert "configuration error: sizes lists (60, 3) twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = (
             "simulate", "--model", "ma2", "--dist", "exp", "--n", "60", "--p", "3",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -5,27 +7,31 @@ from numpy.testing import assert_allclose, assert_array_equal
 from gapboot import (
     BootstrapConfig,
     BoundsError,
+    ConfigError,
     ConsistencyError,
     DataError,
     DimensionError,
     EstimatorSpec,
     EvaluationError,
     ModelSpec,
-    SubseriesEstimates,
+    ODFit,
     VarianceEstimate,
     apply_estimator,
     apply_estimator_batch,
     build_data_array,
     collect_row_estimates,
     componentwise_mean_estimator,
-    gb2_variance,
     generate_series,
     mean_estimator,
     median_estimator,
+    od_standard_errors,
     pooled_variance_estimator,
     psd_project,
+    subseries_estimates,
+    surrogate_od_dataset,
     verify_linearity,
 )
+from gapboot.baselines import block_bootstrap_variance, subsampling_variance
 
 
 class TestBuildDataArray:
@@ -147,19 +153,28 @@ class TestEstimators:
         with pytest.raises(EvaluationError, match="'gappy' returned non-finite values on full series$"):
             verify_linearity(array, est)
 
-    def test_weight_validation(self):
-        # row weights are gb2_variance's argument; an estimator carries none
-        sub = SubseriesEstimates(grid=[[[1.0], [3.0]], [[3.0], [1.0]]], full_estimates=[[2.0], [2.0]])
-        for weights in ([0.5, 0.6], [-0.5, 1.5]):
-            with pytest.raises(ConsistencyError):
-                gb2_variance([[[4.0]], [[1.0]]], sub, weights=weights)
-        # NaN fails every comparison: it is refused here, not later as a
-        # non-finite variance matrix
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ConsistencyError, match=r"weights must lie in \[0, 1\]"):
-                gb2_variance([[[4.0]], [[1.0]]], sub, weights=[bad, 0.5])
-        with pytest.raises(DimensionError, match="expected 2 weights"):
-            gb2_variance([[[4.0]], [[1.0]]], sub, weights=[1.0])
+
+@pytest.mark.parametrize("ell", [4.5, 6.0, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda array, ds, ell: subseries_estimates(array, mean_estimator(), ell),
+        lambda array, ds, ell: subsampling_variance(array, mean_estimator(), ell),
+        lambda array, ds, ell: block_bootstrap_variance(
+            array, mean_estimator(), ell, BootstrapConfig(replicates=10)
+        ),
+        lambda array, ds, ell: ODFit(ds).gb2_standard_errors(ell),
+        lambda array, ds, ell: od_standard_errors(ds, ell, BootstrapConfig(replicates=10)),
+    ],
+    ids=["subseries", "subsampling", "block-bootstrap", "od-gb2", "od"],
+)
+def test_window_length_must_be_an_integer(call, ell):
+    # a float, even a whole one, and a bool are refused as configuration,
+    # not passed on to numpy's indexing or read as 1
+    array = build_data_array(np.arange(40.0), p=2)
+    ds, _ = surrogate_od_dataset(30, slots=3, seed=0)
+    with pytest.raises(ConfigError, match=r"length must be an integer, got " + re.escape(repr(ell))):
+        call(array, ds, ell)
 
 
 class TestLinearity:

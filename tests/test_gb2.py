@@ -5,13 +5,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 import gapboot.resample as resample_module
 from gapboot import (
     BoundsError,
-    ConfigError,
     ConsistencyError,
     DegenerateCorrelationError,
     EstimatorSpec,
     EvaluationError,
     InsufficientDataError,
     SubseriesEstimates,
+    VarianceEstimate,
     apply_estimator,
     apply_estimator_batch,
     build_data_array,
@@ -230,36 +230,29 @@ class TestCorrelationMatrix:
 class TestGb2Variance:
     def test_single_row_returns_input(self):
         sub = make_sub([[1.0, 2.0, 3.0]], [2.0])
-        v = gb2_variance(np.array([[[2.0]]]), sub, weights=[1.0])
+        v = gb2_variance(np.array([[[2.0]]]), sub)
         assert v.scalar == 2.0
 
     def test_perfect_correlation(self):
         # sigma_1 = sigma_2 = 2, rho = 1 -> four terms of 0.25*4 each.
         sub = make_sub([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], [2.0, 2.0])
-        v = gb2_variance(np.array([[[4.0]], [[4.0]]]), sub, weights=[0.5, 0.5])
+        v = gb2_variance(np.array([[[4.0]], [[4.0]]]), sub)
         assert v.scalar == pytest.approx(4.0, rel=1e-12)
 
     def test_zero_correlation(self):
         # Deviations (-1,0,1) vs (1,-2,1) are orthogonal -> diagonal only.
         sub = make_sub([[1.0, 2.0, 3.0], [3.0, 0.0, 3.0]], [2.0, 2.0])
-        v = gb2_variance(np.array([[[4.0]], [[4.0]]]), sub, weights=[0.5, 0.5])
+        v = gb2_variance(np.array([[[4.0]], [[4.0]]]), sub)
         assert v.scalar == 2.0
 
     def test_degenerate_policies(self):
         sub = make_sub([[1.0, 2.0, 3.0], [2.0, 2.0, 2.0]], [2.0, 2.0])
         variances = np.array([[[4.0]], [[4.0]]])
+        # gb2_variance refuses the degenerate row; the kernel under "zero"
+        # (the policy od offers) drops its cross terms
         with pytest.raises(DegenerateCorrelationError):
             gb2_variance(variances, sub)
-        v = gb2_variance(variances, sub, degenerate="zero")
-        assert v.scalar == 2.0
-        with pytest.raises(ConfigError):
-            gb2_variance(variances, sub, degenerate="ignore")
-
-    def test_weight_validation(self):
-        sub = make_sub([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], [2.0, 2.0])
-        variances = np.array([[[4.0]], [[4.0]]])
-        with pytest.raises(ConsistencyError):
-            gb2_variance(variances, sub, weights=[0.2, 0.2])
+        assert combine(variances, sub, [0.5, 0.5], "zero").scalar == 2.0
 
     def test_output_symmetric_psd(self):
         rng = np.random.default_rng(8)
@@ -302,6 +295,18 @@ def degenerate_row(sub, j):
     """Row j's mean squared window deviation is at most (1e-9 |full_j|)**2."""
     d = deviations(sub, j)
     return np.sum(d * d) / len(d) <= (1e-9 * np.linalg.norm(sub.full_estimates[j - 1])) ** 2
+
+
+def combine(row_variances, sub, weights, degenerate):
+    """The GB-II kernel as ``gb2_variance`` runs it, with the row weights
+    and degeneracy policy that ``gb2_variance`` fixes at 1/p and "error"
+    given instead."""
+    v = np.asarray(row_variances, dtype=np.float64)
+    dev = sub.grid - sub.full_estimates
+    w = np.asarray(weights, dtype=np.float64)
+    return VarianceEstimate(
+        matrix=_gb2_combine(v, dev, w, sub.full_estimates, degenerate, lambda j: f"row {j + 1}")
+    )
 
 
 def reference_gb2(row_variances, sub, weights=None, degenerate="error"):
@@ -359,7 +364,7 @@ class TestGb2Kernel:
         w = np.random.default_rng(3).uniform(0.1, 1.0, 7)
         w /= w.sum()
         assert_matches_reference(
-            gb2_variance(variances, sub, weights=w).matrix, reference_gb2(variances, sub, w)
+            combine(variances, sub, w, "error").matrix, reference_gb2(variances, sub, w)
         )
 
     def test_correlations_match_correlation_matrix(self):
@@ -382,9 +387,10 @@ class TestGb2Kernel:
             gb2_variance(variances, sub)
         with pytest.raises(DegenerateCorrelationError, match=r"row 3\b"):
             reference_gb2(variances, sub)
+        w = np.full(6, 1.0 / 6)
         assert_matches_reference(
-            gb2_variance(variances, sub, degenerate="zero").matrix,
-            reference_gb2(variances, sub, degenerate="zero"),
+            combine(variances, sub, w, "zero").matrix,
+            reference_gb2(variances, sub, w, "zero"),
         )
 
     @pytest.mark.parametrize("value", [0.1, 0.3, 0.7, 1.0, 1e6 + 0.1])
@@ -402,20 +408,19 @@ class TestGb2Kernel:
         grid = sub.grid.copy()
         grid[:, 1] = sub.full_estimates[1]
         exact = SubseriesEstimates(grid=grid, full_estimates=sub.full_estimates)
+        w = np.full(4, 0.25)
         assert_array_equal(
-            gb2_variance(variances, sub, degenerate="zero").matrix,
-            gb2_variance(variances, exact, degenerate="zero").matrix,
+            combine(variances, sub, w, "zero").matrix,
+            combine(variances, exact, w, "zero").matrix,
         )
 
     def test_row_permutation_invariance(self):
         sub, variances = kernel_case(p=9, r=2, n=900, seed=6)
-        w = np.random.default_rng(6).uniform(0.1, 1.0, 9)
-        w /= w.sum()
         perm = np.random.default_rng(7).permutation(9)
         shuffled = SubseriesEstimates(grid=sub.grid[:, perm], full_estimates=sub.full_estimates[perm])
         assert_allclose(
-            gb2_variance(variances[perm], shuffled, weights=w[perm]).matrix,
-            gb2_variance(variances, sub, weights=w).matrix,
+            gb2_variance(variances[perm], shuffled).matrix,
+            gb2_variance(variances, sub).matrix,
             rtol=1e-12,
         )
 

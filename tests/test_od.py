@@ -1058,9 +1058,9 @@ class TestSlotThreads:
         # chunks and solve batches of 7 split both the 250 replicates and
         # the 52 windows unevenly; every solve is a 6x6 origin Gram solve,
         # within GRAM_RTOL of the whole stack's LU call, with or without a
-        # ridge.  A slot chunk is a pooled row's on two threads.
+        # ridge.  A slot chunk takes od's own budget of day indices.
         dataset, _ = surrogate_od_dataset(60, slots=4, seed=2, day_ar=0.5, split_drift=0.1)
-        monkeypatch.setattr(resample, "_POOL_CHUNK_BYTES", 2 * batch * 8 * dataset.days)
+        monkeypatch.setattr(od, "_SLOT_CHUNK_BYTES", batch * 8 * dataset.days)
         monkeypatch.setattr(od, "_GRAM_BATCH", batch)
         config = BootstrapConfig(replicates=250, seed=4)
         fit = ODFit(dataset, config, ridge=ridge)
@@ -1073,8 +1073,8 @@ class TestSlotThreads:
         assert_allclose(proj, want_proj, rtol=GRAM_RTOL)
 
     def test_memory_does_not_grow_with_replicates(self, monkeypatch, traced_peak):
-        # Each slot thread streams its replicates in chunks of a pooled
-        # row's share on two threads, so past a fixed working set only its
+        # Each slot thread streams its replicates in chunks of
+        # _SLOT_CHUNK_BYTES of day indices, so past a fixed working set only its
         # (B, 42) sums and (B, 21) estimates, 63 floats per replicate, grow
         # with B.  The bound allows each worker that growth plus one
         # chunk's indices, counts and float counts, which covers the
@@ -1089,20 +1089,19 @@ class TestSlotThreads:
                 for _ in range(3))
             for B in (500, 4000)
         ]
-        chunk = 3 * resample._POOL_CHUNK_BYTES // 2
+        chunk = 3 * od._SLOT_CHUNK_BYTES
         assert peaks[1] - peaks[0] <= workers * ((4000 - 500) * 63 * 8 + chunk)
 
     @pytest.mark.parametrize("share", [1, 7, None, 120], ids=["one", "seven", "pool-share", "all"])
     def test_chunks_do_not_follow_the_worker_count(self, monkeypatch, share):
-        # A slot's chunks hold `share` replicates (None: the pool's own
-        # share), whatever the worker count.  A GEMM row's bits depend on
-        # the GEMM's row count, so chunks of a k-th of the pool's budget
-        # (in the `seven` case all 120 at 1 worker, 7 at 2, 4 at 3) would
-        # give other bits.
+        # A slot's chunks hold `share` replicates (None: od's own budget),
+        # whatever the worker count.  A GEMM row's bits depend on the
+        # GEMM's row count, so chunks of a k-th of a budget (in the `seven`
+        # case all 120 at 1 worker, 7 at 2, 4 at 3) would give other bits.
         dataset, _ = surrogate_od_dataset(60, slots=4, seed=2, day_ar=0.5, split_drift=0.1)
         config = BootstrapConfig(replicates=120, seed=4)
         if share is not None:
-            monkeypatch.setattr(resample, "_POOL_CHUNK_BYTES", 2 * share * 8 * dataset.days)
+            monkeypatch.setattr(od, "_SLOT_CHUNK_BYTES", share * 8 * dataset.days)
         covs = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(od, "_WORKERS", workers)
@@ -1111,6 +1110,17 @@ class TestSlotThreads:
         assert_array_equal(covs[3], covs[1])
         # across chunk sizes only the GEMM's summation order changes
         assert_allclose(covs[1], whole_stack_slot_covs(od._statistics(dataset), config, 0.5), rtol=GRAM_RTOL)
+
+    def test_chunks_do_not_follow_the_row_budgets(self, monkeypatch):
+        # the row bootstraps' chunk budgets, at one replicate per chunk or
+        # at all 120 in one, leave od's chunks and so its bits alone
+        dataset, _ = surrogate_od_dataset(60, slots=4, seed=2, day_ar=0.5, split_drift=0.1)
+        config = BootstrapConfig(replicates=120, seed=4)
+        want = ODFit(dataset, config, ridge=0.5).slot_covariances
+        for rows in (1, 120):
+            monkeypatch.setattr(resample, "_CHUNK_BYTES", rows * 8 * dataset.days)
+            monkeypatch.setattr(resample, "_POOL_CHUNK_BYTES", 2 * rows * 8 * dataset.days)
+            assert_array_equal(ODFit(dataset, config, ridge=0.5).slot_covariances, want)
 
     def test_any_worker_count_gives_the_same_bits(self, monkeypatch, fast_switching, slot_draws):
         dataset, _ = surrogate_od_dataset(80, slots=5, seed=9, day_ar=0.5, split_drift=0.1)
