@@ -15,6 +15,8 @@ import threading
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 
 #: Threads the keyed tasks run on: the CPUs this process may use.
@@ -34,9 +36,7 @@ def _entropy(part) -> int:
     if isinstance(part, str):
         # Stable across processes, unlike the builtin hash().
         return int.from_bytes(part.encode("utf-8"), "little")
-    raise TypeError(
-        f"stream key parts must be int or str, got {type(part).__name__}"
-    )
+    raise ConfigError(f"stream key parts must be int or str, got {part!r}")
 
 
 def derived_stream(*key) -> np.random.Generator:

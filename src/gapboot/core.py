@@ -90,9 +90,10 @@ class DataArray:
     def row(self, j: int) -> np.ndarray:
         """Observations of slot ``j`` across periods, shape (m, d).
 
-        ``j`` is 1-based; out-of-range values raise BoundsError.
+        ``j`` is a 1-based integer (ConfigError otherwise); out-of-range
+        values raise BoundsError.
         """
-        if not 1 <= j <= self.p:
+        if not 1 <= _check_int(j, "row index") <= self.p:
             raise BoundsError(f"row index {j} outside 1..{self.p}")
         return self.values[:, j - 1, :]
 
@@ -124,7 +125,7 @@ def build_data_array(series, p: int) -> DataArray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise DimensionError(f"series must be 1- or 2-dimensional, got ndim={arr.ndim}")
-    if p < 1:
+    if _check_int(p, "p") < 1:
         raise DimensionError(f"p must be >= 1, got {p}")
     n = arr.shape[0]
     m = n // p
@@ -165,7 +166,7 @@ class EstimatorSpec:
     evaluate: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.dim < 1:
+        if _check_int(self.dim, "estimator dim") < 1:
             raise DimensionError(f"estimator dim must be >= 1, got {self.dim}")
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from ._rand import _thread_map
 from .core import DataArray, EstimatorSpec, VarianceEstimate, apply_estimator, psd_project
 from .errors import DimensionError, FewRowsWarning, InsufficientDataError
-from .resample import BootstrapConfig, _row_workers, iid_bootstrap_variance
+from .resample import BootstrapConfig, _row_workers, _spread, iid_bootstrap_variance
 
 __all__ = [
     "RowEstimates",
@@ -108,6 +108,5 @@ def gb1_variance(rows: RowEstimates) -> VarianceEstimate:
             FewRowsWarning,
             stacklevel=2,
         )
-    dev = rows.estimates - rows.estimates.mean(axis=0)
-    combined = rows.variances.mean(axis=0) - dev.T @ dev / p
+    combined = rows.variances.mean(axis=0) - _spread(rows.estimates.copy())
     return VarianceEstimate(matrix=psd_project(combined))

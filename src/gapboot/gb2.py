@@ -22,6 +22,7 @@ from .core import (
     DataArray,
     EstimatorSpec,
     VarianceEstimate,
+    _check_int,
     _check_symmetric,
     _check_window,
     apply_estimator,
@@ -205,7 +206,7 @@ def correlation_matrix(sub: SubseriesEstimates, j: int, k: int) -> np.ndarray:
     matrices for every pair at once.
     """
     for row in (j, k):
-        if not 1 <= row <= sub.p:
+        if not 1 <= _check_int(row, "row index") <= sub.p:
             raise BoundsError(f"row index {row} outside 1..{sub.p}")
     rows = [j - 1, k - 1]
     full = sub.full_estimates[rows]
@@ -238,7 +239,8 @@ def gb2_variance(row_variances, sub: SubseriesEstimates) -> VarianceEstimate:
 
     Notes
     -----
-    With a single row the result is exactly Sigma_1.
+    A single row takes the same path: the result is Sigma_1 bit for bit,
+    and a degenerate row raises DegenerateCorrelationError naming row 1.
 
     >>> sub = SubseriesEstimates(grid=[[[1.0], [3.0]], [[3.0], [1.0]]],
     ...                          full_estimates=[[2.0], [2.0]])
@@ -261,8 +263,6 @@ def gb2_variance(row_variances, sub: SubseriesEstimates) -> VarianceEstimate:
         raise DimensionError(
             f"row_variances must be (p, r, r) = {(p, r, r)}, got shape {v.shape}"
         )
-    if p == 1:
-        return VarianceEstimate(matrix=v[0].copy())
     dev = sub.grid - sub.full_estimates
     acc = _gb2_combine(
         v, dev, np.full(p, 1.0 / p), sub.full_estimates, "error", lambda j: f"row {j + 1}"

@@ -20,6 +20,12 @@ Each family carries a default gap long enough that distinct columns of
 the array are effectively independent; pass ``gap_q=0`` to keep the
 parent contiguous instead.
 
+All six families take one path through ``generate_series``: a (T, d)
+innovation array (d = 1 for the univariate families), the family's
+filter along axis 0, the mean, and the gap cut, returned as the
+``DataArray`` of that (m, p, d) grid.  The periodic families skip the
+filter and the cut and draw the grid itself.
+
 ``ma2`` is a finite filter, ``np.convolve([1, b1, b2], eps)`` cut to the
 parent's length: the call ``scipy.signal.lfilter`` makes for a filter
 with denominator ``[1]``, so the bits are lfilter's.  ``ar2``'s feedback
@@ -34,7 +40,7 @@ import numpy as np
 
 from . import _rand
 from ._rand import derived_stream
-from .core import DataArray, EstimatorSpec, _check_int, apply_estimator, build_data_array
+from .core import DataArray, EstimatorSpec, _check_int, apply_estimator
 from .errors import ConfigError, DimensionError
 
 __all__ = [
@@ -199,53 +205,42 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
         keys reproduce equal arrays.
     """
     rng = derived_stream(*_key(seed), "series")
-
     m, p, q = spec.m, spec.p, spec.gap_q
     burn = DEFAULT_BURN_IN
-    parent_len = _parent_length(spec)
+    # The periodic families' slot-indexed mean needs no parent: the gap
+    # only discards i.i.d. noise, so they draw the (m, p) grid directly.
+    periodic = spec.family in ("periodic", "mperiodic")
+    shape = (m, p) if periodic else (burn + _parent_length(spec),)
+    if spec.d == 1:
+        eta = UNIVARIATE_SD * _innovations(rng, spec.innovation, shape)[..., None]
+        mean = np.asarray([spec.mu])
+    else:
+        chol = np.eye(4) if spec.cov_kind == "identity" else _TOEPLITZ_CHOLESKY
+        eta = _innovations(rng, spec.innovation, shape + (4,)) @ chol.T
+        mean = np.asarray(MULTIVARIATE_MEAN)
+    if periodic:
+        return DataArray(mean + _slot_phase(p)[:, None] + eta)
 
-    if spec.family in _UNIVARIATE:
-        if spec.family == "periodic":
-            # Slot-indexed mean; the gap only discards i.i.d. noise, so
-            # draw the array directly.
-            noise = UNIVARIATE_SD * _innovations(rng, spec.innovation, (m, p))
-            values = spec.mu + _slot_phase(p)[None, :] + noise
-        else:
-            eps = UNIVARIATE_SD * _innovations(rng, spec.innovation, burn + parent_len)
-            if spec.family == "ar2":
-                from scipy.signal import lfilter
+    if spec.family == "ar2":
+        from scipy.signal import lfilter
 
-                a1, a2 = AR_COEFFICIENTS
-                parent = lfilter([1.0], [1.0, -a1, -a2], eps)[burn:]
-            else:
-                b1, b2 = MA_COEFFICIENTS
-                parent = np.convolve([1.0, b1, b2], eps)[burn : burn + parent_len]
-            values = spec.mu + _gap_cut(parent, m, p, q)
-        return build_data_array(values.reshape(spec.n), p=p)
-
-    chol = np.eye(4) if spec.cov_kind == "identity" else _TOEPLITZ_CHOLESKY
-    mean = np.asarray(MULTIVARIATE_MEAN)
-    if spec.family == "mperiodic":
-        eta = _innovations(rng, spec.innovation, (m, p, 4)) @ chol.T
-        values = mean[None, None, :] + _slot_phase(p)[None, :, None] + eta
-        return build_data_array(values.reshape(spec.n, 4), p=p)
-
-    eta = _innovations(rng, spec.innovation, (burn + parent_len, 4)) @ chol.T
-    if spec.family == "mar":
+        a1, a2 = AR_COEFFICIENTS
+        parent = lfilter([1.0], [1.0, -a1, -a2], eta, axis=0)
+    elif spec.family == "ma2":
+        parent = np.convolve([1.0, *MA_COEFFICIENTS], eta[:, 0])[: len(eta), None]
+    elif spec.family == "mar":
         psi = np.asarray(MAR_TRANSITION)
         parent = np.empty_like(eta)
         state = np.zeros(4)
         for t in range(eta.shape[0]):
             state = psi @ state + eta[t]
             parent[t] = state
-        parent = parent[burn:]
     else:
         phi1, phi2 = _MMA_MATRICES
         lagged1 = np.vstack([np.zeros((1, 4)), eta[:-1]])
         lagged2 = np.vstack([np.zeros((2, 4)), eta[:-2]])
-        parent = (eta + lagged1 @ phi1.T + lagged2 @ phi2.T)[burn:]
-    values = mean[None, None, :] + _gap_cut(parent, m, p, q)
-    return build_data_array(values.reshape(spec.n, 4), p=p)
+        parent = eta + lagged1 @ phi1.T + lagged2 @ phi2.T
+    return DataArray(mean + _gap_cut(parent[burn:], m, p, q))
 
 
 def _check_truth_runs(runs: int) -> None:

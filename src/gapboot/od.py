@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from ._rand import _WORKERS, _thread_map, derived_stream
-from .core import _check_window
+from .core import _check_int, _check_window
 from .errors import (
     BoundsError,
     ConfigError,
@@ -663,12 +663,9 @@ def _ar1_path(rng, days: int, shape: tuple, sd: float, phi: float) -> np.ndarray
     """Stationary AR(1) sample path over days, i.i.d. across ``shape``."""
     path = np.empty((days,) + shape)
     path[0] = rng.normal(0.0, sd, size=shape)
-    if phi > 0.0:
-        innov = sd * np.sqrt(1.0 - phi * phi)
-        for t in range(1, days):
-            path[t] = phi * path[t - 1] + rng.normal(0.0, innov, size=shape)
-    else:
-        path[1:] = rng.normal(0.0, sd, size=(days - 1,) + shape)
+    innov = sd * np.sqrt(1.0 - phi * phi)
+    for t in range(1, days):
+        path[t] = phi * path[t - 1] + rng.normal(0.0, innov, size=shape)
     return path
 
 
@@ -707,9 +704,9 @@ def surrogate_od_dataset(
 
     Returns the dataset together with the generating SplitProportions.
     """
-    if days < 2:
+    if _check_int(days, "days") < 2:
         raise InsufficientDataError(f"need at least 2 days, got {days}")
-    if slots < 1:
+    if _check_int(slots, "slots") < 1:
         raise ConfigError(f"need at least 1 slot, got {slots}")
     if not 0.0 <= day_ar < 1.0:
         raise ConfigError(f"day_ar must lie in [0, 1), got {day_ar}")

@@ -52,7 +52,8 @@ class BootstrapConfig:
 
     mode "monte_carlo" draws ``replicates`` random resamples; mode
     "exhaustive" enumerates all m**m index tuples (allowed only while
-    m**m <= 1e6, i.e. m <= 7) and ignores ``replicates`` and ``seed``.
+    m**m <= 1e6, i.e. m <= 7) and ignores the values of ``replicates``
+    and ``seed``, which must still be integers in either mode.
     """
 
     replicates: int = 1000
@@ -63,7 +64,7 @@ class BootstrapConfig:
         if self.mode not in ("monte_carlo", "exhaustive"):
             raise ConfigError(f"unknown bootstrap mode {self.mode!r}")
         _check_int(self.seed, "seed")
-        if self.mode == "monte_carlo" and _check_int(self.replicates, "replicates") < 2:
+        if _check_int(self.replicates, "replicates") < 2 and self.mode == "monte_carlo":
             raise ConfigError(f"need at least 2 replicates, got {self.replicates}")
 
 

@@ -21,7 +21,9 @@ from gapboot import (
     build_data_array,
     collect_row_estimates,
     componentwise_mean_estimator,
+    correlation_matrix,
     generate_series,
+    iid_bootstrap_variance,
     mean_estimator,
     median_estimator,
     od_standard_errors,
@@ -175,6 +177,56 @@ def test_window_length_must_be_an_integer(call, ell):
     ds, _ = surrogate_od_dataset(30, slots=3, seed=0)
     with pytest.raises(ConfigError, match=r"length must be an integer, got " + re.escape(repr(ell))):
         call(array, ds, ell)
+
+
+def _series(seed):
+    return build_data_array(np.random.default_rng(seed).standard_normal(20), p=2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_data_array(np.arange(8.0), p=2.0), "p must be an integer, got 2.0"),
+        (lambda: build_data_array(np.arange(8.0), p=True), "p must be an integer, got True"),
+        (lambda: surrogate_od_dataset(10.5, 3), "days must be an integer, got 10.5"),
+        (lambda: surrogate_od_dataset(10, 2.0), "slots must be an integer, got 2.0"),
+        (lambda: EstimatorSpec("x", 1.5, np.mean), "estimator dim must be an integer, got 1.5"),
+        (lambda: _series(0).row(1.0), "row index must be an integer, got 1.0"),
+        (lambda: _series(0).row(True), "row index must be an integer, got True"),
+        (
+            lambda: correlation_matrix(subseries_estimates(_series(0), mean_estimator(), 3), 1.0, 2),
+            "row index must be an integer, got 1.0",
+        ),
+        (
+            lambda: BootstrapConfig(mode="exhaustive", replicates="x"),
+            "replicates must be an integer, got 'x'",
+        ),
+        (
+            lambda: generate_series(ModelSpec("ma2", 24, 4), 1.5),
+            "stream key parts must be int or str, got 1.5",
+        ),
+        (
+            lambda: surrogate_od_dataset(20, 3, seed=1.5),
+            "stream key parts must be int or str, got 1.5",
+        ),
+        (
+            lambda: iid_bootstrap_variance(
+                np.arange(8.0), mean_estimator(), BootstrapConfig(replicates=10), key=(1.5,)
+            ),
+            "stream key parts must be int or str, got 1.5",
+        ),
+    ],
+    ids=[
+        "build-p-float", "build-p-bool", "surrogate-days", "surrogate-slots", "estimator-dim",
+        "row-float", "row-bool", "correlation-row", "exhaustive-replicates", "series-seed",
+        "surrogate-seed", "bootstrap-key",
+    ],
+)
+def test_counts_indices_and_seeds_must_be_integers(call, message):
+    # refused as configuration, not passed on to numpy (a bare TypeError or
+    # IndexError), read as row 1 (True) or ignored (exhaustive replicates)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestLinearity:

@@ -232,6 +232,19 @@ class TestGb2Variance:
         sub = make_sub([[1.0, 2.0, 3.0]], [2.0])
         v = gb2_variance(np.array([[[2.0]]]), sub)
         assert v.scalar == 2.0
+        # one row takes the kernel's path, whose result is Sigma_1 itself
+        rng = np.random.default_rng(14)
+        arr = build_data_array(rng.standard_normal((30, 3)), p=1)
+        sub = subseries_estimates(arr, componentwise_mean_estimator(3), ell=4)
+        a = rng.standard_normal((3, 3))
+        sigma = a @ a.T / 7.0
+        assert gb2_variance(sigma[None], sub).matrix.tobytes() == sigma.tobytes()
+
+    def test_single_constant_row_is_degenerate(self):
+        # the one degeneracy rule holds for a single row too
+        sub = subseries_estimates(build_data_array(np.full(12, 0.1), p=1), mean_estimator(), ell=4)
+        with pytest.raises(DegenerateCorrelationError, match="for row 1;"):
+            gb2_variance(np.ones((1, 1, 1)), sub)
 
     def test_perfect_correlation(self):
         # sigma_1 = sigma_2 = 2, rho = 1 -> four terms of 0.25*4 each.

@@ -1,7 +1,8 @@
 """What importing gapboot loads: numpy, and nothing from scipy until a
 code path needs it.  ``gapboot od``, with or without ``--ridge``, solves
 with numpy alone and loads no scipy, and so does ``gapboot check``;
-``scipy.signal`` loads at the first ``ar2`` series."""
+``scipy.signal`` loads at the first ``ar2`` series, and no other family's
+series loads it."""
 import json
 import os
 import subprocess
@@ -19,8 +20,9 @@ def scipy_modules():
 
 import gapboot, gapboot.cli
 report = {"import": scipy_modules()}
-gapboot.generate_series(gapboot.ModelSpec("mma", 400, 10), seed=1)
-report["mma"] = scipy_modules()
+for family in ("mma", "ma2", "periodic", "mar", "mperiodic"):
+    gapboot.generate_series(gapboot.ModelSpec(family, 400, 10), seed=1)
+    report[family] = scipy_modules()
 for ridge in ("0", "0.5"):
     code = gapboot.cli.main([
         "od", "--surrogate", "--days", "30", "--slots", "3", "--replicates", "50",
@@ -41,7 +43,8 @@ def test_scipy_loads_only_where_used(tmp_path):
     )
     report = json.loads(done.stdout.splitlines()[-1])  # after check's own lines
     assert report["import"] == []
-    assert report["mma"] == []
+    for family in ("mma", "ma2", "periodic", "mar", "mperiodic"):
+        assert report[family] == [], family
     for ridge in ("0", "0.5"):
         code, loaded = report[f"od --ridge {ridge}"]
         assert code == 0

@@ -15,6 +15,7 @@ from gapboot import (
     DimensionError,
     ModelSpec,
     apply_estimator,
+    build_data_array,
     generate_series,
     mean_estimator,
     monte_carlo_true_se,
@@ -215,6 +216,70 @@ class TestMa2Filter:
         spec = ModelSpec("ma2", n, p, innovation=innovation, gap_q=gap_q)
         values = generate_series(spec, seed=4).values
         assert values.tobytes() == ma2_reference(spec, 4).tobytes()
+
+
+def two_path_series(spec, seed):
+    """``generate_series(spec, seed)`` as it was written with one branch for
+    the univariate and one for the vector families, each folding its
+    values through ``build_data_array``: the reference for the one path."""
+    rng = derived_stream(*(seed if isinstance(seed, tuple) else (seed,)), "series")
+    m, p, q, burn = spec.m, spec.p, spec.gap_q, DEFAULT_BURN_IN
+    parent_len = (m - 1) * (p + q) + p
+    t = 2.0 * np.pi * np.arange(1, p + 1) / p
+    phase = np.cos(t) + np.sin(t)
+    if spec.family in ("ar2", "ma2", "periodic"):
+        if spec.family == "periodic":
+            noise = UNIVARIATE_SD * _innovations(rng, spec.innovation, (m, p))
+            values = spec.mu + phase[None, :] + noise
+        else:
+            eps = UNIVARIATE_SD * _innovations(rng, spec.innovation, burn + parent_len)
+            if spec.family == "ar2":
+                a1, a2 = AR_COEFFICIENTS
+                parent = lfilter([1.0], [1.0, -a1, -a2], eps)[burn:]
+            else:
+                b1, b2 = MA_COEFFICIENTS
+                parent = np.convolve([1.0, b1, b2], eps)[burn : burn + parent_len]
+            values = spec.mu + _gap_cut(parent, m, p, q)
+        return build_data_array(values.reshape(spec.n), p=p)
+
+    chol = np.eye(4) if spec.cov_kind == "identity" else np.linalg.cholesky(
+        (-TOEPLITZ_RHO) ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+    )
+    mean = np.asarray(MULTIVARIATE_MEAN)
+    if spec.family == "mperiodic":
+        eta = _innovations(rng, spec.innovation, (m, p, 4)) @ chol.T
+        values = mean[None, None, :] + phase[None, :, None] + eta
+        return build_data_array(values.reshape(spec.n, 4), p=p)
+
+    eta = _innovations(rng, spec.innovation, (burn + parent_len, 4)) @ chol.T
+    if spec.family == "mar":
+        psi = np.asarray(MAR_TRANSITION)
+        parent = np.empty_like(eta)
+        state = np.zeros(4)
+        for t in range(eta.shape[0]):
+            state = psi @ state + eta[t]
+            parent[t] = state
+        parent = parent[burn:]
+    else:
+        phi1, phi2 = (np.asarray(phi) for phi in _mma_coefficients(212))
+        lagged1 = np.vstack([np.zeros((1, 4)), eta[:-1]])
+        lagged2 = np.vstack([np.zeros((2, 4)), eta[:-2]])
+        parent = (eta + lagged1 @ phi1.T + lagged2 @ phi2.T)[burn:]
+    values = mean[None, None, :] + _gap_cut(parent, m, p, q)
+    return build_data_array(values.reshape(spec.n, 4), p=p)
+
+
+@pytest.mark.parametrize("n, p, gap_q", [(24, 4, None), (200, 5, 0), (400, 8, 0), (600, 3, 7), (50_000, 5, 0)])
+@pytest.mark.parametrize("cov_kind", ["identity", "toeplitz"])
+@pytest.mark.parametrize("innovation", ["normal", "centered_exponential"])
+@pytest.mark.parametrize("family", list(FAMILY_GAPS))
+def test_one_path_is_the_two_path_generator_bit_for_bit(family, innovation, cov_kind, n, p, gap_q):
+    spec = ModelSpec(family, n, p, innovation=innovation, gap_q=gap_q, cov_kind=cov_kind)
+    for seed in (0, 3, (1, "truth", 7)):
+        got = generate_series(spec, seed).values
+        want = two_path_series(spec, seed).values
+        assert got.shape == want.shape and got.flags.c_contiguous, seed
+        assert got.tobytes() == want.tobytes(), seed
 
 
 class TestMmaCoefficients:

@@ -1475,6 +1475,18 @@ class TestSurrogate:
         assert np.abs(resid.mean(axis=(0, 1))).max() < 0.02 * scale
         assert np.abs(resid).max() > 1e-3 * scale
 
+    @pytest.mark.parametrize("days, shape", [(2, (7,)), (575, (7,)), (40, (21,))])
+    def test_ar1_path_at_zero_is_the_iid_draw(self, days, shape):
+        # the recursion at phi = 0 gives the bits of one i.i.d. draw of the
+        # days after the first, and leaves the stream at the same position
+        rng, reference = derived_stream(days, "ar1"), derived_stream(days, "ar1")
+        path = od._ar1_path(rng, days, shape, 0.15, 0.0)
+        iid = np.empty((days,) + shape)
+        iid[0] = reference.normal(0.0, 0.15, size=shape)
+        iid[1:] = reference.normal(0.0, 0.15, size=(days - 1,) + shape)
+        assert path.tobytes() == iid.tobytes()
+        assert rng.random(4).tobytes() == reference.random(4).tobytes()
+
     def test_validation(self):
         with pytest.raises(InsufficientDataError):
             surrogate_od_dataset(1)
