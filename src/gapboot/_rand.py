@@ -24,14 +24,9 @@ _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
-#: Random values one task must draw to be worth a thread: a row is one
-#: task (``resample._row_workers``), and truth series are grouped into
-#: tasks of at least this many draws (``models.monte_carlo_true_se``).
-_MIN_THREAD_DRAWS = 1 << 19
-
 
 def _entropy(part) -> int:
-    if isinstance(part, (bool, int, np.integer)):
+    if isinstance(part, (int, np.integer)) and not isinstance(part, bool):
         return int(part) & _MASK64
     if isinstance(part, str):
         # Stable across processes, unlike the builtin hash().

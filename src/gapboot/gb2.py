@@ -50,12 +50,12 @@ DEGENERATE_RTOL = 1e-9  # the one degeneracy rule; see _window_correlations
 def default_block_length(m: int) -> int:
     """Rule-of-thumb window length round(2 * m**(1/3)).
 
-    Requires m >= 8; from there the value lies in 2..m-1 (4 at m = 8).
+    Requires an integer m >= 8; from there the value lies in 2..m-1 (4 at m = 8).
 
     >>> default_block_length(575)
     17
     """
-    if m < 8:
+    if _check_int(m, "m") < 8:
         raise InsufficientDataError(f"need at least 8 columns for an automatic window length, got {m}")
     return int(np.floor(2.0 * float(m) ** (1.0 / 3.0) + 0.5))
 

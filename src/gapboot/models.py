@@ -189,11 +189,6 @@ def _slot_phase(p: int) -> np.ndarray:
     return np.cos(t) + np.sin(t)
 
 
-def _parent_length(spec: ModelSpec) -> int:
-    """Length of the stretch the gapped array is cut from, after burn-in."""
-    return (spec.m - 1) * (spec.p + spec.gap_q) + spec.p
-
-
 def generate_series(spec: ModelSpec, seed) -> DataArray:
     """Simulate one gapped array.
 
@@ -210,7 +205,7 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
     # The periodic families' slot-indexed mean needs no parent: the gap
     # only discards i.i.d. noise, so they draw the (m, p) grid directly.
     periodic = spec.family in ("periodic", "mperiodic")
-    shape = (m, p) if periodic else (burn + _parent_length(spec),)
+    shape = (m, p) if periodic else (burn + (m - 1) * (p + q) + p,)
     if spec.d == 1:
         eta = UNIVARIATE_SD * _innovations(rng, spec.innovation, shape)[..., None]
         mean = np.asarray([spec.mu])
@@ -243,6 +238,15 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
     return DataArray(mean + _gap_cut(parent[burn:], m, p, q))
 
 
+def _series_rows(spec: ModelSpec, key: tuple, runs: int, reduce) -> np.ndarray:
+    """``reduce(generate_series(spec, key + (r,)), r)`` stacked over r < runs,
+    one series per task on ``_thread_map``'s ``_rand._WORKERS`` threads.  A
+    task draws from its own keyed stream and returns only its own row, so
+    the result is the same for any thread count."""
+    task = lambda r: reduce(generate_series(spec, key + (r,)), r)
+    return np.stack(_rand._thread_map(task, runs, _rand._WORKERS))
+
+
 def _check_truth_runs(runs: int) -> None:
     if _check_int(runs, "truth_runs") < 100:
         raise ConfigError(f"need at least 100 Monte Carlo runs for a usable truth, got {runs}")
@@ -251,27 +255,16 @@ def _check_truth_runs(runs: int) -> None:
 def monte_carlo_true_se(spec: ModelSpec, estimator: EstimatorSpec, runs: int, seed) -> np.ndarray:
     """Monte Carlo standard error of the estimator under the model, shape (r,).
 
-    Simulates ``runs`` independent arrays (runs >= 100) and reports the
-    componentwise standard deviation (divisor runs - 1) of the estimates.
-    Consecutive runs are grouped into tasks that draw at least
-    ``_MIN_THREAD_DRAWS`` innovations each, and the tasks run on
-    ``_thread_map``'s threads, the caller among them; a single task runs
-    inline.  Each run draws from its own keyed stream and writes only its
-    own row of estimates, so the result is the same for any grouping or
-    thread count.
+    Simulates ``runs`` independent arrays (runs >= 100), run r keyed
+    ``(*seed, "truth", r)``, one per task on all CPUs (``_series_rows``),
+    and reports the componentwise standard deviation (divisor runs - 1)
+    of the estimates.
     """
     _check_truth_runs(runs)
-    base = _key(seed)
-    estimates = np.empty((runs, estimator.dim))
-    draws = (DEFAULT_BURN_IN + _parent_length(spec)) * spec.d
-    size = max(1, -(-_rand._MIN_THREAD_DRAWS // draws))  # runs per task
-
-    def group(g: int) -> None:
-        for r in range(g * size, min(g * size + size, runs)):
-            arr = generate_series(spec, base + ("truth", r))
-            estimates[r] = apply_estimator(estimator, arr.series(), f"truth run {r + 1}")
-
-    _rand._thread_map(group, -(-runs // size), _rand._WORKERS)
+    estimates = _series_rows(
+        spec, _key(seed) + ("truth",), runs,
+        lambda arr, r: apply_estimator(estimator, arr.series(), f"truth run {r + 1}"),
+    )
     return estimates.std(axis=0, ddof=1)
 
 
@@ -281,13 +274,13 @@ def row_mean_spread(spec: ModelSpec, runs: int, seed) -> float:
 
     A quick self-check of the gapped layout: families with a constant
     mean must show row means agreeing within Monte Carlo error, while the
-    periodic families must not.
+    periodic families must not.  Simulates ``runs`` >= 2 arrays (an
+    integer; ConfigError otherwise), run r keyed ``(*seed, "rowcheck", r)``,
+    one per task on all CPUs (``_series_rows``).
     """
-    base = _key(seed)
-    rows = np.empty((runs, spec.p, spec.d))
-    for r in range(runs):
-        arr = generate_series(spec, base + ("rowcheck", r))
-        rows[r] = arr.values.mean(axis=0)
+    if _check_int(runs, "runs") < 2:
+        raise ConfigError(f"need at least 2 runs to compare row means, got {runs}")
+    rows = _series_rows(spec, _key(seed) + ("rowcheck",), runs, lambda arr, r: arr.values.mean(axis=0))
     means = rows.mean(axis=0)
     ses = rows.std(axis=0, ddof=1) / np.sqrt(runs)
     centred = means - means.mean(axis=0, keepdims=True)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -478,7 +479,10 @@ def _window_projections(
 
 
 def _check_nonnegative(name: str, value: float) -> float:
-    """``value`` as a float, if finite and >= 0; ConfigError names ``name``."""
+    """``value`` as a float, if a real number (a bool or a string is not),
+    finite and >= 0; ConfigError names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not (np.isfinite(value) and value >= 0.0):
         raise ConfigError(f"{name} must be finite and >= 0, got {value}")
@@ -505,10 +509,10 @@ class ODFit:
     must be "monte_carlo" (ConfigError otherwise).  ``ridge``,
     for nearly collinear volumes, zero-volume slots and windows under 6
     days, is added to the diagonal of every system's 6x6 origin Gram S
-    (see ``_solve_normal_equations``); it must be finite and >= 0.  A
-    ridge below about S[j, j] / MAX_CONDITION leaves a singular system
-    singular.  When positive, the weights' sum-to-identity check is
-    skipped (the ridge perturbs it by design).
+    (see ``_solve_normal_equations``); it must be a real number, finite
+    and >= 0.  A ridge below about S[j, j] / MAX_CONDITION leaves a
+    singular system singular.  When positive, the weights' sum-to-identity
+    check is skipped (the ridge perturbs it by design).
     """
 
     def __init__(
@@ -708,10 +712,12 @@ def surrogate_od_dataset(
         raise InsufficientDataError(f"need at least 2 days, got {days}")
     if _check_int(slots, "slots") < 1:
         raise ConfigError(f"need at least 1 slot, got {slots}")
-    if not 0.0 <= day_ar < 1.0:
-        raise ConfigError(f"day_ar must lie in [0, 1), got {day_ar}")
-    for name, value in (("noise", noise), ("split_drift", split_drift), ("slot_spread", slot_spread)):
+    for name, value in (
+        ("day_ar", day_ar), ("noise", noise), ("split_drift", split_drift), ("slot_spread", slot_spread)
+    ):
         _check_nonnegative(name, value)
+    if day_ar >= 1.0:
+        raise ConfigError(f"day_ar must lie in [0, 1), got {day_ar}")
     truth = SplitProportions(DEFAULT_SPLIT_THETA)
 
     design_rng = derived_stream(0, "od-profile")

@@ -36,6 +36,11 @@ MAX_EXHAUSTIVE = 1_000_000
 #: sample takes about this many bytes, so memory does not grow with B.
 _CHUNK_BYTES = 4 << 20
 
+#: Indices a row's resamples must hold for its bootstrap to run on all CPUs
+#: (``_row_workers``).  Shorter rows run inline: on the pool they cost CPU
+#: time (+18% on 40 rows of 100 units, B = 1000, on 2 CPUs).
+_MIN_THREAD_DRAWS = 1 << 19
+
 #: A row long enough for the row pool (``_row_workers``) takes a k-th of
 #: this budget per chunk on k > 1 CPUs, pooled or not.  The pool's caller is
 #: one of its k threads; each of the k - 1 threads it starts frees its
@@ -79,8 +84,8 @@ def _resample_count(m: int, config: BootstrapConfig) -> int:
 def _row_workers(m: int, config: BootstrapConfig) -> int:
     """Threads for the bootstraps of rows of ``m`` units: all of
     ``_rand._WORKERS`` when a row's resamples hold at least
-    ``_rand._MIN_THREAD_DRAWS`` indices, one (inline) below that."""
-    return _rand._WORKERS if m * _resample_count(m, config) >= _rand._MIN_THREAD_DRAWS else 1
+    ``_MIN_THREAD_DRAWS`` indices, one (inline) below that."""
+    return _rand._WORKERS if m * _resample_count(m, config) >= _MIN_THREAD_DRAWS else 1
 
 
 def _chunk_ranges(total: int, row_bytes: int, budget: int):

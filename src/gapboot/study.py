@@ -8,10 +8,10 @@ same model.  All randomness is keyed by (seed, cell, run), so results
 are identical for any number of the package's own worker threads and
 any method subset; the BLAS thread count is outside that promise.
 
-A cell's runs go one at a time.  Bootstraps of long rows, and truth
-series grouped into tasks of at least ``_rand._MIN_THREAD_DRAWS``
-innovations, run on all the CPUs the process may use, the calling thread
-among them (``gb1.collect_row_estimates``, ``models.monte_carlo_true_se``).
+A cell's runs go one at a time.  Truth series, one per task, and the
+bootstraps of rows whose resamples hold ``resample._MIN_THREAD_DRAWS``
+indices or more run on all the CPUs the process may use, the calling
+thread among them (``models.monte_carlo_true_se``, ``gb1``'s row pool).
 """
 from __future__ import annotations
 

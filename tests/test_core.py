@@ -22,6 +22,7 @@ from gapboot import (
     collect_row_estimates,
     componentwise_mean_estimator,
     correlation_matrix,
+    default_block_length,
     generate_series,
     iid_bootstrap_variance,
     mean_estimator,
@@ -206,8 +207,16 @@ def _series(seed):
             "stream key parts must be int or str, got 1.5",
         ),
         (
+            lambda: generate_series(ModelSpec("ma2", 24, 4), True),
+            "stream key parts must be int or str, got True",
+        ),
+        (
             lambda: surrogate_od_dataset(20, 3, seed=1.5),
             "stream key parts must be int or str, got 1.5",
+        ),
+        (
+            lambda: surrogate_od_dataset(20, 3, seed=True),
+            "stream key parts must be int or str, got True",
         ),
         (
             lambda: iid_bootstrap_variance(
@@ -215,16 +224,19 @@ def _series(seed):
             ),
             "stream key parts must be int or str, got 1.5",
         ),
+        (lambda: default_block_length(8.5), "m must be an integer, got 8.5"),
     ],
     ids=[
         "build-p-float", "build-p-bool", "surrogate-days", "surrogate-slots", "estimator-dim",
         "row-float", "row-bool", "correlation-row", "exhaustive-replicates", "series-seed",
-        "surrogate-seed", "bootstrap-key",
+        "series-seed-bool", "surrogate-seed", "surrogate-seed-bool", "bootstrap-key",
+        "block-length-count",
     ],
 )
 def test_counts_indices_and_seeds_must_be_integers(call, message):
     # refused as configuration, not passed on to numpy (a bare TypeError or
-    # IndexError), read as row 1 (True) or ignored (exhaustive replicates)
+    # IndexError), read as row 1 or seed 1 (True), ignored (exhaustive
+    # replicates) or rounded (a block length's column count)
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call()
 

@@ -169,7 +169,7 @@ def test_collect_row_estimates_shapes():
 def gate(monkeypatch, on: bool, workers: int = 3):
     """Force the row pool on (``workers`` threads) or off."""
     monkeypatch.setattr(rand_module, "_WORKERS", workers)
-    monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", 0 if on else 1 << 62)
+    monkeypatch.setattr(resample_module, "_MIN_THREAD_DRAWS", 0 if on else 1 << 62)
 
 
 def recording(estimator: EstimatorSpec, threads: set) -> EstimatorSpec:

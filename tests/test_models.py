@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import threading
 
 import numpy as np
@@ -312,9 +313,8 @@ class TestMonteCarloTruth:
         ids=["ar2", "mma", "ar2-contiguous", "mar"],
     )
     def test_threaded_series_equal_serial_series(self, monkeypatch, fast_switching, family, n, p, gap_q):
-        # each series writes only its own row of the shared estimates
+        # each series is one task and returns only its own row of estimates
         spec = ModelSpec(family, n, p, gap_q=gap_q)
-        draws = (DEFAULT_BURN_IN + (spec.m - 1) * (p + spec.gap_q) + p) * spec.d
         generate = models_module.generate_series
         threads = {}
 
@@ -323,20 +323,17 @@ class TestMonteCarloTruth:
             return generate(spec, seed)
 
         monkeypatch.setattr(models_module, "generate_series", recording)
-        monkeypatch.setattr(rand_module, "_WORKERS", 8)
         ses = {}
-        # inline, one series per task, and three series per task
-        for gate in (1 << 62, 0, 3 * draws - 1):
-            monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", gate)
+        for workers in (1, 8):
+            monkeypatch.setattr(rand_module, "_WORKERS", workers)
             threads.clear()
-            ses[gate] = monte_carlo_true_se(spec, mean_estimator(), runs=120, seed=(4, "truth"))
+            ses[workers] = monte_carlo_true_se(spec, mean_estimator(), runs=120, seed=(4, "truth"))
             used = set(threads.values())
-            if gate == 1 << 62:
+            assert sorted(threads) == list(range(120))
+            if workers == 1:
                 assert used == {threading.main_thread()}
             else:
                 assert len(used) >= 2 and threading.main_thread() in used
-        # a group of three runs on one thread
-        assert all(threads[r] == threads[r - r % 3] for r in range(120))
         estimates = [
             apply_estimator(mean_estimator(), generate(spec, (4, "truth", "truth", r)).series())
             for r in range(120)
@@ -348,3 +345,23 @@ class TestMonteCarloTruth:
 def test_row_mean_spread_flags_periodic():
     assert row_mean_spread(ModelSpec("ar2", 120, 4), runs=150, seed=0) < 4.5
     assert row_mean_spread(ModelSpec("periodic", 120, 4), runs=150, seed=0) > 10.0
+
+
+def test_row_mean_spread_is_thread_invariant(monkeypatch):
+    spec = ModelSpec("mma", 120, 4)
+    spreads = []
+    for workers in (1, 8):
+        monkeypatch.setattr(rand_module, "_WORKERS", workers)
+        spreads.append(row_mean_spread(spec, runs=50, seed=(2, "chk")))
+    assert spreads[0] == spreads[1]
+
+
+@pytest.mark.parametrize(
+    "runs, message",
+    [(1, "need at least 2 runs to compare row means, got 1"), (1.5, "runs must be an integer, got 1.5")],
+    ids=["one", "float"],
+)
+def test_row_mean_spread_needs_two_integer_runs(runs, message):
+    # one run gave NaN and RuntimeWarnings, 1.5 numpy's bare TypeError
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        row_mean_spread(ModelSpec("ma2", 24, 4), runs=runs, seed=0)

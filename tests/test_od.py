@@ -1005,7 +1005,15 @@ class TestFit:
                 call()
         assert slot_draws == []
         config = BootstrapConfig(replicates=50, seed=1)
-        assert np.isfinite(od_standard_errors(dataset, 5, config, ridge=0.5)[2]).all()
+        with pytest.warns(FewRowsWarning):  # GB-I on 3 slots
+            assert np.isfinite(od_standard_errors(dataset, 5, config, ridge=0.5)[2]).all()
+
+    @pytest.mark.parametrize("ridge", [True, "1.5", "abc", None], ids=["bool", "numeric-str", "str", "none"])
+    def test_ridge_must_be_a_real_number(self, ridge):
+        # not read as 1.0 (True) or 1.5, nor a bare ValueError or TypeError
+        dataset, _ = surrogate_od_dataset(15, slots=3, seed=1)
+        with pytest.raises(ConfigError, match=f"^ridge must be a real number, got {re.escape(repr(ridge))}$"):
+            ODFit(dataset, ridge=ridge)
 
     def test_automatic_window_needs_eight_days(self, slot_draws):
         dataset, _ = surrogate_od_dataset(7, slots=5, seed=1)
@@ -1505,4 +1513,11 @@ class TestSurrogate:
     @pytest.mark.parametrize("name", ["noise", "split_drift", "slot_spread"])
     def test_non_finite_scale_is_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be finite and >= 0, got {value}"):
+            surrogate_od_dataset(10, **{name: value})
+
+    @pytest.mark.parametrize("value", [True, "0.1", "abc", None], ids=["bool", "numeric-str", "str", "none"])
+    @pytest.mark.parametrize("name", ["day_ar", "noise", "split_drift", "slot_spread"])
+    def test_scale_must_be_a_real_number(self, name, value):
+        # not read as 1.0 (True), nor failing later with a bare TypeError
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
             surrogate_od_dataset(10, **{name: value})

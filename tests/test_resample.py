@@ -230,7 +230,7 @@ def test_chunk_budget_follows_the_row(monkeypatch, workers, replicates, pooled):
     m, p = 40, 3
     values = np.random.default_rng(8).standard_normal(m * p)
     monkeypatch.setattr(rand_module, "_WORKERS", workers)
-    monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", 4000)
+    monkeypatch.setattr(resample_module, "_MIN_THREAD_DRAWS", 4000)
     monkeypatch.setattr(resample_module, "_POOL_CHUNK_BYTES", 2 * 10 * m * 8)
     chunk = 10 if pooled else replicates
     expected = [chunk] * (replicates // chunk)

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import gapboot._rand as rand_module
+import gapboot.resample as resample_module
 from gapboot import models as models_module
 from gapboot import study as study_module
 from gapboot import (
@@ -103,8 +104,8 @@ class TestRunStudy:
             assert cell.mse(method) >= 0
 
     def test_deterministic_and_thread_invariant(self, tmp_path, monkeypatch):
-        # the row and truth pools forced on (3 workers) and off, as in
-        # test_gb1's gate; ``threads`` holds the threads the estimator runs on
+        # every pool on (3 workers, the row gate at 0) and off (one worker);
+        # ``threads`` holds the threads the estimator runs on
         threads = set()
         mean = study_module.mean_estimator()
 
@@ -114,11 +115,11 @@ class TestRunStudy:
 
         recording = EstimatorSpec(mean.name, mean.dim, evaluate)
         monkeypatch.setattr(study_module, "mean_estimator", lambda: recording)
-        monkeypatch.setattr(rand_module, "_WORKERS", 3)
+        monkeypatch.setattr(resample_module, "_MIN_THREAD_DRAWS", 0)
         config = tiny_config(runs=10)
         results = {}
         for on in (False, True):
-            monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", 0 if on else 1 << 62)
+            monkeypatch.setattr(rand_module, "_WORKERS", 3 if on else 1)
             threads.clear()
             results[on] = run_study(config)
             # the caller is one of the pool's threads

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import gapboot._rand as rand_module
+import gapboot.resample as resample_module
 from gapboot import cli
 
 PERFBENCH = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -57,7 +58,7 @@ def test_rows_on_the_row_pool_record_their_bootstraps(tmp_path, capsys, monkeypa
     # Every row runs on the row pool; collect_row_estimates must still
     # reach iid_bootstrap_variance by name for its calls to be traced.
     monkeypatch.setattr(rand_module, "_WORKERS", 2)
-    monkeypatch.setattr(rand_module, "_MIN_THREAD_DRAWS", 0)
+    monkeypatch.setattr(resample_module, "_MIN_THREAD_DRAWS", 0)
     recorder = traced([
         "simulate", "--model", "ar2", "--dist", "normal", "--n", "100", "--p", "5",
         "--methods", "gb1", "--runs", "2", "--truth-runs", "100", "--replicates", "20",
