@@ -19,7 +19,7 @@ from .core import (
     apply_estimator_batch,
 )
 from .errors import BoundsError, ConfigError
-from .resample import BootstrapConfig, _resample_estimates, _spread, _window_estimates
+from .resample import BootstrapConfig, _block_estimates, _resample_estimates, _spread, _window_estimates
 
 __all__ = [
     "block_bootstrap_variance",
@@ -37,8 +37,8 @@ def subsampling_variance(array: DataArray, estimator: EstimatorSpec, ell: int) -
     window-level sampling variability to full-sample size.
     """
     _check_window(ell, array.m)
-    full = apply_estimator(estimator, array.series(), "full series")
     theta = _window_estimates(array.values, estimator, ell, "subsampling windows")
+    full = apply_estimator(estimator, array.series(), "full series")
     dev = theta - full
     cov = dev.T @ dev / len(theta)
     return VarianceEstimate(matrix=(ell * array.p / array.n) * cov)
@@ -64,7 +64,8 @@ def block_bootstrap_variance(
         raise BoundsError(f"block length {ell} outside 1..{array.m - 1}")
     if config.mode != "monte_carlo":
         raise ConfigError(f"the block bootstrap draws its resamples; mode {config.mode!r} is not supported")
-    theta = _resample_estimates(array.values, estimator, config, ("block_bootstrap",), ell)
+    replicates = _resample_estimates if estimator.finish is None else _block_estimates
+    theta = replicates(array.values, estimator, config, ("block_bootstrap",), ell)
     return VarianceEstimate(matrix=_spread(theta))
 
 

@@ -159,15 +159,31 @@ class EstimatorSpec:
     >>> est = EstimatorSpec("trimmed_mean", 1, trimmed_mean)
     >>> apply_estimator(est, np.array([[1.0], [2.0], [3.0], [100.0]]))
     array([2.5])
+
+    A linear estimator may also give the optional pair ``statistic`` and
+    ``finish``.  ``statistic`` maps observations, shape (..., d), to their
+    statistics, shape (..., q), each observation on its own; ``finish``
+    maps the (B, q) sums of the statistics of B samples, and the shape
+    (k, d) of one sample, to the B estimates, shape (B, r).  Then
+    ``finish(statistic(stack).sum(axis=1), stack.shape[1:])`` must equal
+    ``evaluate(stack)`` to rounding, for every stack.  The block bootstrap
+    and the window estimates of such an estimator add up block sums of the
+    statistics instead of gathering each sample, so their results agree
+    with ``evaluate``'s only to rounding.  The mean and the componentwise
+    mean have the pair; the median and the pooled variance do not.
     """
 
     name: str
     dim: int
     evaluate: Callable[[np.ndarray], np.ndarray]
+    statistic: Callable[[np.ndarray], np.ndarray] | None = None
+    finish: Callable[[np.ndarray, tuple], np.ndarray] | None = None
 
     def __post_init__(self):
         if _check_int(self.dim, "estimator dim") < 1:
             raise DimensionError(f"estimator dim must be >= 1, got {self.dim}")
+        if (self.statistic is None) != (self.finish is None):
+            raise ConfigError(f"estimator '{self.name}' needs both statistic and finish, or neither")
 
 
 def apply_estimator(estimator: EstimatorSpec, sample: np.ndarray, where: str = "sample") -> np.ndarray:
@@ -183,9 +199,17 @@ def apply_estimator_batch(estimator: EstimatorSpec, stack: np.ndarray, where: st
     ``where`` naming the offending input (row index, window, ...); so are
     outputs of the wrong shape or with non-finite values.
     """
-    B = stack.shape[0]
+    return _checked(estimator, where, estimator.evaluate, stack)
+
+
+def _checked(estimator: EstimatorSpec, where: str, fn: Callable, batch: np.ndarray, *args) -> np.ndarray:
+    """``fn(batch, *args)``, the estimates of the B = ``len(batch)`` samples
+    that ``batch`` stands for, as a (B, r) array: ``evaluate`` on their
+    stack, or ``finish`` on their statistics' sums and their shape.  Errors
+    and wrong or non-finite output raise EvaluationError naming ``where``."""
+    B = batch.shape[0]
     try:
-        out = np.asarray(estimator.evaluate(stack), dtype=np.float64)
+        out = np.asarray(fn(batch, *args), dtype=np.float64)
     except Exception as exc:  # noqa: BLE001 - wrapping is the contract
         raise EvaluationError(f"estimator '{estimator.name}' failed on {where}: {exc}") from exc
     if out.shape == (B,) and estimator.dim == 1:
@@ -205,17 +229,27 @@ def apply_estimator_batch(estimator: EstimatorSpec, stack: np.ndarray, where: st
 # ---------------------------------------------------------------------------
 
 def mean_estimator() -> EstimatorSpec:
-    """Grand mean of all coordinates of all observations (r = 1)."""
+    """Grand mean of all coordinates of all observations (r = 1); its
+    statistic is an observation's coordinate sum."""
     return EstimatorSpec(
         name="mean",
         dim=1,
         evaluate=lambda s: s.reshape(s.shape[0], -1).mean(axis=1),
+        statistic=lambda x: x.sum(axis=-1, keepdims=True),
+        finish=lambda sums, shape: sums / (shape[0] * shape[1]),
     )
 
 
 def componentwise_mean_estimator(d: int) -> EstimatorSpec:
-    """Mean vector of d-dimensional observations (r = d)."""
-    return EstimatorSpec(name="componentwise_mean", dim=d, evaluate=lambda s: s.mean(axis=1))
+    """Mean vector of d-dimensional observations (r = d); its statistic is
+    the observation itself."""
+    return EstimatorSpec(
+        name="componentwise_mean",
+        dim=d,
+        evaluate=lambda s: s.mean(axis=1),
+        statistic=lambda x: x,
+        finish=lambda sums, shape: sums / shape[0],
+    )
 
 
 def pooled_variance_estimator() -> EstimatorSpec:

@@ -106,8 +106,8 @@ def subseries_estimates(array: DataArray, estimator: EstimatorSpec, ell: int) ->
     full = np.empty((array.p, estimator.dim))
     for j in range(1, array.p + 1):
         row = array.row(j)
-        full[j - 1] = apply_estimator(estimator, row, f"row {j}")
         grid[:, j - 1, :] = _window_estimates(row, estimator, ell, f"row {j} windows")
+        full[j - 1] = apply_estimator(estimator, row, f"row {j}")
     return SubseriesEstimates(grid=grid, full_estimates=full)
 
 

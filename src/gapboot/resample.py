@@ -8,19 +8,22 @@ be enumerated exhaustively, which removes all Monte Carlo error.
 
 ``_resamples`` is the one source of resamples: it alone derives a
 bootstrap stream, draws or enumerates the indices and sizes their
-chunks.  The row bootstrap and the moving-block bootstrap (columns in
-blocks of ell) gather and evaluate its chunks; the OD slot bootstrap
-turns them into day counts.  All three report the same ``_spread``.
+chunks.  The row bootstrap gathers and evaluates its chunks; so does the
+moving-block bootstrap (columns in blocks of ell), unless the estimator
+has a ``statistic`` / ``finish`` pair, when it adds up ``_block_sums``.
+The OD slot bootstrap turns the chunks into day counts.  All three
+report the same ``_spread``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _rand
 from ._rand import derived_stream
-from .core import EstimatorSpec, VarianceEstimate, _check_int, apply_estimator_batch
+from .core import EstimatorSpec, VarianceEstimate, _check_int, _checked, apply_estimator_batch
 from .errors import ConfigError, InsufficientDataError
 
 __all__ = [
@@ -96,18 +99,41 @@ def _chunk_ranges(total: int, row_bytes: int, budget: int):
         yield lo, min(lo + step, total)
 
 
+def _block_sums(units: np.ndarray, estimator: EstimatorSpec, ell: int, cut: int = 0):
+    """Sums of the estimator's statistics over the blocks of ell consecutive
+    units of ``units`` (m, ..., d), shape (m - ell + 1, q), one per start;
+    with ``cut`` > 0, also the sums over the first ``cut`` units of each
+    block.  Each is a sliding-window sum of the units' own sums, its terms
+    added in order; differences of cumulative sums would cancel."""
+    t = estimator.statistic(units)
+    if t.ndim > 2:
+        t = t.reshape(len(t), -1, t.shape[-1]).sum(axis=1)
+    full = sliding_window_view(t, ell, axis=0).sum(axis=-1)
+    if not cut:
+        return full
+    return full, sliding_window_view(t[: len(t) - ell + cut], cut, axis=0).sum(axis=-1)
+
+
 def _window_estimates(values: np.ndarray, estimator: EstimatorSpec, ell: int, label: str) -> np.ndarray:
     """Estimates on the m - ell + 1 windows of ell consecutive entries of
     ``values`` along axis 0, shape (m - ell + 1, r), each window's entries
     flattened in order to one (k, d) sample.  The windows stay views,
-    evaluated in ``_chunk_ranges`` chunks labelled ``label lo+1..hi``."""
-    windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(values, ell, axis=0), -1, 1)
-    count, d = windows.shape[0], values.shape[-1]
+    evaluated in ``_chunk_ranges`` chunks labelled ``label lo+1..hi``; an
+    estimator with the ``statistic`` / ``finish`` pair finishes the same
+    chunks of its ``_block_sums`` instead."""
+    count, d = len(values) - ell + 1, values.shape[-1]
+    shape = (ell * values[0].size // d, d)
+    if estimator.finish is None:
+        windows = np.moveaxis(sliding_window_view(values, ell, axis=0), -1, 1)
+    else:
+        sums = _block_sums(values, estimator, ell)
     out = np.empty((count, estimator.dim))
-    for lo, hi in _chunk_ranges(count, windows[0].nbytes, _CHUNK_BYTES):
-        out[lo:hi] = apply_estimator_batch(
-            estimator, windows[lo:hi].reshape(hi - lo, -1, d), f"{label} {lo + 1}..{hi}"
-        )
+    for lo, hi in _chunk_ranges(count, ell * values[0].nbytes, _CHUNK_BYTES):
+        where = f"{label} {lo + 1}..{hi}"
+        if estimator.finish is None:
+            out[lo:hi] = apply_estimator_batch(estimator, windows[lo:hi].reshape(hi - lo, *shape), where)
+        else:
+            out[lo:hi] = _checked(estimator, where, estimator.finish, sums[lo:hi], shape)
     return out
 
 
@@ -123,25 +149,24 @@ def _as_sample(sample) -> np.ndarray:
 
 
 def _draw(rng: np.random.Generator, n: int, m: int, ell: int = 1) -> np.ndarray:
-    """Unit indices of n resamples, shape (n, m): ceil(m / ell) uniform block
-    starts on 0..m - ell, each expanded to ell consecutive units, cut to m.
-    At ell = 1 this is ``rng.integers(0, m, size=(n, m))`` itself."""
-    starts = rng.integers(0, m - ell + 1, size=(n, -(-m // ell)), dtype=np.int64)
-    if ell == 1:
-        return starts
-    return (starts[:, :, None] + np.arange(ell)).reshape(n, -1)[:, :m]
+    """Block starts of n resamples of m units, shape (n, ceil(m / ell)),
+    uniform on 0..m - ell; a resample is its blocks of ell consecutive
+    units, cut to m.  At ell = 1 the starts are the unit indices,
+    ``rng.integers(0, m, size=(n, m))`` itself."""
+    return rng.integers(0, m - ell + 1, size=(n, -(-m // ell)), dtype=np.int64)
 
 
 def _resamples(m: int, config: BootstrapConfig, key: tuple, row_bytes: int, budget: int, ell: int = 1):
     """Yield ``(lo, hi, idx)`` for the resamples of ``m`` units, each taking
     ``row_bytes``, in ``_chunk_ranges`` chunks of about ``budget`` bytes:
-    ``idx`` holds the unit indices of resamples lo..hi - 1, shape (hi - lo, m).
+    ``idx`` holds the block starts of resamples lo..hi - 1, shape
+    (hi - lo, ceil(m / ell)), which at ell = 1 are their unit indices.
 
     In Monte Carlo mode the chunks are consecutive ``_draw`` calls, in
     blocks of ell, on the ``(seed, *key)`` stream, which concatenate to
-    one (B, m) draw.  In exhaustive mode resample b is the base-m digits
-    of b, so the m**m resamples run in lexicographic order; past
-    ``MAX_EXHAUSTIVE`` they are refused with ConfigError.
+    one (B, ceil(m / ell)) draw.  In exhaustive mode resample b is the
+    base-m digits of b, so the m**m resamples run in lexicographic order;
+    past ``MAX_EXHAUSTIVE`` they are refused with ConfigError.
     """
     total = _resample_count(m, config)
     if config.mode == "exhaustive":
@@ -174,9 +199,30 @@ def _resample_estimates(
     # gathered chunk lets malloc return both to the OS, and the page faults
     # that follow double the cost of a chunk.
     for lo, hi, idx in _resamples(m, config, key, units.nbytes, budget, ell):
+        if ell > 1:
+            idx = (idx[:, :, None] + np.arange(ell)).reshape(hi - lo, -1)[:, :m]
         out[lo:hi] = apply_estimator_batch(
             estimator, units.take(idx, axis=0).reshape(hi - lo, -1, d), f"{label} {lo + 1}..{hi}"
         )
+    return out
+
+
+def _block_estimates(units: np.ndarray, estimator: EstimatorSpec, config, key: tuple, ell: int) -> np.ndarray:
+    """The moving-block bootstrap's replicates, as ``_resample_estimates``
+    gives them, of an estimator with the ``statistic`` / ``finish`` pair.
+    Each replicate finishes the sum of its k - 1 full blocks and its cut
+    last block, read from ``_block_sums``, so it gathers k = ceil(m / ell)
+    block sums instead of its m units.  It reads ``_resamples`` with the
+    stream and chunks of the gather path."""
+    m, d = units.shape[0], units.shape[-1]
+    k = -(-m // ell)
+    full, cut = _block_sums(units, estimator, ell, m - (k - 1) * ell)
+    label = " ".join(str(part) for part in (*key, "resamples"))
+    shape = (units.size // d, d)
+    out = np.empty((config.replicates, estimator.dim))
+    for lo, hi, starts in _resamples(m, config, key, units.nbytes, _CHUNK_BYTES, ell):
+        sums = full[starts[:, :-1]].sum(axis=1) + cut[starts[:, -1]]
+        out[lo:hi] = _checked(estimator, f"{label} {lo + 1}..{hi}", estimator.finish, sums, shape)
     return out
 
 

@@ -7,6 +7,7 @@ from gapboot import (
     BootstrapConfig,
     BoundsError,
     ConfigError,
+    DataArray,
     EstimatorSpec,
     EvaluationError,
     VarianceEstimate,
@@ -34,14 +35,39 @@ def _spread(theta):
     return VarianceEstimate(dev.T @ dev / theta.shape[0]).matrix
 
 
-def _block_table(m, ell, reps, seed):
-    """The whole (B, m) column table of the moving-block bootstrap: one
-    (B, ceil(m / ell)) draw of block starts, each expanded to ell columns
-    and cut to m."""
-    nblocks = -(-m // ell)
+#: Bound on a linear estimator's variance against the gather-and-evaluate
+#: reference, relative to its largest entry.  The block-sum path adds each
+#: estimate's terms in another order, which moves the estimate by a few
+#: units of roundoff of the data; centring the estimates magnifies that in
+#: the variance (to 28 eps at most in the cases below).
+LINEAR_RTOL = 128 * np.finfo(float).eps
+
+
+def _assert_matches(est, got, ref):
+    """An estimator without the statistic / finish pair bit for bit, one
+    with it within LINEAR_RTOL."""
+    if est.finish is None:
+        assert_array_equal(got, ref)
+    else:
+        assert np.abs(got - ref).max() <= LINEAR_RTOL * np.abs(ref).max()
+
+
+def _evaluate_only(est):
+    """The estimator without its statistic / finish pair."""
+    return EstimatorSpec(est.name, est.dim, est.evaluate)
+
+
+def _block_starts(m, ell, reps, seed):
+    """The moving-block bootstrap's one (B, ceil(m / ell)) draw of block starts."""
     rng = derived_stream(seed, "block_bootstrap")
-    starts = rng.integers(0, m - ell + 1, size=(reps, nblocks), dtype=np.int64)
-    return (starts[:, :, None] + np.arange(ell)).reshape(reps, nblocks * ell)[:, :m]
+    return rng.integers(0, m - ell + 1, size=(reps, -(-m // ell)), dtype=np.int64)
+
+
+def _block_table(m, ell, reps, seed):
+    """The whole (B, m) column table of the moving-block bootstrap: its
+    block starts, each expanded to ell columns and cut to m."""
+    starts = _block_starts(m, ell, reps, seed)
+    return (starts[:, :, None] + np.arange(ell)).reshape(reps, -1)[:, :m]
 
 
 def _block_reference(array, estimator, ell, config):
@@ -81,11 +107,12 @@ class TestSubsampling:
         ]
         assert np.median(vals) == pytest.approx(1.0 / n, rel=0.10)
 
-    @pytest.mark.parametrize("m, d", [(7, 1), (101, 3)])
-    def test_matches_stacked_column_blocks(self, monkeypatch, m, d):
+    @pytest.mark.parametrize(
+        "m, d, ell", [(7, 1, 3), (101, 3, 3), (7, 1, 2), (7, 3, 6), (100, 3, 10), (100, 1, 99)]
+    )
+    def test_matches_stacked_column_blocks(self, monkeypatch, m, d, ell):
         # Chunks of 3 windows split the I windows at odd counts.
         arr = build_data_array(np.random.default_rng(m).standard_normal((m * 4, d)), p=4)
-        ell = 3
         monkeypatch.setattr(resample_module, "_CHUNK_BYTES", 3 * ell * 4 * d * 8)
         # window i is columns i..i+ell-1 of the grid in series order
         windows = np.stack([arr.values[i : i + ell].reshape(ell * 4, d) for i in range(m - ell + 1)])
@@ -93,9 +120,20 @@ class TestSubsampling:
             theta = apply_estimator_batch(est, windows)
             dev = theta - apply_estimator(est, arr.series())
             ref = (ell * 4 / arr.n) * (dev.T @ dev / windows.shape[0])
-            assert_array_equal(
-                subsampling_variance(arr, est, ell).matrix, VarianceEstimate(ref).matrix
-            )
+            _assert_matches(est, subsampling_variance(arr, est, ell).matrix, VarianceEstimate(ref).matrix)
+
+    def test_non_finite_data_names_the_windows(self, monkeypatch):
+        # column 5 holds an inf: windows 3..5 of 3 columns hold it, and the
+        # chunks of 2 windows fail first at 3..4, on either path
+        values = np.random.default_rng(2).standard_normal((12, 2, 1))
+        values[4, 1, 0] = np.inf
+        arr = DataArray(values)
+        monkeypatch.setattr(resample_module, "_CHUNK_BYTES", 2 * 3 * 2 * 8)
+        for est in (mean_estimator(), _evaluate_only(mean_estimator())):
+            with pytest.raises(
+                EvaluationError, match=r"'mean' returned non-finite values on subsampling windows 3\.\.4$"
+            ):
+                subsampling_variance(arr, est, 3)
 
 
 class TestBlockBootstrap:
@@ -151,23 +189,38 @@ class TestBlockBootstrap:
         ]
         assert np.median(vals) == pytest.approx(1.0 / n, rel=0.10)
 
-    @pytest.mark.parametrize("m, d, rows", [(7, 1, 3), (101, 3, 5), (101, 1, 41)])
+    @pytest.mark.parametrize("m, d, rows", [(7, 1, 3), (101, 3, 5), (101, 1, 41), (100, 3, 7)])
     def test_chunked_matches_whole_column_table(self, monkeypatch, m, d, rows):
+        # blocks that fit m exactly (ell = 1, and 2, 4, 5 at m = 100) and
+        # ragged ones, up to ell = m - 1
         arr = build_data_array(np.random.default_rng(m + d).standard_normal((m * 3, d)), p=3)
         monkeypatch.setattr(resample_module, "_CHUNK_BYTES", rows * arr.values.nbytes + 5)
         cfg = BootstrapConfig(replicates=250, seed=12)
         for est in _estimators(d):
-            for ell in (1, 2, 4):
+            for ell in (1, 2, 4, 5, m - 1):
                 got = block_bootstrap_variance(arr, est, ell, cfg)
-                assert_array_equal(got.matrix, _block_reference(arr, est, ell, cfg))
+                _assert_matches(est, got.matrix, _block_reference(arr, est, ell, cfg))
 
     @pytest.mark.parametrize("m, ell", [(10, 3), (12, 4), (101, 7), (5, 4)])
     def test_chunked_draws_concatenate_to_the_column_table(self, m, ell):
         # the shared draw, called chunk by chunk on one stream, gives the
-        # rows of the one-draw table, ragged last block included
+        # rows of the one-draw table of block starts, ragged last block included
         rng = derived_stream(12, "block_bootstrap")
         chunks = [resample_module._draw(rng, n, m, ell) for n in (3, 1, 50, 7)]
-        assert_array_equal(np.concatenate(chunks), _block_table(m, ell, 61, 12))
+        assert_array_equal(np.concatenate(chunks), _block_starts(m, ell, 61, 12))
+
+    def test_non_finite_data_names_the_resamples(self, monkeypatch):
+        # the block sums fail on the same chunk of 20 resamples as the
+        # gathered resamples do
+        values = np.random.default_rng(4).standard_normal((30, 2, 1))
+        values[17, 0, 0] = np.inf
+        arr = DataArray(values)
+        monkeypatch.setattr(resample_module, "_CHUNK_BYTES", 20 * arr.values.nbytes)
+        for est in (mean_estimator(), _evaluate_only(mean_estimator())):
+            with pytest.raises(
+                EvaluationError, match=r"'mean' returned non-finite values on block_bootstrap resamples 1\.\.20$"
+            ):
+                block_bootstrap_variance(arr, est, 3, BootstrapConfig(replicates=50, seed=2))
 
     def test_evaluation_error_names_the_block_resamples(self, monkeypatch):
         # the block bootstrap evaluates nothing but its resamples, so the
@@ -194,6 +247,14 @@ class TestBlockBootstrap:
         ]
         assert abs(peaks[1] - peaks[0]) <= resample_module._CHUNK_BYTES
         assert max(peaks) < 16 << 20
+
+    def test_mean_reads_block_sums_not_resamples(self, traced_peak):
+        # a replicate of the mean gathers its ceil(m / ell) block sums, not
+        # its m p values: the 4 MiB chunks of gathered values never form
+        arr = build_data_array(np.random.default_rng(5).standard_normal(50_000), p=5)
+        for B in (200, 2000):
+            assert traced_peak(lambda: block_bootstrap_variance(
+                arr, mean_estimator(), 43, BootstrapConfig(replicates=B, seed=1))) < 1 << 20
 
 
 class TestNaiveColumn:

@@ -157,6 +157,49 @@ class TestEstimators:
             verify_linearity(array, est)
 
 
+class TestStatisticFinishPair:
+    """``finish(statistic(stack).sum(axis=1), stack.shape[1:])`` against
+    ``evaluate(stack)`` for each built-in that has the pair.  At d = 1 the
+    two add the same terms in the same order, so they agree bit for bit.
+    At d = 3 the mean adds each observation's coordinates first; it then
+    agrees within PAIR_ULPS units of roundoff of the mean absolute value;
+    300 random stacks of k = 1..199 came within 2.5."""
+
+    PAIR_ULPS = 8
+
+    @staticmethod
+    def _pair(est, stack):
+        return est.finish(est.statistic(stack).sum(axis=1), stack.shape[1:])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("factory", [mean_estimator, componentwise_mean_estimator])
+    def test_pair_matches_evaluate(self, factory, d):
+        est = factory(d) if factory is componentwise_mean_estimator else factory()
+        rng = np.random.default_rng(d)
+        for k in (1, 2, 7, 8, 9, 128, 129, 500):
+            stack = rng.standard_normal((6, k, d)) + rng.uniform(-3.0, 3.0)
+            ref = apply_estimator_batch(est, stack)
+            got = self._pair(est, stack)
+            assert got.shape == ref.shape
+            if d == 1:
+                assert_array_equal(got, ref)
+            else:
+                scale = np.abs(stack).mean(axis=(1, 2))[:, None]
+                assert (np.abs(got - ref) <= self.PAIR_ULPS * np.finfo(float).eps * scale).all()
+
+    @pytest.mark.parametrize("factory", [median_estimator, pooled_variance_estimator])
+    def test_non_linear_estimators_have_no_pair(self, factory):
+        est = factory()
+        assert est.statistic is None and est.finish is None
+
+    def test_half_a_pair_is_refused(self):
+        mean = mean_estimator()
+        with pytest.raises(ConfigError, match="'half' needs both statistic and finish"):
+            EstimatorSpec("half", 1, mean.evaluate, statistic=mean.statistic)
+        with pytest.raises(ConfigError, match="'half' needs both statistic and finish"):
+            EstimatorSpec("half", 1, mean.evaluate, finish=mean.finish)
+
+
 @pytest.mark.parametrize("ell", [4.5, 6.0, True])
 @pytest.mark.parametrize(
     "call",

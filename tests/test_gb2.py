@@ -6,6 +6,7 @@ import gapboot.resample as resample_module
 from gapboot import (
     BoundsError,
     ConsistencyError,
+    DataArray,
     DegenerateCorrelationError,
     EstimatorSpec,
     EvaluationError,
@@ -28,6 +29,11 @@ from gapboot import (
     sym_sqrt,
 )
 from gapboot.gb2 import _gb2_combine, _window_correlations
+
+
+#: Bound, in units of roundoff of a row's mean absolute value, on a
+#: d > 1 mean's window estimates against evaluating each window.
+WINDOW_ULPS = 8
 
 
 class TestDefaultBlockLength:
@@ -66,11 +72,17 @@ class TestSubseriesEstimates:
         with pytest.raises(BoundsError):
             subseries_estimates(arr, mean_estimator(), ell=ell)
 
-    @pytest.mark.parametrize("m, d", [(7, 1), (101, 3)])
-    def test_chunked_matches_stacked_windows(self, monkeypatch, m, d):
+    @pytest.mark.parametrize(
+        "m, d, ell", [(7, 1, 3), (101, 3, 3), (7, 3, 2), (7, 1, 6), (100, 1, 10), (100, 3, 99)]
+    )
+    def test_chunked_matches_stacked_windows(self, monkeypatch, m, d, ell):
         # Chunks of 3 windows split each row's I windows at odd counts.
+        # The mean and the componentwise mean read window sums of their
+        # statistics: at d = 1 these add a window's values in the order its
+        # evaluation does, bit for bit; at d = 3 the mean adds each
+        # observation's coordinates first, and comes within WINDOW_ULPS
+        # units of roundoff of the row's mean absolute value.
         arr = build_data_array(np.random.default_rng(m).standard_normal((m * 4, d)), p=4)
-        ell = 3
         monkeypatch.setattr(resample_module, "_CHUNK_BYTES", 3 * ell * d * 8)
         estimators = [mean_estimator(), median_estimator(), pooled_variance_estimator(),
                       componentwise_mean_estimator(d)]
@@ -79,8 +91,26 @@ class TestSubseriesEstimates:
             for j in range(1, 5):
                 row = arr.row(j)
                 windows = np.stack([row[i : i + ell] for i in range(m - ell + 1)])
-                assert_array_equal(sub.grid[:, j - 1], apply_estimator_batch(est, windows))
+                ref = apply_estimator_batch(est, windows)
+                if est.finish is None or d == 1:
+                    assert_array_equal(sub.grid[:, j - 1], ref)
+                else:
+                    bound = WINDOW_ULPS * np.finfo(float).eps * np.abs(row).mean()
+                    assert np.abs(sub.grid[:, j - 1] - ref).max() <= bound
                 assert_array_equal(sub.full_estimates[j - 1], apply_estimator(est, row))
+
+    def test_non_finite_data_names_the_row_windows(self, monkeypatch):
+        # row 2 holds an inf in column 5: its windows 3..5 of 3 columns
+        # hold it, and chunks of 2 windows fail first at 3..4, on either path
+        values = np.random.default_rng(3).standard_normal((12, 2, 1))
+        values[4, 1, 0] = np.inf
+        monkeypatch.setattr(resample_module, "_CHUNK_BYTES", 2 * 3 * 8)
+        mean = mean_estimator()
+        for est in (mean, EstimatorSpec(mean.name, mean.dim, mean.evaluate)):
+            with pytest.raises(
+                EvaluationError, match=r"'mean' returned non-finite values on row 2 windows 3\.\.4$"
+            ):
+                subseries_estimates(DataArray(values), est, ell=3)
 
     def test_window_labels_name_the_chunk(self, monkeypatch):
         def fail_on_nine(stack):  # in a window of 3; the full row passes
