@@ -29,8 +29,10 @@ filter and the cut and draw the grid itself.
 ``ma2`` is a finite filter, ``np.convolve([1, b1, b2], eps)`` cut to the
 parent's length: the call ``scipy.signal.lfilter`` makes for a filter
 with denominator ``[1]``, so the bits are lfilter's.  ``ar2``'s feedback
-recursion cannot be vectorised bit for bit, so it keeps ``lfilter``,
-imported in its branch: importing this module loads nothing from scipy.
+recursion runs in numpy by blocks of steps (``_ar2_filter``).  It is
+lfilter's map summed in another order, so its series agree with
+lfilter's to a few ulps of their largest value, not bit for bit.  No
+module of gapboot imports scipy.
 """
 from __future__ import annotations
 
@@ -69,6 +71,55 @@ MAR_TRANSITION = (
 #: x_t = e_t + b1 e_{t-1} + b2 e_{t-2}, with (a1, a2) and (b1, b2) these.
 AR_COEFFICIENTS = (0.8, 0.1)
 MA_COEFFICIENTS = (0.3, 0.5)
+
+#: Steps per block of ``_ar2_filter``.
+_AR2_BLOCK = 64
+
+
+def _ar2_kernels(a1: float, a2: float, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (block, block) lower-triangular Toeplitz matrix of the AR(2)
+    impulse response h (entry (i, j) is h_{i-j}) and the (block, 2)
+    response of a block's steps to the state (y_{-1}, y_{-2}) it starts
+    from, which is (h_{i+1}, a2 h_i) at step i."""
+    h = np.empty(block + 1)
+    h[0], h[1] = 1.0, a1
+    for k in range(2, block + 1):
+        h[k] = a1 * h[k - 1] + a2 * h[k - 2]
+    lags = np.subtract.outer(np.arange(block), np.arange(block))
+    return np.where(lags >= 0, h[np.maximum(lags, 0)], 0.0), np.stack([h[1:], a2 * h[:-1]], axis=1)
+
+
+_AR2_TOEPLITZ, _AR2_CARRY = _ar2_kernels(*AR_COEFFICIENTS, _AR2_BLOCK)
+
+
+def _ar2_filter(x: np.ndarray) -> np.ndarray:
+    """y_t = a1 y_{t-1} + a2 y_{t-2} + x_t from a zero start, for 1-D x:
+    ``lfilter([1], [1, -a1, -a2], x)`` to a few ulps of max |y|.
+
+    Each full block's response from a zero start is one GEMM against the
+    Toeplitz matrix.  The blocks' end states (y_{L-1}, y_{L-2}) then follow
+    from a prefix scan, doubling the reach with the squared block
+    transition at each of about log2(blocks) steps, and one more GEMM adds
+    to each block the response to the state it carries in.  The tail of
+    fewer than ``_AR2_BLOCK`` steps takes the same two terms on its own.
+    """
+    blocks = len(x) // _AR2_BLOCK
+    cut = blocks * _AR2_BLOCK
+    y = np.empty_like(x)
+    full = y[:cut].reshape(blocks, _AR2_BLOCK)
+    np.matmul(x[:cut].reshape(blocks, _AR2_BLOCK), _AR2_TOEPLITZ.T, out=full)
+    state = full[:, :-3:-1].copy()
+    step, reach = _AR2_CARRY[:-3:-1], 1
+    while reach < blocks:
+        state[reach:] += state[:-reach] @ step.T
+        step, reach = step @ step, 2 * reach
+    full[1:] += state[:-1] @ _AR2_CARRY.T
+    rest = len(x) - cut
+    y[cut:] = _AR2_TOEPLITZ[:rest, :rest] @ x[cut:]
+    if blocks:
+        y[cut:] += _AR2_CARRY[:rest] @ state[-1]
+    return y
+
 
 #: Innovation SD of the univariate families, the square of a nominal 0.2,
 #: written 0.2**2 (0.04000000000000001) so the series keep their bits.
@@ -217,10 +268,7 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
         return DataArray(mean + _slot_phase(p)[:, None] + eta)
 
     if spec.family == "ar2":
-        from scipy.signal import lfilter
-
-        a1, a2 = AR_COEFFICIENTS
-        parent = lfilter([1.0], [1.0, -a1, -a2], eta, axis=0)
+        parent = _ar2_filter(eta[:, 0])[:, None]
     elif spec.family == "ma2":
         parent = np.convolve([1.0, *MA_COEFFICIENTS], eta[:, 0])[: len(eta), None]
     elif spec.family == "mar":

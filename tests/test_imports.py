@@ -1,10 +1,12 @@
-"""What importing gapboot loads: numpy, and nothing from scipy until a
-code path needs it.  ``gapboot od``, with or without ``--ridge``, solves
-with numpy alone and loads no scipy, and so does ``gapboot check``;
-``scipy.signal`` loads at the first ``ar2`` series, and no other family's
-series loads it."""
+"""What gapboot loads: numpy, and nothing from scipy.  Importing it, a
+series of every family (``ar2``'s AR(2) recursion included), a short
+``gapboot simulate --model ar2``, ``gapboot od`` with or without
+``--ridge``, and ``gapboot check`` all run on numpy alone, and no module
+of the package imports scipy."""
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -20,9 +22,14 @@ def scipy_modules():
 
 import gapboot, gapboot.cli
 report = {"import": scipy_modules()}
-for family in ("mma", "ma2", "periodic", "mar", "mperiodic"):
+for family in ("ar2", "mma", "ma2", "periodic", "mar", "mperiodic"):
     gapboot.generate_series(gapboot.ModelSpec(family, 400, 10), seed=1)
     report[family] = scipy_modules()
+code = gapboot.cli.main([
+    "simulate", "--model", "ar2", "--n", "200", "--p", "5", "--runs", "2",
+    "--truth-runs", "100", "--replicates", "50", "--out", sys.argv[1] + ".sim.csv",
+])
+report["simulate --model ar2"] = [code, scipy_modules()]
 for ridge in ("0", "0.5"):
     code = gapboot.cli.main([
         "od", "--surrogate", "--days", "30", "--slots", "3", "--replicates", "50",
@@ -43,10 +50,25 @@ def test_scipy_loads_only_where_used(tmp_path):
     )
     report = json.loads(done.stdout.splitlines()[-1])  # after check's own lines
     assert report["import"] == []
-    for family in ("mma", "ma2", "periodic", "mar", "mperiodic"):
+    for family in ("ar2", "mma", "ma2", "periodic", "mar", "mperiodic"):
         assert report[family] == [], family
+    assert report["simulate --model ar2"] == [0, []]
     for ridge in ("0", "0.5"):
         code, loaded = report[f"od --ridge {ridge}"]
         assert code == 0
         assert loaded == []
     assert report["check"] == [0, []]
+
+
+def test_no_module_imports_scipy():
+    modules = sorted(pathlib.Path(gapboot.__file__).parent.glob("*.py"))
+    assert modules
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), module.name

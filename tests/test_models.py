@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -30,6 +33,7 @@ from gapboot.models import (
     MULTIVARIATE_MEAN,
     TOEPLITZ_RHO,
     UNIVARIATE_SD,
+    _ar2_filter,
     _gap_cut,
     _innovations,
     _mma_coefficients,
@@ -42,9 +46,10 @@ from gapboot.od import DEFAULT_SPLIT_THETA, SplitProportions
 #: the SHA-256 of ``generate_series(spec, seed=3).values`` and the SHA-256
 #: of every resolved field (``spec_digest``), recorded from the per-family
 #: factories that ModelSpec replaced (``ar2_model(24, 4)`` and so on), when
-#: ModelSpec still held the 15 fields ``spec_digest`` rebuilds.
+#: ModelSpec still held the 15 fields ``spec_digest`` rebuilds.  The ``ar2``
+#: values SHA was re-recorded when ``_ar2_filter`` replaced ``lfilter``.
 FAMILY_PINS = {
-    "ar2": (300, 0.1, "9afd30b5aaf34398c78c5240be9e21ad3c690ec5773d09ba4faa40649bc20a07",
+    "ar2": (300, 0.1, "c61df88b0299b2b5fabad67060160f79ccaa19a781e334a54f36054e87a2aeb2",
             "b0a3a305619f6314890505171a184b0966fa9a16ade1fd642555c13da75cdd32"),
     "ma2": (10, 0.1, "b7e3545f4b22bbbe5b507ceeeb222f33bbf5a78357307da180684902468c9c1f",
             "588c75ff6f0ffca21f4811746f636a314c002661f34306e820f632a6da54d39d"),
@@ -219,10 +224,59 @@ class TestMa2Filter:
         assert values.tobytes() == ma2_reference(spec, 4).tobytes()
 
 
+#: How far ``_ar2_filter`` may stray from ``lfilter``, as a multiple of the
+#: largest magnitude of the series: 16 eps (about 2 eps is seen).
+AR2_TOLERANCE = 16 * np.finfo(float).eps
+
+
+def assert_within_ar2_tolerance(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= AR2_TOLERANCE * np.abs(want).max()
+
+
+class TestAr2Filter:
+    # blocks are 64 steps long: lengths on both sides of one and two blocks
+    @pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 127, 128, 129, 500, 50_500, 300_000])
+    @pytest.mark.parametrize("innovation", ["normal", "centered_exponential"])
+    def test_matches_lfilter(self, length, innovation):
+        x = UNIVARIATE_SD * _innovations(np.random.default_rng(length), innovation, length)
+        a1, a2 = AR_COEFFICIENTS
+        assert_within_ar2_tolerance(_ar2_filter(x), lfilter([1.0], [1.0, -a1, -a2], x))
+
+    @pytest.mark.parametrize("length", [1, 2, 65, 50_500])
+    def test_residuals_are_the_input(self, length):
+        x = np.random.default_rng(length).standard_normal(length)
+        y = _ar2_filter(x)
+        a1, a2 = AR_COEFFICIENTS
+        lagged = np.concatenate([[0.0, 0.0], y])
+        residual = y - a1 * lagged[1:-1] - a2 * lagged[:-2] - x
+        assert np.abs(residual).max() <= AR2_TOLERANCE * np.abs(y).max()
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # the GEMMs split no sum across threads, so each step's bits stay put
+        script = (
+            "import hashlib, numpy as np; from gapboot import ModelSpec, generate_series; "
+            "from gapboot.models import _ar2_filter; "
+            "x = np.random.default_rng(1).standard_normal(300_000); "
+            "v = generate_series(ModelSpec('ar2', 50_000, 5, gap_q=0), seed=3).values; "
+            "print(hashlib.sha256(_ar2_filter(x).tobytes() + v.tobytes()).hexdigest())"
+        )
+        src = os.path.dirname(os.path.dirname(models_module.__file__))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
+
+
 def two_path_series(spec, seed):
     """``generate_series(spec, seed)`` as it was written with one branch for
     the univariate and one for the vector families, each folding its
-    values through ``build_data_array``: the reference for the one path."""
+    values through ``build_data_array``: the reference for the one path.
+    ``ar2`` keeps the ``lfilter`` call it was written with."""
     rng = derived_stream(*(seed if isinstance(seed, tuple) else (seed,)), "series")
     m, p, q, burn = spec.m, spec.p, spec.gap_q, DEFAULT_BURN_IN
     parent_len = (m - 1) * (p + q) + p
@@ -275,12 +329,16 @@ def two_path_series(spec, seed):
 @pytest.mark.parametrize("innovation", ["normal", "centered_exponential"])
 @pytest.mark.parametrize("family", list(FAMILY_GAPS))
 def test_one_path_is_the_two_path_generator_bit_for_bit(family, innovation, cov_kind, n, p, gap_q):
+    # bit for bit, but for ar2's filter, held to AR2_TOLERANCE of lfilter's
     spec = ModelSpec(family, n, p, innovation=innovation, gap_q=gap_q, cov_kind=cov_kind)
     for seed in (0, 3, (1, "truth", 7)):
         got = generate_series(spec, seed).values
         want = two_path_series(spec, seed).values
         assert got.shape == want.shape and got.flags.c_contiguous, seed
-        assert got.tobytes() == want.tobytes(), seed
+        if family == "ar2":
+            assert_within_ar2_tolerance(got, want)
+        else:
+            assert got.tobytes() == want.tobytes(), seed
 
 
 class TestMmaCoefficients:
