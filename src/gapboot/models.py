@@ -28,11 +28,12 @@ filter and the cut and draw the grid itself.
 
 ``ma2`` is a finite filter, ``np.convolve([1, b1, b2], eps)`` cut to the
 parent's length: the call ``scipy.signal.lfilter`` makes for a filter
-with denominator ``[1]``, so the bits are lfilter's.  ``ar2``'s feedback
-recursion runs in numpy by blocks of steps (``_ar2_filter``).  It is
-lfilter's map summed in another order, so its series agree with
-lfilter's to a few ulps of their largest value, not bit for bit.  No
-module of gapboot imports scipy.
+with denominator ``[1]``, so the bits are lfilter's.  ``ar2`` and ``mar``
+share one feedback recursion, run in numpy by blocks of steps
+(``_recursion``).  It is the step-by-step map summed in another order, so
+``ar2`` agrees with ``lfilter`` and ``mar`` with a per-step VAR(1) loop to
+a few ulps of the series' largest value, not bit for bit.  No module of
+gapboot imports scipy.
 """
 from __future__ import annotations
 
@@ -72,53 +73,69 @@ MAR_TRANSITION = (
 AR_COEFFICIENTS = (0.8, 0.1)
 MA_COEFFICIENTS = (0.3, 0.5)
 
-#: Steps per block of ``_ar2_filter``.
-_AR2_BLOCK = 64
+#: Entries per block of ``_recursion``: ``_BLOCK // d`` steps of a d-vector.
+_BLOCK = 64
 
 
-def _ar2_kernels(a1: float, a2: float, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (block, block) lower-triangular Toeplitz matrix of the AR(2)
-    impulse response h (entry (i, j) is h_{i-j}) and the (block, 2)
-    response of a block's steps to the state (y_{-1}, y_{-2}) it starts
-    from, which is (h_{i+1}, a2 h_i) at step i."""
-    h = np.empty(block + 1)
-    h[0], h[1] = 1.0, a1
-    for k in range(2, block + 1):
-        h[k] = a1 * h[k - 1] + a2 * h[k - 2]
-    lags = np.subtract.outer(np.arange(block), np.arange(block))
-    return np.where(lags >= 0, h[np.maximum(lags, 0)], 0.0), np.stack([h[1:], a2 * h[:-1]], axis=1)
+def _recursion_kernels(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Toeplitz and carry matrices of y_t = sum_l Phi_l y_{t-l} + x_t,
+    y_t in R^d, for ``phis`` = (Phi_1, ..., Phi_P) of shape (P, d, d), over
+    blocks of ``_BLOCK // d`` steps flattened step-major.  With H_0 = I,
+    H_k = sum_r H_{k-r} Phi_r and H_k = 0 for k < 0, Toeplitz block (i, j)
+    is H_{i-j}, and carry block (i, l), step i's response to the y_{-l} its
+    block starts from, is sum_{r >= l} H_{i+l-r} Phi_r."""
+    p, d, _ = phis.shape
+    steps = _BLOCK // d
+    h = np.zeros((p + steps, d, d))  # h[p + k] is H_k
+    h[p] = np.eye(d)
+    for k in range(1, steps):
+        h[p + k] = sum(h[p + k - r] @ phis[r - 1] for r in range(1, p + 1))
+    lags = np.subtract.outer(np.arange(steps), np.arange(steps))
+    toeplitz = h[p + np.maximum(lags, -1)].transpose(0, 2, 1, 3).reshape(_BLOCK, _BLOCK)
+    carry = [sum(h[p + lag - r + np.arange(steps)] @ phis[r - 1] for r in range(lag, p + 1))
+             for lag in range(1, p + 1)]
+    return toeplitz, np.stack(carry, axis=2).reshape(_BLOCK, p * d)
 
 
-_AR2_TOEPLITZ, _AR2_CARRY = _ar2_kernels(*AR_COEFFICIENTS, _AR2_BLOCK)
-
-
-def _ar2_filter(x: np.ndarray) -> np.ndarray:
-    """y_t = a1 y_{t-1} + a2 y_{t-2} + x_t from a zero start, for 1-D x:
-    ``lfilter([1], [1, -a1, -a2], x)`` to a few ulps of max |y|.
+def _recursion(x: np.ndarray, kernels: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """y_t = sum_l Phi_l y_{t-l} + x_t from a zero start, for x of shape
+    (T, d), with ``kernels = _recursion_kernels(phis)``: the step-by-step
+    recursion to a few ulps of max |y|.
 
     Each full block's response from a zero start is one GEMM against the
-    Toeplitz matrix.  The blocks' end states (y_{L-1}, y_{L-2}) then follow
-    from a prefix scan, doubling the reach with the squared block
-    transition at each of about log2(blocks) steps, and one more GEMM adds
-    to each block the response to the state it carries in.  The tail of
-    fewer than ``_AR2_BLOCK`` steps takes the same two terms on its own.
+    Toeplitz matrix.  The blocks' end states (their last P steps, reversed)
+    then follow from a prefix scan, doubling the reach with the squared
+    block transition at each of about log2(blocks) steps, and GEMMs of at
+    most ``_BLOCK`` blocks, whose temporaries fit in 32 KiB, add to each
+    block the response to the state it carries in.  The tail of fewer
+    than ``_BLOCK // d`` steps takes the same two terms on its own.
     """
-    blocks = len(x) // _AR2_BLOCK
-    cut = blocks * _AR2_BLOCK
+    toeplitz, carry = kernels
+    d = x.shape[1]
+    p = carry.shape[1] // d
     y = np.empty_like(x)
-    full = y[:cut].reshape(blocks, _AR2_BLOCK)
-    np.matmul(x[:cut].reshape(blocks, _AR2_BLOCK), _AR2_TOEPLITZ.T, out=full)
-    state = full[:, :-3:-1].copy()
-    step, reach = _AR2_CARRY[:-3:-1], 1
+    flat, x = y.reshape(-1), x.reshape(-1)
+    blocks, rest = divmod(len(x), _BLOCK)
+    cut = len(x) - rest
+    full = flat[:cut].reshape(blocks, _BLOCK)
+    np.matmul(x[:cut].reshape(blocks, _BLOCK), toeplitz.T, out=full)
+    state = full.reshape(blocks, _BLOCK // d, d)[:, :-p - 1:-1].copy().reshape(blocks, p * d)
+    step, reach = carry.reshape(-1, d, p * d)[:-p - 1:-1].reshape(p * d, p * d), 1
     while reach < blocks:
         state[reach:] += state[:-reach] @ step.T
         step, reach = step @ step, 2 * reach
-    full[1:] += state[:-1] @ _AR2_CARRY.T
-    rest = len(x) - cut
-    y[cut:] = _AR2_TOEPLITZ[:rest, :rest] @ x[cut:]
+    later, carried = full[1:], state[:-1]
+    for start in range(0, blocks - 1, _BLOCK):
+        later[start:start + _BLOCK] += carried[start:start + _BLOCK] @ carry.T
+    flat[cut:] = toeplitz[:rest, :rest] @ x[cut:]
     if blocks:
-        y[cut:] += _AR2_CARRY[:rest] @ state[-1]
+        flat[cut:] += carry[:rest] @ state[-1]
     return y
+
+
+#: The kernels of the recursive families: ``ar2`` (d = 1, P = 2) and ``mar`` (d = 4, P = 1).
+_KERNELS = {"ar2": _recursion_kernels(np.reshape(AR_COEFFICIENTS, (2, 1, 1))),
+            "mar": _recursion_kernels(np.reshape(MAR_TRANSITION, (1, 4, 4)))}
 
 
 #: Innovation SD of the univariate families, the square of a nominal 0.2,
@@ -267,17 +284,10 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
     if periodic:
         return DataArray(mean + _slot_phase(p)[:, None] + eta)
 
-    if spec.family == "ar2":
-        parent = _ar2_filter(eta[:, 0])[:, None]
+    if spec.family in _KERNELS:
+        parent = _recursion(eta, _KERNELS[spec.family])
     elif spec.family == "ma2":
         parent = np.convolve([1.0, *MA_COEFFICIENTS], eta[:, 0])[: len(eta), None]
-    elif spec.family == "mar":
-        psi = np.asarray(MAR_TRANSITION)
-        parent = np.empty_like(eta)
-        state = np.zeros(4)
-        for t in range(eta.shape[0]):
-            state = psi @ state + eta[t]
-            parent[t] = state
     else:
         phi1, phi2 = _MMA_MATRICES
         lagged1 = np.vstack([np.zeros((1, 4)), eta[:-1]])

@@ -33,10 +33,11 @@ from gapboot.models import (
     MULTIVARIATE_MEAN,
     TOEPLITZ_RHO,
     UNIVARIATE_SD,
-    _ar2_filter,
+    _KERNELS,
     _gap_cut,
     _innovations,
     _mma_coefficients,
+    _recursion,
     row_mean_spread,
 )
 from gapboot._rand import derived_stream
@@ -47,7 +48,8 @@ from gapboot.od import DEFAULT_SPLIT_THETA, SplitProportions
 #: of every resolved field (``spec_digest``), recorded from the per-family
 #: factories that ModelSpec replaced (``ar2_model(24, 4)`` and so on), when
 #: ModelSpec still held the 15 fields ``spec_digest`` rebuilds.  The ``ar2``
-#: values SHA was re-recorded when ``_ar2_filter`` replaced ``lfilter``.
+#: values SHA was re-recorded when a blocked recursion replaced ``lfilter``,
+#: and the ``mar`` one when ``_recursion`` replaced the per-step VAR(1) loop.
 FAMILY_PINS = {
     "ar2": (300, 0.1, "c61df88b0299b2b5fabad67060160f79ccaa19a781e334a54f36054e87a2aeb2",
             "b0a3a305619f6314890505171a184b0966fa9a16ade1fd642555c13da75cdd32"),
@@ -55,7 +57,7 @@ FAMILY_PINS = {
             "588c75ff6f0ffca21f4811746f636a314c002661f34306e820f632a6da54d39d"),
     "periodic": (0, 1.0, "b2a29fc240e68b9f75acf3173d51e300dd33ecddce59a6778467300c1ea798c5",
                  "e414ac92c889280d18fc27ca3efc42402335fd274aa855464d701e80b97febbb"),
-    "mar": (60, 0.1, "114e3b2f13648fa1a0a5855db74d139a15bb33a0e831a2b8c6697fbc786b3e25",
+    "mar": (60, 0.1, "ac1c792a2c8ea663f9f95ca3b44976eb7dfaf70c67161f7c8fa782d255dcb226",
             "b896465f2b7e98ad19b13f47b650beeafe4735f873a191275185724075257604"),
     "mma": (10, 0.1, "785f23e6ef44763cdcae78f4ac2a481f70863878510c9b24efa883bab11bb075",
             "1c04b4097486dffd396e382f0482539c4cf63e38963b3461bc3d3e44b8d0e46a"),
@@ -224,42 +226,100 @@ class TestMa2Filter:
         assert values.tobytes() == ma2_reference(spec, 4).tobytes()
 
 
-#: How far ``_ar2_filter`` may stray from ``lfilter``, as a multiple of the
+#: How far ``_recursion`` may stray from the step-by-step recursion
+#: (``lfilter`` for ``ar2``, ``var1_loop`` for ``mar``), as a multiple of the
 #: largest magnitude of the series: 16 eps (about 2 eps is seen).
-AR2_TOLERANCE = 16 * np.finfo(float).eps
+RECURSION_TOLERANCE = 16 * np.finfo(float).eps
+
+#: SHA-256 of ``generate_series(ModelSpec("ar2", 50_000, 5, gap_q=0), seed=3)``
+#: (the shape of the study-long benchmark), recorded before ``ar2`` and
+#: ``mar`` shared ``_recursion``.
+AR2_LONG_SHA = "df8dc503f3967af10a1de182b0ba2ea6cbe0ff0b5551e2a0e32f8c06ac8a611d"
 
 
-def assert_within_ar2_tolerance(got, want):
+def assert_within_recursion_tolerance(got, want):
     assert got.shape == want.shape
-    assert np.abs(got - want).max() <= AR2_TOLERANCE * np.abs(want).max()
+    assert np.abs(got - want).max() <= RECURSION_TOLERANCE * np.abs(want).max()
 
 
-class TestAr2Filter:
-    # blocks are 64 steps long: lengths on both sides of one and two blocks
+def var1_loop(x):
+    """y_t = Psi y_{t-1} + x_t one Python step at a time, for x of shape
+    (T, 4): ``mar``'s filter as the generator once ran it, the reference
+    for ``_recursion``."""
+    psi = np.asarray(MAR_TRANSITION)
+    y = np.empty_like(x)
+    state = np.zeros(4)
+    for t in range(x.shape[0]):
+        state = psi @ state + x[t]
+        y[t] = state
+    return y
+
+
+def scalar_ar2_kernels():
+    """``ar2``'s Toeplitz and carry matrices built from the scalar impulse
+    response h_k = a1 h_{k-1} + a2 h_{k-2}, as they were before ``mar``
+    shared the recursion."""
+    a1, a2 = AR_COEFFICIENTS
+    h = np.empty(65)
+    h[0], h[1] = 1.0, a1
+    for k in range(2, 65):
+        h[k] = a1 * h[k - 1] + a2 * h[k - 2]
+    lags = np.subtract.outer(np.arange(64), np.arange(64))
+    return np.where(lags >= 0, h[np.maximum(lags, 0)], 0.0), np.stack([h[1:], a2 * h[:-1]], axis=1)
+
+
+class TestRecursion:
+    # ar2 blocks are 64 steps long: lengths on both sides of one and two blocks
     @pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 127, 128, 129, 500, 50_500, 300_000])
     @pytest.mark.parametrize("innovation", ["normal", "centered_exponential"])
-    def test_matches_lfilter(self, length, innovation):
+    def test_ar2_matches_lfilter(self, length, innovation):
         x = UNIVARIATE_SD * _innovations(np.random.default_rng(length), innovation, length)
         a1, a2 = AR_COEFFICIENTS
-        assert_within_ar2_tolerance(_ar2_filter(x), lfilter([1.0], [1.0, -a1, -a2], x))
+        got = _recursion(x[:, None], _KERNELS["ar2"])[:, 0]
+        assert_within_recursion_tolerance(got, lfilter([1.0], [1.0, -a1, -a2], x))
 
     @pytest.mark.parametrize("length", [1, 2, 65, 50_500])
-    def test_residuals_are_the_input(self, length):
+    def test_ar2_residuals_are_the_input(self, length):
         x = np.random.default_rng(length).standard_normal(length)
-        y = _ar2_filter(x)
+        y = _recursion(x[:, None], _KERNELS["ar2"])[:, 0]
         a1, a2 = AR_COEFFICIENTS
         lagged = np.concatenate([[0.0, 0.0], y])
         residual = y - a1 * lagged[1:-1] - a2 * lagged[:-2] - x
-        assert np.abs(residual).max() <= AR2_TOLERANCE * np.abs(y).max()
+        assert np.abs(residual).max() <= RECURSION_TOLERANCE * np.abs(y).max()
+
+    # mar blocks are 16 steps long
+    @pytest.mark.parametrize("length", [1, 15, 16, 17, 31, 32, 33, 3_040, 100_000])
+    @pytest.mark.parametrize("innovation", ["normal", "centered_exponential"])
+    def test_mar_matches_the_var1_loop(self, length, innovation):
+        x = _innovations(np.random.default_rng(length), innovation, (length, 4))
+        assert_within_recursion_tolerance(_recursion(x, _KERNELS["mar"]), var1_loop(x))
+
+    @pytest.mark.parametrize("length", [1, 17, 3_040, 50_500])
+    def test_mar_residuals_are_the_input(self, length):
+        x = np.random.default_rng(length).standard_normal((length, 4))
+        y = _recursion(x, _KERNELS["mar"])
+        lagged = np.concatenate([np.zeros((1, 4)), y[:-1]])
+        residual = y - lagged @ np.asarray(MAR_TRANSITION).T - x
+        assert np.abs(residual).max() <= RECURSION_TOLERANCE * np.abs(y).max()
+
+    def test_ar2_kernels_are_the_scalar_impulse_response(self):
+        toeplitz, carry = scalar_ar2_kernels()
+        assert _KERNELS["ar2"][0].tobytes() == toeplitz.tobytes()
+        assert _KERNELS["ar2"][1].tobytes() == carry.tobytes()
+
+    def test_ar2_long_series_keeps_its_bytes(self):
+        values = generate_series(ModelSpec("ar2", 50_000, 5, gap_q=0), seed=3).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == AR2_LONG_SHA
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         # the GEMMs split no sum across threads, so each step's bits stay put
         script = (
             "import hashlib, numpy as np; from gapboot import ModelSpec, generate_series; "
-            "from gapboot.models import _ar2_filter; "
-            "x = np.random.default_rng(1).standard_normal(300_000); "
-            "v = generate_series(ModelSpec('ar2', 50_000, 5, gap_q=0), seed=3).values; "
-            "print(hashlib.sha256(_ar2_filter(x).tobytes() + v.tobytes()).hexdigest())"
+            "from gapboot.models import _KERNELS, _recursion; "
+            "x = np.random.default_rng(1).standard_normal((300_000, 1)); "
+            "v = [generate_series(ModelSpec(f, 50_000, 5, gap_q=0), seed=3).values.tobytes() "
+            "     for f in ('ar2', 'mar')]; "
+            "print(hashlib.sha256(_recursion(x, _KERNELS['ar2']).tobytes() + b''.join(v)).hexdigest())"
         )
         src = os.path.dirname(os.path.dirname(models_module.__file__))
         digests = set()
@@ -276,7 +336,8 @@ def two_path_series(spec, seed):
     """``generate_series(spec, seed)`` as it was written with one branch for
     the univariate and one for the vector families, each folding its
     values through ``build_data_array``: the reference for the one path.
-    ``ar2`` keeps the ``lfilter`` call it was written with."""
+    ``ar2`` keeps the ``lfilter`` call it was written with, and ``mar`` its
+    per-step VAR(1) loop (``var1_loop``)."""
     rng = derived_stream(*(seed if isinstance(seed, tuple) else (seed,)), "series")
     m, p, q, burn = spec.m, spec.p, spec.gap_q, DEFAULT_BURN_IN
     parent_len = (m - 1) * (p + q) + p
@@ -308,13 +369,7 @@ def two_path_series(spec, seed):
 
     eta = _innovations(rng, spec.innovation, (burn + parent_len, 4)) @ chol.T
     if spec.family == "mar":
-        psi = np.asarray(MAR_TRANSITION)
-        parent = np.empty_like(eta)
-        state = np.zeros(4)
-        for t in range(eta.shape[0]):
-            state = psi @ state + eta[t]
-            parent[t] = state
-        parent = parent[burn:]
+        parent = var1_loop(eta)[burn:]
     else:
         phi1, phi2 = (np.asarray(phi) for phi in _mma_coefficients(212))
         lagged1 = np.vstack([np.zeros((1, 4)), eta[:-1]])
@@ -329,14 +384,15 @@ def two_path_series(spec, seed):
 @pytest.mark.parametrize("innovation", ["normal", "centered_exponential"])
 @pytest.mark.parametrize("family", list(FAMILY_GAPS))
 def test_one_path_is_the_two_path_generator_bit_for_bit(family, innovation, cov_kind, n, p, gap_q):
-    # bit for bit, but for ar2's filter, held to AR2_TOLERANCE of lfilter's
+    # bit for bit, but for the recursions of ar2 and mar, held to
+    # RECURSION_TOLERANCE of lfilter's and of the VAR(1) loop's
     spec = ModelSpec(family, n, p, innovation=innovation, gap_q=gap_q, cov_kind=cov_kind)
     for seed in (0, 3, (1, "truth", 7)):
         got = generate_series(spec, seed).values
         want = two_path_series(spec, seed).values
         assert got.shape == want.shape and got.flags.c_contiguous, seed
-        if family == "ar2":
-            assert_within_ar2_tolerance(got, want)
+        if family in ("ar2", "mar"):
+            assert_within_recursion_tolerance(got, want)
         else:
             assert got.tobytes() == want.tobytes(), seed
 
