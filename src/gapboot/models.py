@@ -239,7 +239,9 @@ def _innovations(rng: np.random.Generator, kind: str, size) -> np.ndarray:
     if kind == "normal":
         return rng.standard_normal(size)
     # Exponential(1) shifted to mean zero: same variance, skewness 2.
-    return rng.exponential(1.0, size) - 1.0
+    x = rng.exponential(1.0, size)
+    x -= 1.0
+    return x
 
 
 def _gap_cut(parent: np.ndarray, m: int, p: int, q: int) -> np.ndarray:
@@ -290,19 +292,10 @@ def generate_series(spec: ModelSpec, seed) -> DataArray:
         parent = np.convolve([1.0, *MA_COEFFICIENTS], eta[:, 0])[: len(eta), None]
     else:
         phi1, phi2 = _MMA_MATRICES
-        lagged1 = np.vstack([np.zeros((1, 4)), eta[:-1]])
-        lagged2 = np.vstack([np.zeros((2, 4)), eta[:-2]])
-        parent = eta + lagged1 @ phi1.T + lagged2 @ phi2.T
+        parent = eta.copy()
+        parent[1:] += eta[:-1] @ phi1.T
+        parent[2:] += eta[:-2] @ phi2.T
     return DataArray(mean + _gap_cut(parent[burn:], m, p, q))
-
-
-def _series_rows(spec: ModelSpec, key: tuple, runs: int, reduce) -> np.ndarray:
-    """``reduce(generate_series(spec, key + (r,)), r)`` stacked over r < runs,
-    one series per task on ``_thread_map``'s ``_rand._WORKERS`` threads.  A
-    task draws from its own keyed stream and returns only its own row, so
-    the result is the same for any thread count."""
-    task = lambda r: reduce(generate_series(spec, key + (r,)), r)
-    return np.stack(_rand._thread_map(task, runs, _rand._WORKERS))
 
 
 def _check_truth_runs(runs: int) -> None:
@@ -310,20 +303,32 @@ def _check_truth_runs(runs: int) -> None:
         raise ConfigError(f"need at least 100 Monte Carlo runs for a usable truth, got {runs}")
 
 
+def _truth_task(spec: ModelSpec, estimator: EstimatorSpec, seed):
+    """``task(r)``, the estimate on truth run r, keyed ``(*seed, "truth", r)``.
+    A task draws from its own keyed stream and returns only its own
+    estimate, so the runs may go on any threads in any order."""
+    key = _key(seed) + ("truth",)
+    return lambda r: apply_estimator(
+        estimator, generate_series(spec, key + (r,)).series(), f"truth run {r + 1}"
+    )
+
+
+def _true_se(estimates) -> np.ndarray:
+    """The componentwise standard deviation (divisor runs - 1) of the truth
+    runs' estimates, in run order."""
+    return np.stack(estimates).std(axis=0, ddof=1)
+
+
 def monte_carlo_true_se(spec: ModelSpec, estimator: EstimatorSpec, runs: int, seed) -> np.ndarray:
     """Monte Carlo standard error of the estimator under the model, shape (r,).
 
     Simulates ``runs`` independent arrays (runs >= 100), run r keyed
-    ``(*seed, "truth", r)``, one per task on all CPUs (``_series_rows``),
-    and reports the componentwise standard deviation (divisor runs - 1)
-    of the estimates.
+    ``(*seed, "truth", r)``, one per task on ``_thread_map``'s
+    ``_rand._WORKERS`` threads, and reports the componentwise standard
+    deviation (divisor runs - 1) of the estimates.
     """
     _check_truth_runs(runs)
-    estimates = _series_rows(
-        spec, _key(seed) + ("truth",), runs,
-        lambda arr, r: apply_estimator(estimator, arr.series(), f"truth run {r + 1}"),
-    )
-    return estimates.std(axis=0, ddof=1)
+    return _true_se(_rand._thread_map(_truth_task(spec, estimator, seed), runs, _rand._WORKERS))
 
 
 def row_mean_spread(spec: ModelSpec, runs: int, seed) -> float:
@@ -334,11 +339,13 @@ def row_mean_spread(spec: ModelSpec, runs: int, seed) -> float:
     mean must show row means agreeing within Monte Carlo error, while the
     periodic families must not.  Simulates ``runs`` >= 2 arrays (an
     integer; ConfigError otherwise), run r keyed ``(*seed, "rowcheck", r)``,
-    one per task on all CPUs (``_series_rows``).
+    one per task on ``_thread_map``'s ``_rand._WORKERS`` threads.
     """
     if _check_int(runs, "runs") < 2:
         raise ConfigError(f"need at least 2 runs to compare row means, got {runs}")
-    rows = _series_rows(spec, _key(seed) + ("rowcheck",), runs, lambda arr, r: arr.values.mean(axis=0))
+    key = _key(seed) + ("rowcheck",)
+    task = lambda r: generate_series(spec, key + (r,)).values.mean(axis=0)
+    rows = np.stack(_rand._thread_map(task, runs, _rand._WORKERS))
     means = rows.mean(axis=0)
     ses = rows.std(axis=0, ddof=1) / np.sqrt(runs)
     centred = means - means.mean(axis=0, keepdims=True)

@@ -263,10 +263,9 @@ def write_od_csv(dataset: ODDataset, path) -> None:
     every count as its shortest round-trip ``repr``."""
     values = np.concatenate([dataset.origins, dataset.destinations], axis=-1).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OD_CSV_COLUMNS)
-        writer.writerows(
-            [di + 1, si + 1, *record]
+        fh.write(",".join(OD_CSV_COLUMNS) + "\r\n")
+        fh.writelines(
+            f"{di + 1},{si + 1},{','.join(map(repr, record))}\r\n"
             for di, day in enumerate(values)
             for si, record in enumerate(day)
         )
@@ -307,26 +306,30 @@ def _statistics(dataset: ODDataset) -> np.ndarray:
     products in the order O'D' adds them.  Both halves are written in
     place into one C-contiguous array, whose sums over days (and slots)
     add each column in the same order as sums of separate C-contiguous
-    halves would.
+    halves would.  The records go ``_GRAM_BATCH`` at a time, so the
+    (records, 21) temporaries stay small.
     """
-    o = dataset.origins
-    d = dataset.destinations
-    stats = np.empty(o.shape[:2] + (42,))
-    products, h = stats[..., :21], stats[..., 21:]
-    ok = o[..., _ORIGIN]
-    np.multiply(ok, o[..., _DEST], out=products)
-    np.multiply(ok, d[..., _DEST], out=h)
-    ok *= (d[..., 6] - o.sum(axis=-1))[..., None]
-    h -= ok
-    return stats
+    o = dataset.origins.reshape(-1, 7)
+    d = dataset.destinations.reshape(-1, 7)
+    stats = np.empty((len(o), 42))
+    for lo in range(0, len(o), _GRAM_BATCH):
+        batch = slice(lo, lo + _GRAM_BATCH)
+        ob, db = o[batch], d[batch]
+        products, h = stats[batch, :21], stats[batch, 21:]
+        ok = ob[:, _ORIGIN]
+        np.multiply(ok, ob[:, _DEST], out=products)
+        np.multiply(ok, db[:, _DEST], out=h)
+        ok *= (db[:, 6] - ob.sum(axis=-1))[:, None]
+        h -= ok
+    return stats.reshape(dataset.origins.shape[:2] + (42,))
 
 
 # ---------------------------------------------------------------------------
 # Solves, the bootstrap within slots and sliding windows
 # ---------------------------------------------------------------------------
 
-#: Systems per batch of normal-equation solves (a batch's working arrays
-#: take about 0.5 MiB).
+#: Records per batch of ``_statistics`` and systems per batch of
+#: normal-equation solves (a batch's working arrays take at most about 0.5 MiB).
 _GRAM_BATCH = 500
 
 #: A slot bootstrap chunk's day indices take about this many bytes (113

@@ -137,6 +137,37 @@ class TestRunStudy:
         write_study_csv(threaded, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_truth_beside_inline_runs_is_thread_invariant(self, tmp_path, monkeypatch):
+        # rows of 100 x 1000 indices: above the overlap gate, below the row
+        # pool's, so the truth series go beside the runs; ``threads`` holds
+        # the threads the estimator ran on, for truth series (whole n-step
+        # series) and for the runs (rows and windows)
+        config = tiny_config(sizes=((500, 5),), methods=("gb1", "gb2"), runs=3, replicates=1000)
+        spec = study_module._model_for_cell(config, "ar2", "normal", 500, 5)
+        assert study_module._overlap(config, spec)
+        threads = {"truth": set(), "runs": set()}
+        mean = study_module.mean_estimator()
+
+        def evaluate(stack):
+            threads["truth" if stack.shape[1] == 500 else "runs"].add(threading.current_thread())
+            return mean.evaluate(stack)
+
+        recording = EstimatorSpec(mean.name, mean.dim, evaluate)
+        monkeypatch.setattr(study_module, "mean_estimator", lambda: recording)
+        paths = {}
+        for workers in (1, 3):
+            monkeypatch.setattr(rand_module, "_WORKERS", workers)
+            for seen in threads.values():
+                seen.clear()
+            result = run_study(config)
+            paths[workers] = tmp_path / f"{workers}.csv"
+            write_study_csv(result, paths[workers])
+            assert threads["runs"] == {threading.main_thread()}
+            assert bool(threads["truth"] - {threading.main_thread()}) == (workers > 1)
+        assert paths[1].read_bytes() == paths[3].read_bytes()
+        truth = models_module.monte_carlo_true_se(spec, mean, config.truth_runs, (config.seed, "truth", 0))
+        assert result.cells[0].true_se == truth[0]
+
     def test_failed_cell_is_recorded(self, tmp_path):
         # 201 is not a multiple of 5, so the first cell fails while the
         # second still runs.
@@ -161,13 +192,13 @@ class TestRunStudy:
 
 
     def test_too_long_block_length_fails_before_the_truth(self, monkeypatch):
-        calls = []
-        truth = study_module.monte_carlo_true_se
+        series = []
+        generate = models_module.generate_series
         monkeypatch.setattr(
-            study_module, "monte_carlo_true_se", lambda *a, **k: calls.append(1) or truth(*a, **k)
+            models_module, "generate_series", lambda *a, **k: series.append(1) or generate(*a, **k)
         )
         (cell,) = run_study(tiny_config(sizes=((40, 5),), methods=("bb",), block_length=100)).cells
-        assert calls == []
+        assert series == []
         assert cell.error == "window length 100 outside 2..7"
 
     def test_one_row_gb1_fails_before_the_truth(self, monkeypatch):
